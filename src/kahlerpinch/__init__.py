@@ -24,7 +24,6 @@ from .models import (
     MetricModel,
     Product,
     fd_metric_jet,
-    kahler_residual,
     model_from_json,
     model_to_json,
 )

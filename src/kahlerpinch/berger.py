@@ -20,7 +20,6 @@ __all__ = [
     "SphereSampleConfig",
     "BergerEstimate",
     "BergerComparison",
-    "orthonormal_frame",
     "sample_directions",
     "berger_scalar",
     "berger_vs_trace",

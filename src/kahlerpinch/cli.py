@@ -18,7 +18,13 @@ import numpy as np
 
 from . import hirzebruch
 from .berger import SphereSampleConfig, berger_vs_trace, default_points
-from .geometry import check_symmetries, curvature_tensor, ricci, scalar_curvature
+from .geometry import (
+    DegenerateMetricError,
+    check_symmetries,
+    curvature_tensor,
+    ricci,
+    scalar_curvature,
+)
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
 from .optimize import extremize_direction, sweep_fiber, sweep_s
 from .products import CommonBoundError, verify_product_numeric
@@ -41,8 +47,20 @@ def _parse_s(text: str):
 
 
 def _parse_model(text: str) -> MetricModel:
-    """Model shorthand: fs<m>, hitchin:<n>:<s>, product:<a>:<b>, or JSON."""
+    """Model shorthand: fs<m>, hitchin:<n>:<s>, product:<a>:<b>, or JSON.
+
+    A product splits at the first colon that leaves two parseable factors.
+    """
     text = text.strip()
+    if text.startswith("product:"):
+        parts = text.split(":")[1:]
+        for i in range(1, len(parts)):
+            try:
+                left = _parse_model(":".join(parts[:i]))
+                return Product(left, _parse_model(":".join(parts[i:])))
+            except UsageError:
+                continue
+        raise UsageError(f"cannot parse model {text!r}")
     try:
         if text.startswith("{"):
             return model_from_json(json.loads(text))
@@ -51,22 +69,30 @@ def _parse_model(text: str) -> MetricModel:
         if text.startswith("hitchin:"):
             _, n, s = text.split(":")
             return Hitchin.make(int(n), _parse_s(s))
-        if text.startswith("product:"):
-            _, a, b = text.split(":", 2)
-            return Product(_parse_model(a), _parse_model(b))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse model {text!r}: {exc}") from exc
     raise UsageError(f"unknown model {text!r}")
 
 
-def _parse_point(text: str, m: int) -> np.ndarray:
+def _parse_point(text: str, model: MetricModel) -> np.ndarray:
+    """Chart point of ``model`` with finite coordinates and a definite metric."""
     try:
         coords = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse point {text!r}") from exc
-    if len(coords) != m:
-        raise UsageError(f"point has {len(coords)} coordinates, model needs {m}")
-    return np.array(coords, dtype=complex)
+    if len(coords) != model.dimension:
+        raise UsageError(
+            f"point has {len(coords)} coordinates, model needs {model.dimension}"
+        )
+    z = np.array(coords, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise UsageError(f"point {text!r} has a non-finite coordinate")
+    try:
+        with np.errstate(all="ignore"):
+            model.metric_jet(z)
+    except DegenerateMetricError as exc:
+        raise UsageError(f"point {text!r} is out of numerical range: {exc}") from exc
+    return z
 
 
 def _c2j(z: complex) -> list:
@@ -112,7 +138,10 @@ def _hitchin_from_args(args) -> Hitchin:
     if args.n < 1:
         raise UsageError("n must be >= 1")
     s = _parse_s(args.s) if args.s is not None else hirzebruch.optimal_s(args.n)[0]
-    model = Hitchin.make(args.n, s)
+    try:
+        model = Hitchin.make(args.n, s)
+    except ValueError as exc:
+        raise UsageError(f"bad family parameter {args.s!r}: {exc}") from exc
     hirzebruch.require_admissible(model.n, s)
     return model
 
@@ -176,11 +205,13 @@ def cmd_sweep_s(args):
 
 def cmd_berger(args):
     model = _parse_model(args.model)
+    if args.samples < 1:
+        raise UsageError("samples must be >= 1")
     cfg = SphereSampleConfig(
         sample_count=args.samples, seed=args.seed, antithetic=args.antithetic
     )
     if args.point:
-        points = [_parse_point(p, model.dimension) for p in args.point]
+        points = [_parse_point(p, model) for p in args.point]
     else:
         points = default_points(model)
     bracket = None
@@ -250,7 +281,7 @@ def cmd_product(args):
 def cmd_curvature(args):
     model = _parse_model(args.model)
     m = model.dimension
-    z = _parse_point(args.point, m) if args.point else np.zeros(m, dtype=complex)
+    z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
     jet = model.metric_jet(z)
     R = curvature_tensor(jet)
     ric = ricci(R, jet.g)
@@ -287,7 +318,8 @@ def cmd_curvature(args):
         for idx, val in enumerate(results["ricci_eigenvalues"]):
             yield (f"ricci_eigenvalue_{idx}", val)
 
-    return _envelope("curvature", params, results, True), csv_rows(), True
+    passed = ex.converged and sym.max_violation < 1e-10
+    return _envelope("curvature", params, results, passed), csv_rows(), passed
 
 
 def _verify_row(n: int, args) -> dict:

@@ -95,13 +95,22 @@ class SymmetryReport:
         )
 
 
-def _real_part(value: complex, what: str) -> float:
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > _IMAG_TOL * scale:
+def _real_part(value, what: str):
+    """Real part of a complex number (as a float) or array that must be real.
+
+    The imaginary residue may reach _IMAG_TOL times max(1, |value|).
+    """
+    residue = abs(value.imag)
+    bad = (residue > _IMAG_TOL) & (residue > _IMAG_TOL * abs(value))
+    if isinstance(value, np.ndarray):
+        bad, real = bad.any(), value.real
+    else:
+        real = float(value.real)
+    if bad:
         raise ValueError(
-            f"{what} has imaginary residue {value.imag:.3e}, expected real"
+            f"{what} has imaginary residue {np.max(residue):.3e}, expected real"
         )
-    return float(value.real)
+    return real
 
 
 def metric_eigenvalues(g: np.ndarray) -> np.ndarray:

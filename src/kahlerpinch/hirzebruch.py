@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "AdmissibilityError",
     "CaseBounds",
@@ -53,14 +55,14 @@ def _is_inf(r) -> bool:
 def _check_params(n: int, s) -> None:
     if n < 1:
         raise ValueError("Hirzebruch index n must be >= 1")
-    if not s > 0:
+    if not np.all(s > 0):
         raise ValueError("family parameter s must be positive")
 
 
 def _check_radius(r) -> None:
     if _is_inf(r):
         return
-    if not r >= 0:
+    if not np.all(r >= 0):
         raise ValueError("fiber radius r must be non-negative")
 
 
@@ -96,7 +98,8 @@ def hsc_coefficients(n: int, s, r):
     """Coefficients (alpha, beta, gamma) of the direction quadratic.
 
     The sectional curvature along the unit direction with weights (a, b) is
-    alpha a^2 + beta a b + gamma b^2; gamma = 4/s independently of r.
+    alpha a^2 + beta a b + gamma b^2; gamma = 4/s independently of r.  Array
+    values of s and of a finite r broadcast against each other.
     """
     _check_params(n, s)
     _check_radius(r)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import DegenerateMetricError, MetricJet, metric_eigenvalues
+from .geometry import MetricJet, _require_positive_definite
 
 __all__ = [
     "KernelJet",
@@ -32,7 +32,6 @@ __all__ = [
     "MetricModel",
     "log_jet",
     "fd_metric_jet",
-    "kahler_residual",
     "model_to_json",
     "model_from_json",
 ]
@@ -175,7 +174,7 @@ class FubiniStudy:
 
     def metric_jet(self, z) -> MetricJet:
         jet = log_jet(self.kernel(z))
-        _check_definite(jet)
+        _require_positive_definite(jet.g)
         return jet
 
 
@@ -261,7 +260,7 @@ class Hitchin:
 
     def metric_jet(self, z) -> MetricJet:
         jet = _scale_add(log_jet(self.base_kernel(z)), self.s, log_jet(self.fiber_kernel(z)))
-        _check_definite(jet)
+        _require_positive_definite(jet.g)
         return jet
 
     def fiber_point(self, r: float) -> np.ndarray:
@@ -305,17 +304,6 @@ class Product:
 
 
 MetricModel = FubiniStudy | Hitchin | Product
-
-
-def _check_definite(jet: MetricJet) -> None:
-    ev = metric_eigenvalues(jet.g)
-    if ev[0] <= 0.0:
-        raise DegenerateMetricError(float(ev[0]))
-
-
-def kahler_residual(jet: MetricJet) -> float:
-    """Largest violation of dg_{i jbar}/dz_k = dg_{k jbar}/dz_i."""
-    return float(np.max(np.abs(jet.dg - jet.dg.transpose(2, 1, 0))))
 
 
 def _wirtinger(f, z: np.ndarray, k: int, h: float, barred: bool):

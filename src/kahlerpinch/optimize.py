@@ -1,16 +1,20 @@
-"""Derivative-free extremization of holomorphic sectional curvature.
+"""Extremization of holomorphic sectional curvature over directions and parameters.
 
 This module is the generic numerical route to the pinching constants: it
 never consults the closed-form extremal values, only curvature tensors (and,
 at the compactified fiber endpoint t = 1, the analytic limit of the direction
 quadratic, since the metric itself degenerates in the chart there).
 
-Direction search parametrizes direction lines rather than vectors, exploiting
-the invariance of K under complex rescaling: weights plus a relative phase in
-dimension two, an affine chart of the direction space in general.  Refinement
-is golden-section on one-dimensional slices plus a downhill simplex for the
-joint fiber-parameter search.  Stationarity is certified through the analytic
-gradient of K, whose full Euclidean norm vanishes at extremal directions.
+The extrema over the directions of a two-dimensional tangent space are exact:
+there the direction lines form the Bloch sphere S^2, on which K is a quadratic
+v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
+(Gander, Golub and von Matt, "A constrained eigenvalue problem", 1989).  The
+weight quadratic of the Hirzebruch family is extremized exactly on its
+interval.  Higher dimensions use a multi-start downhill simplex in an affine
+chart of the direction space, and the fiber extrema are refined by a bounded
+scalar search in the fiber parameter.  Stationarity is certified through the
+analytic gradient of K, whose full Euclidean norm vanishes at extremal
+directions.
 """
 from __future__ import annotations
 
@@ -18,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .geometry import (
+    _real_part,
     curvature_tensor,
     holomorphic_sectional_curvature,
     hsc_gradient,
@@ -35,7 +40,6 @@ __all__ = [
     "PinchingReport",
     "Grid2DReport",
     "SweepSResult",
-    "golden_section_min",
     "batch_hsc",
     "extremize_direction",
     "extremize_quadratic",
@@ -46,29 +50,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x), iterations)."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iters = 0
-    while (b - a) > tol and iters < max_iter:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        iters += 1
-    if fc <= fd:
-        return c, fc, iters
-    return d, fd, iters
+# Compactified fiber samples per parameter value in sweep_s, t = 1 included.
+_SWEEP_T_POINTS = 65
+# Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
 
 def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -76,60 +64,7 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     xis = np.asarray(xis, dtype=complex)
     num = 2.0 * np.einsum("ijkl,bi,bj,bk,bl->b", R, xis, xis.conj(), xis, xis.conj())
     den = np.einsum("ij,bi,bj->b", np.asarray(g, dtype=complex), xis, xis.conj()).real
-    scale = np.maximum(1.0, np.abs(num))
-    if np.any(np.abs(num.imag) > 1e-10 * scale):
-        raise ValueError("sectional curvature numerator has imaginary residue")
-    return num.real / den**2
-
-
-class _FrameQuartic:
-    """Fast evaluator of K on the direction sphere of a 2-d tangent space.
-
-    In a g-orthonormal frame the direction (cos psi, sin psi e^{i phi}) has
-    unit norm, so K is the quartic sum(Rhat[a,b,c,d] c_a cbar_b c_c cbar_d),
-    collapsed here by total frame-index weight into a 3x3 monomial table.
-    """
-
-    def __init__(self, R: np.ndarray, g: np.ndarray, F: np.ndarray):
-        Rhat = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, F, F.conj(), F, F.conj())
-        T = np.zeros((3, 3), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        T[i + k, j + l] += Rhat[i, j, k, l]
-        self.T = T
-        self.F = F
-
-    def value(self, psi: float, phi: float) -> float:
-        p, q = math.cos(psi), math.sin(psi)
-        e = complex(math.cos(phi), math.sin(phi))
-        total = 0.0j
-        for u in range(3):
-            for b in range(3):
-                Tub = self.T[u, b]
-                if Tub != 0.0:
-                    total += Tub * p ** (4 - u - b) * q ** (u + b) * e ** (u - b)
-        return 2.0 * total.real
-
-    def grid(self, psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        pp, ff = np.meshgrid(psis, phis, indexing="ij")
-        p, q = np.cos(pp), np.sin(pp)
-        e = np.exp(1j * ff)
-        total = np.zeros_like(pp, dtype=complex)
-        for u in range(3):
-            for b in range(3):
-                Tub = self.T[u, b]
-                if Tub != 0.0:
-                    total += Tub * p ** (4 - u - b) * q ** (u + b) * e ** (u - b)
-        return 2.0 * total.real
-
-    def direction(self, psi: float, phi: float) -> np.ndarray:
-        c = np.array(
-            [math.cos(psi), math.sin(psi) * complex(math.cos(phi), math.sin(phi))],
-            dtype=complex,
-        )
-        return self.F @ c
+    return _real_part(num, "sectional curvature numerator") / den**2
 
 
 @dataclass(frozen=True)
@@ -147,7 +82,11 @@ class DirectionExtrema:
 
 @dataclass(frozen=True)
 class QuadraticExtrema:
-    """Extrema of the weight quadratic alpha a^2 + beta ab + gamma b^2 on a+b=1."""
+    """Extrema of the weight quadratic alpha a^2 + beta ab + gamma b^2 on a+b=1.
+
+    Fields are floats for scalar coefficients and arrays of their broadcast
+    shape otherwise.
+    """
 
     min_K: float
     max_K: float
@@ -162,33 +101,74 @@ def _residual(R, g, xi) -> float:
     return float(np.linalg.norm(hsc_gradient(R, g, xi)))
 
 
-def _extremize_two_dim(quart: _FrameQuartic, sign: float, tol: float, max_iter: int):
-    psis = np.linspace(0.0, 0.5 * math.pi, 25)
-    phis = np.linspace(0.0, _TWO_PI, 8, endpoint=False)
-    values = sign * quart.grid(psis, phis)
-    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-    psi, phi = float(psis[i]), float(phis[j])
-    dpsi, dphi = psis[1] - psis[0], phis[1] - phis[0]
-    gtol = min(tol, 1e-10)
+def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
+    """(A, b, c0) with K(F c) = v.A v + b.v + c0 for unit c, c c* = (I + v.sigma)/2.
 
-    def kf(p, f):
-        return sign * quart.value(p, f)
+    In the frame, K(F c) = 2 sum Rhat_abcd P_ab P_cd with P = c c* =
+    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v).
+    """
+    Rhat = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, F, F.conj(), F, F.conj())
+    M = 0.5 * np.einsum("abcd,mab,ncd->mn", Rhat, _PAULI, _PAULI).real
+    M = 0.5 * (M + M.T)
+    return M[1:, 1:], 2.0 * M[0, 1:], M[0, 0]
 
-    best = values[i, j]
-    for _ in range(3):
-        psi, best, _ = golden_section_min(
-            lambda p: kf(p, phi), psi - dpsi, psi + dpsi, tol=gtol, max_iter=max_iter
-        )
-        phi, best, _ = golden_section_min(
-            lambda f: kf(psi, f), phi - dphi, phi + dphi, tol=gtol, max_iter=max_iter
-        )
-        dpsi, dphi = dpsi * 0.1, dphi * 0.1
-    # exact chart poles are ordinary sphere points; test them verbatim
-    for cand in (0.0, 0.5 * math.pi):
-        cval = kf(cand, 0.0)
-        if cval < best:
-            psi, phi, best = cand, 0.0, cval
-    return psi, phi, sign * best
+
+def _sphere_kkt_points(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit vectors (rows) among which lie all KKT points of v.A v + b.v on S^2.
+
+    A KKT point solves (A - mu) v = -b/2 with |v| = 1.  Its multiplier mu is a
+    real eigenvalue of [[A, -I], [-b b^T/4, A]], or, in the hard case, an
+    eigenvalue of A, where v is completed to unit length along an eigenvector
+    of that eigenvalue.  Every multiplier of both spectra is tried: a spurious
+    one still yields a point of the sphere, which is harmless as a candidate.
+    """
+    lam, Q = np.linalg.eigh(A)
+    beta = Q.T @ b / 2.0
+    H = np.block([[A, -np.eye(3)], [-np.outer(b, b) / 4.0, A]])
+    mu = np.concatenate([np.linalg.eigvals(H).real, lam])
+    gap = lam - mu[:, None]
+    singular = np.abs(gap) <= 1e-12 * max(1.0, np.abs(lam).max(), np.abs(beta).max())
+    w = -beta / np.where(singular, np.inf, gap)
+    fill = np.sqrt(np.maximum(0.0, 1.0 - np.sum(w * w, axis=1)))
+    W = np.concatenate(
+        [
+            w + sign * np.outer(np.where(singular[:, j], fill, 0.0), np.eye(3)[j])
+            for j in range(3)
+            for sign in (1.0, -1.0)
+        ]
+    )
+    norm = np.linalg.norm(W, axis=1)
+    return (W[norm > 0.0] / norm[norm > 0.0, None]) @ Q.T
+
+
+def _bloch_to_c(v: np.ndarray) -> np.ndarray:
+    """Unit c with c c* = (I + v.sigma)/2: the larger column of that projector."""
+    if v[2] >= 0.0:
+        c = np.array([1.0 + v[2], v[0] + 1j * v[1]])
+    else:
+        c = np.array([v[0] - 1j * v[1], 1.0 - v[2]])
+    return c / np.linalg.norm(c)
+
+
+def _extremize_sphere(R: np.ndarray, F: np.ndarray):
+    """Exact (argmin, min, argmax, max) of K over a two-dimensional tangent space."""
+    A, b, c0 = _bloch_quadratic(R, F)
+    V = _sphere_kkt_points(A, b)
+    quad = np.einsum("ki,ij,kj->k", V, A, V)
+    K = quad + V @ b + c0
+    mu = quad + V @ b / 2.0
+    kkt = np.linalg.norm(V @ A + b / 2.0 - mu[:, None] * V, axis=1)
+    tie = 1e-12 * max(1.0, np.abs(K).max())
+
+    def pick(x):
+        # Spurious multipliers next to a multiple eigenvalue of A give points
+        # within rounding of a true KKT point; the exact one is the most
+        # stationary of the tied candidates.
+        near = np.flatnonzero(x <= x.min() + tie)
+        return near[np.argmin(kkt[near])]
+
+    i, j = pick(K), pick(-K)
+    return F @ _bloch_to_c(V[i]), float(K[i]), F @ _bloch_to_c(V[j]), float(K[j])
 
 
 def _extremize_general(R, g, F, sign: float, seed: int, max_iter: int):
@@ -235,18 +215,19 @@ def _extremize_general(R, g, F, sign: float, seed: int, max_iter: int):
 def extremize_direction(
     R: np.ndarray,
     g: np.ndarray,
-    tol: float = 1e-9,
     residual_tol: float = 1e-4,
     seed: int = 0,
     max_iter: int = 200,
 ) -> DirectionExtrema:
     """Extrema of K over the unit sphere of one tangent space.
 
-    The returned residuals are analytic K-gradient norms at the extremizers,
-    the numerical counterpart of the constrained stationarity conditions; the
-    result is flagged unconverged when either exceeds ``residual_tol`` scaled
-    by the curvature magnitude (the default reflects the noise floor of
-    derivative-free refinement).
+    Two-dimensional tangent spaces are solved exactly on the Bloch sphere;
+    higher dimensions by a multi-start downhill simplex.  The returned
+    residuals are analytic K-gradient norms at the extremizers, the numerical
+    counterpart of the constrained stationarity conditions; the result is
+    flagged unconverged when either exceeds ``residual_tol`` scaled by the
+    curvature magnitude (the default reflects the noise floor of the
+    derivative-free simplex).
     """
     g = np.asarray(g, dtype=complex)
     m = g.shape[0]
@@ -260,11 +241,7 @@ def extremize_direction(
         return DirectionExtrema(val, val, xi, xi, res, res, ok)
 
     if m == 2:
-        quart = _FrameQuartic(R, g, F)
-        psi_lo, phi_lo, min_K = _extremize_two_dim(quart, +1.0, tol, max_iter)
-        psi_hi, phi_hi, max_K = _extremize_two_dim(quart, -1.0, tol, max_iter)
-        xi_min = quart.direction(psi_lo, phi_lo)
-        xi_max = quart.direction(psi_hi, phi_hi)
+        xi_min, min_K, xi_max, max_K = _extremize_sphere(R, F)
     else:
         xi_min, min_K = _extremize_general(R, g, F, +1.0, seed, max_iter)
         xi_max, max_K = _extremize_general(R, g, F, -1.0, seed, max_iter)
@@ -279,37 +256,35 @@ def extremize_direction(
     )
 
 
-def extremize_quadratic(
-    alpha: float, beta: float, gamma: float, tol: float = 1e-12, max_iter: int = 200
-) -> QuadraticExtrema:
-    """Numerically extremize the weight quadratic over a in [0, 1].
+def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
+    """Exact extrema of the weight quadratic over a in [0, 1], elementwise.
 
-    Residuals are Karush-Kuhn-Tucker measures: the constrained-gradient
-    magnitude at interior extremizers, the infeasible-slope magnitude at
-    endpoint extremizers.
+    With b = 1 - a the quadratic is (alpha - beta + gamma) a^2 + (beta - 2
+    gamma) a + gamma, so its extrema lie at a = 0, a = 1 or its vertex clipped
+    to [0, 1].  Residuals are Karush-Kuhn-Tucker measures: the slope magnitude
+    at interior extremizers, the infeasible-slope magnitude at endpoint
+    extremizers.
     """
+    alpha, beta, gamma = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (alpha, beta, gamma))
+    )
+    curv, slope0 = alpha - beta + gamma, beta - 2.0 * gamma
+    vertex = np.divide(-slope0, 2.0 * curv, out=np.zeros_like(curv), where=curv != 0.0)
+    a = np.stack([np.zeros_like(curv), np.ones_like(curv), np.clip(vertex, 0.0, 1.0)])
+    K = alpha * a * a + beta * a * (1.0 - a) + gamma * (1.0 - a) ** 2
+    a_min = np.take_along_axis(a, np.argmin(K, axis=0)[None], 0)[0]
+    a_max = np.take_along_axis(a, np.argmax(K, axis=0)[None], 0)[0]
 
-    def K(a):
-        b = 1.0 - a
-        return alpha * a * a + beta * a * b + gamma * b * b
+    def kkt(at, sign):  # sign +1 at the minimizer, -1 at the maximizer
+        slope = sign * (2.0 * curv * at + slope0)
+        return np.select(
+            [at == 0.0, at == 1.0],
+            [np.maximum(0.0, -slope), np.maximum(0.0, slope)],
+            np.abs(slope),
+        )
 
-    def Kp(a):
-        return 2.0 * (alpha - beta + gamma) * a + (beta - 2.0 * gamma)
-
-    a_min, _, _ = golden_section_min(K, 0.0, 1.0, tol=tol, max_iter=max_iter)
-    a_max, _, _ = golden_section_min(lambda a: -K(a), 0.0, 1.0, tol=tol, max_iter=max_iter)
-    vmin, amin = min((K(a), a) for a in (a_min, 0.0, 1.0))
-    vmax, amax = max((K(a), a) for a in (a_max, 0.0, 1.0))
-
-    def kkt(a, minimizing: bool) -> float:
-        slope = Kp(a)
-        if a <= tol:
-            return max(0.0, -slope) if minimizing else max(0.0, slope)
-        if a >= 1.0 - tol:
-            return max(0.0, slope) if minimizing else max(0.0, -slope)
-        return abs(slope)
-
-    return QuadraticExtrema(vmin, vmax, amin, amax, kkt(amin, True), kkt(amax, False))
+    out = (K.min(axis=0), K.max(axis=0), a_min, a_max, kkt(a_min, 1.0), kkt(a_max, -1.0))
+    return QuadraticExtrema(*(x if x.ndim else float(x) for x in out))
 
 
 def direction_weights(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -366,12 +341,9 @@ class _FiberCell:
     converged: bool
 
 
-def _fiber_cell(model: Hitchin, t: float, tol, residual_tol, seed) -> _FiberCell:
+def _fiber_cell(model: Hitchin, t: float, residual_tol, seed) -> _FiberCell:
     if t >= 1.0:
-        alpha, beta, gamma = (
-            float(x) for x in hsc_coefficients(model.n, model.s, math.inf)
-        )
-        q = extremize_quadratic(alpha, beta, gamma)
+        q = extremize_quadratic(*hsc_coefficients(model.n, model.s, math.inf))
         return _FiberCell(
             1.0,
             q.min_K,
@@ -385,7 +357,7 @@ def _fiber_cell(model: Hitchin, t: float, tol, residual_tol, seed) -> _FiberCell
     r = t / (1.0 - t)
     jet = model.metric_jet(model.fiber_point(r))
     R = curvature_tensor(jet)
-    ex = extremize_direction(R, jet.g, tol=tol, residual_tol=residual_tol, seed=seed)
+    ex = extremize_direction(R, jet.g, residual_tol=residual_tol, seed=seed)
     wmin = direction_weights(jet.g, ex.argmin)
     wmax = direction_weights(jet.g, ex.argmax)
     return _FiberCell(
@@ -400,27 +372,17 @@ def _fiber_cell(model: Hitchin, t: float, tol, residual_tol, seed) -> _FiberCell
     )
 
 
-def _joint_simplex(model, cell: _FiberCell, sign: float, tol, residual_tol, seed, max_iter):
-    """Downhill simplex jointly over (t, weight angle, phase) around a cell."""
-    w = cell.min_weights if sign > 0 else cell.max_weights
-    psi0 = math.atan2(math.sqrt(w[1]), math.sqrt(w[0]))
+def _refine_t(model, lo: float, hi: float, sign: float, tol, residual_tol, seed):
+    """Bounded scalar search in t over [lo, hi] for the exact per-cell extremum."""
 
-    def obj(x):
-        t, psi, phi = x
-        t = min(max(t, 0.0), 1.0 - 1e-12)
-        r = t / (1.0 - t)
-        jet = model.metric_jet(model.fiber_point(r))
-        quart = _FrameQuartic(curvature_tensor(jet), jet.g, orthonormal_frame(jet.g))
-        return sign * quart.value(psi, phi)
+    def extremum(t):
+        cell = _fiber_cell(model, t, residual_tol, seed)
+        return cell.min_K if sign > 0 else -cell.max_K
 
-    res = minimize(
-        obj,
-        np.array([cell.t, psi0, 0.0]),
-        method="Nelder-Mead",
-        options=dict(maxiter=max_iter, xatol=1e-10, fatol=1e-13),
+    res = minimize_scalar(
+        extremum, bounds=(lo, hi), method="bounded", options=dict(xatol=tol)
     )
-    t = float(min(max(res.x[0], 0.0), 1.0 - 1e-12))
-    return _fiber_cell(model, t, tol, residual_tol, seed), int(res.nit)
+    return _fiber_cell(model, float(res.x), residual_tol, seed), int(res.nit)
 
 
 def sweep_fiber(
@@ -436,14 +398,16 @@ def sweep_fiber(
     Sweeps t = r/(1+r) over a uniform grid on [0, 1]; the t = 1 endpoint is
     evaluated through the analytic limit of the direction quadratic rather
     than a large-r sample, so the global minimum carries no truncation bias.
-    Extrema that tie with the t = 1 tangent space (within 1e-9 relative) are
-    reported there, where both extremal directions coexist.
+    The extreme cells are refined by a bounded search in t between their grid
+    neighbours, to the x-tolerance ``tol``.  Extrema that tie with the t = 1
+    tangent space (within 1e-9 relative) are reported there, where both
+    extremal directions coexist.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     require_admissible(model.n, model.s_exact if model.s_exact is not None else model.s)
     cells = [
-        _fiber_cell(model, float(t), tol, residual_tol, seed)
+        _fiber_cell(model, float(t), residual_tol, seed)
         for t in np.linspace(0.0, 1.0, grid)
     ]
     profile = [(c.t, c.min_K, c.max_K) for c in cells]
@@ -453,15 +417,15 @@ def sweep_fiber(
     imax = max(range(grid), key=lambda i: cells[i].max_K)
     refine_iters = 0
     if refine and 0 < imin < grid - 1:
-        better, iters = _joint_simplex(
-            model, cells[imin], +1.0, tol, residual_tol, seed, 200
+        better, iters = _refine_t(
+            model, cells[imin - 1].t, cells[imin + 1].t, +1.0, tol, residual_tol, seed
         )
         refine_iters += iters
         if better.min_K < cells[imin].min_K:
             cells[imin] = better
     if refine and 0 < imax < grid - 1:
-        better, iters = _joint_simplex(
-            model, cells[imax], -1.0, tol, residual_tol, seed, 200
+        better, iters = _refine_t(
+            model, cells[imax - 1].t, cells[imax + 1].t, -1.0, tol, residual_tol, seed
         )
         refine_iters += iters
         if better.max_K > cells[imax].max_K:
@@ -562,18 +526,6 @@ def grid_2d_verify(
     )
 
 
-def _golden_min_vec(f, lo: np.ndarray, hi: np.ndarray, iters: int):
-    a, b = lo.astype(float).copy(), hi.astype(float).copy()
-    for _ in range(iters):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        take = f(c) <= f(d)
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 @dataclass(frozen=True)
 class SweepSResult:
     """Numerically measured pinching as a function of the family parameter."""
@@ -591,48 +543,25 @@ class SweepSResult:
             yield (s, p, int(s == self.argmax_s))
 
 
-def sweep_s(
-    n: int,
-    points: int = 999,
-    s_max: float | None = None,
-    t_points: int = 65,
-    iters: int = 90,
-) -> SweepSResult:
+def sweep_s(n: int, points: int = 999) -> SweepSResult:
     """Measure the pinching ratio on a uniform parameter grid inside (0, 1/n^2).
 
-    Each parameter value is extremized numerically: a vectorized golden
-    section over the direction weight at every compactified fiber sample,
-    with the exact t = 1 limit included alongside the finite samples.
+    Every parameter value is extremized numerically on one (s x t) array: the
+    exact interval solve of the weight quadratic at every compactified fiber
+    sample, with the exact t = 1 limit included alongside the finite samples.
     """
     if points < 1:
         raise ValueError("empty parameter grid")
     if n < 1:
         raise ValueError("Hirzebruch index n must be >= 1")
-    if s_max is None:
-        s_max = 1.0 / (n * n)
+    s_max = 1.0 / (n * n)
     svals = s_max * np.arange(1, points + 1) / (points + 1)
-    tvals = np.linspace(0.0, 1.0, t_points)[:-1]
-    r = tvals / (1.0 - tvals)
-    one_r = 1.0 + r
-
-    rows = []
-    for s in svals:
-        den = (one_r + n * s) ** 2
-        alpha = np.append(4.0 * (one_r**2 + n * s * (one_r - n * r)) / den, 4.0)
-        beta = np.append(8.0 * n * (1.0 + n * s - r * r) / den, -8.0 * n)
-        gamma = 4.0 / s
-
-        def K(a):
-            b = 1.0 - a
-            return alpha * a * a + beta * a * b + gamma * b * b
-
-        zeros, ones = np.zeros_like(alpha), np.ones_like(alpha)
-        _, k_lo = _golden_min_vec(K, zeros, ones, iters)
-        _, k_hi = _golden_min_vec(lambda a: -K(a), zeros, ones, iters)
-        ends = np.minimum(K(zeros), K(ones))
-        k_min = float(np.min(np.minimum(k_lo, ends)))
-        k_max = float(np.max(np.maximum(-k_hi, np.maximum(K(zeros), K(ones)))))
-        rows.append((float(s), k_min / k_max))
+    tvals = np.linspace(0.0, 1.0, _SWEEP_T_POINTS)[:-1]
+    fiber = extremize_quadratic(*hsc_coefficients(n, svals[:, None], tvals / (1.0 - tvals)))
+    limit = extremize_quadratic(*hsc_coefficients(n, svals, math.inf))
+    k_min = np.minimum(fiber.min_K.min(axis=1), limit.min_K)
+    k_max = np.maximum(fiber.max_K.max(axis=1), limit.max_K)
+    rows = [(float(s), float(p)) for s, p in zip(svals, k_min / k_max)]
 
     ps = np.array([p for _, p in rows])
     k = int(np.argmax(ps))

@@ -10,7 +10,7 @@ from kahlerpinch.berger import (
     berger_vs_trace,
     sample_directions,
 )
-from kahlerpinch.geometry import norm_squared, orthonormal_frame
+from kahlerpinch.geometry import norm_squared
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 
 from conftest import MASTER_SEED
@@ -27,12 +27,6 @@ def test_sample_directions_live_on_unit_sphere(rng):
     xis = sample_directions(g, 128, rng)
     for xi in xis:
         assert abs(norm_squared(g, xi) - 1.0) < 1e-12
-
-
-def test_orthonormal_frame_reexport():
-    g = np.diag([4.0, 0.25]).astype(complex)
-    F = orthonormal_frame(g)
-    assert np.allclose(F, np.diag([0.5, 2.0]))
 
 
 def test_fs_p1_scalar_estimate():

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kahlerpinch
 from kahlerpinch.cli import main
 
 
@@ -196,6 +198,44 @@ def test_verify_corrupted_tolerance_fails(capsys):
     assert doc["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["berger", "--model", "fs1", "--samples", "0"], 2),
+        (["pinch", "--n", "1", "--s", "0"], 2),
+        (["pinch", "--n", "1", "--s", "nan"], 2),
+        (["curvature", "--model", "fs2", "--point", "nan,0"], 2),
+        (["curvature", "--model", "hitchin:1:1/3", "--point", "0,1e200"], 2),
+        (["curvature", "--model", "product:hitchin:1:1/3:fs1"], 0),
+    ],
+)
+def test_exit_code_contract(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert json.loads(captured.out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "model,point,code",
+    [
+        # a sampled direction search can stop at 311.90 here, short of 4/s = 312
+        ("hitchin:6:1/78", "0.01+0.1j,-1.13+0.71j", 0),
+        # far out in the chart the metric jet is too imprecise to be stationary
+        ("hitchin:1:1/3", "1e4,1e4", 1),
+    ],
+)
+def test_curvature_pass_flag(capsys, model, point, code):
+    got, doc = run_json(capsys, "curvature", "--model", model, "--point", point)
+    assert got == code
+    assert doc["pass"] is (code == 0)
+    if code == 0:
+        assert abs(doc["results"]["hsc_max"] - 312.0) < 1e-9
+
+
 def test_bad_model_is_usage_error(capsys):
     assert main(["berger", "--model", "torus9"]) == 2
     assert main(["curvature", "--model", "fsx"]) == 2
@@ -232,10 +272,14 @@ def test_json_model_descriptor(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this test, from wherever it lives
+    src = os.path.dirname(os.path.dirname(kahlerpinch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kahlerpinch.cli", "pinch", "--n", "1", "--grid", "16"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

@@ -40,6 +40,22 @@ def test_coefficients_frozen_values():
     assert abs(hz.hsc_value(2, 0.1, 0.0, 1.0, 0.0) - 4.0 / 1.2) < 1e-12
 
 
+def test_coefficients_broadcast_and_stay_exact():
+    s = np.array([[0.05], [0.2], [0.9]])
+    r = np.array([0.0, 0.5, 3.0, 40.0])
+    grid = hz.hsc_coefficients(2, s, r)
+    for i, j in np.ndindex(3, 4):
+        one = hz.hsc_coefficients(2, float(s[i, 0]), float(r[j]))
+        assert all(np.broadcast_to(x, (3, 4))[i, j] == y for x, y in zip(grid, one))
+    exact = hz.hsc_coefficients(2, Fraction(1, 10), Fraction(1, 2))
+    assert exact == (Fraction(940, 289), Fraction(1520, 289), 40)
+    assert all(isinstance(x, Fraction) for x in exact)
+    with pytest.raises(ValueError):
+        hz.hsc_coefficients(2, np.array([0.1, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        hz.hsc_coefficients(2, 0.1, np.array([1.0, -1.0]))
+
+
 def test_quadratic_matches_geometry_hsc(rng):
     for _ in range(50):
         n = int(rng.integers(1, 7))

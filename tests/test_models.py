@@ -4,13 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kahlerpinch.geometry import MetricJet, metric_eigenvalues
+from kahlerpinch.geometry import (
+    DegenerateMetricError,
+    MetricJet,
+    check_symmetries,
+    curvature_tensor,
+    metric_eigenvalues,
+)
 from kahlerpinch.models import (
     FubiniStudy,
     Hitchin,
     Product,
     fd_metric_jet,
-    kahler_residual,
     model_from_json,
     model_to_json,
 )
@@ -97,11 +102,17 @@ def test_fd_step_underflow_rejected():
 def test_kahler_residual_analytic_and_corrupted(rng):
     for model in builtin_models():
         jet = model.metric_jet(random_point(model, rng))
-        assert kahler_residual(jet) < 1e-10
+        assert check_symmetries(curvature_tensor(jet), jet).kahler < 1e-10
     jet = Hitchin.make(2, "1/10").metric_jet([0.2, 0.4])
     dg = jet.dg.copy()
     dg[0, 1, 1] += 1e-3
-    assert abs(kahler_residual(MetricJet(jet.g, dg, jet.ddg)) - 1e-3) < 1e-12
+    corrupted = MetricJet(jet.g, dg, jet.ddg)
+    assert abs(check_symmetries(curvature_tensor(jet), corrupted).kahler - 1e-3) < 1e-12
+
+
+def test_nan_metric_is_degenerate():
+    with np.errstate(all="ignore"), pytest.raises(DegenerateMetricError):
+        FubiniStudy(1).metric_jet([1e160])
 
 
 def test_positive_definite_on_samples(rng):

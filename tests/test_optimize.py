@@ -5,25 +5,18 @@ import numpy as np
 import pytest
 
 from kahlerpinch import hirzebruch as hz
-from kahlerpinch.geometry import curvature_tensor
+from kahlerpinch.geometry import curvature_tensor, orthonormal_frame
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import (
     extremize_direction,
+    batch_hsc,
     extremize_quadratic,
-    golden_section_min,
     grid_2d_verify,
     sweep_fiber,
     sweep_s,
 )
 
-from conftest import random_point
-
-
-def test_golden_section_quadratic():
-    x, fx, iters = golden_section_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
-    assert abs(x - 0.3) < 1e-10
-    assert fx < 1e-20
-    assert iters <= 200
+from conftest import MASTER_SEED, random_point
 
 
 def test_extremize_constant_model(rng):
@@ -59,6 +52,45 @@ def test_extremize_three_dimensional_product(rng):
     assert abs(ex.max_K - 4.0) < 1e-6
 
 
+def _surface_cases():
+    rng = np.random.default_rng(MASTER_SEED)
+    # a sampled direction search can stop short of the true maximum 4/s = 312 here
+    cases = [
+        pytest.param(
+            Hitchin.make(6, "1/78"), np.array([0.01 + 0.1j, -1.13 + 0.71j]), id="hitchin-6-1_78"
+        )
+    ]
+    for k in range(6):
+        n = int(rng.integers(1, 7))
+        model = Hitchin.make(n, float(rng.uniform(0.05, 0.95)) / (n * n))
+        z = random_point(model, rng, radius=1.5)
+        cases.append(pytest.param(model, z, id=f"hitchin-off-fiber-{k}"))
+    for n in (1, 3, 6):
+        model = Hitchin.make(n, hz.optimal_s(n)[0])
+        for r in (0.0, 0.7, 5.0, 99.0):
+            cases.append(pytest.param(model, model.fiber_point(r), id=f"fiber-{n}-r{r}"))
+    for name, model in (("fs2", FubiniStudy(2)), ("fs1xfs1", Product(FubiniStudy(1), FubiniStudy(1)))):
+        for k in range(2):
+            cases.append(pytest.param(model, random_point(model, rng), id=f"{name}-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("model,z", _surface_cases())
+def test_surface_extrema_bracket_dense_sample(model, z):
+    jet = model.metric_jet(z)
+    R = curvature_tensor(jet)
+    ex = extremize_direction(R, jet.g)
+    rng = np.random.default_rng(MASTER_SEED)
+    raw = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
+    K = batch_hsc(R, jet.g, raw @ orthonormal_frame(jet.g).T)
+    scale = max(1.0, abs(ex.min_K), abs(ex.max_K))
+    assert ex.min_K <= K.min() + 1e-12 * scale
+    assert ex.max_K >= K.max() - 1e-12 * scale
+    assert ex.min_residual <= 1e-10 * max(1.0, abs(ex.min_K))
+    assert ex.max_residual <= 1e-10 * max(1.0, abs(ex.max_K))
+    assert ex.converged
+
+
 def test_extremize_quadratic_against_grid(rng):
     for _ in range(25):
         alpha, beta, gamma = rng.uniform(-5.0, 40.0, size=3)
@@ -69,6 +101,17 @@ def test_extremize_quadratic_against_grid(rng):
         assert q.max_K >= vals.max() - 1e-9
         assert abs(q.min_K - vals.min()) < 1e-8
         assert abs(q.max_K - vals.max()) < 1e-8
+
+
+def test_extremize_quadratic_is_elementwise(rng):
+    coeffs = rng.uniform(-5.0, 40.0, size=(3, 4, 5))
+    q = extremize_quadratic(*coeffs)
+    assert q.min_K.shape == (4, 5) and q.a_max.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        one = extremize_quadratic(*coeffs[(slice(None),) + idx])
+        assert (one.min_K, one.max_K, one.a_min, one.a_max) == (
+            q.min_K[idx], q.max_K[idx], q.a_min[idx], q.a_max[idx]
+        )
 
 
 def test_extremize_quadratic_residuals():
