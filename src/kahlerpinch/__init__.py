@@ -37,6 +37,13 @@ from .optimize import (
     sweep_fiber,
     sweep_s,
 )
-from .products import CommonBoundError, ProductBounds, product_bounds, product_hsc, verify_product_numeric
+from .products import (
+    CommonBoundError,
+    ProductBounds,
+    ProductHypothesisError,
+    product_bounds,
+    product_hsc,
+    verify_product_numeric,
+)
 
 __version__ = "0.1.0"

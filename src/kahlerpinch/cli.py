@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
 from .optimize import extremize_direction, sweep_fiber, sweep_s
-from .products import CommonBoundError, verify_product_numeric
+from .products import ProductHypothesisError, verify_product_numeric
 
 SCHEMA_VERSION = 1
 
@@ -258,9 +258,14 @@ def cmd_berger(args):
 def cmd_product(args):
     left = _parse_model(args.left)
     right = _parse_model(args.right)
-    report = verify_product_numeric(
-        left, right, samples=args.samples, tol=args.tol, seed=args.seed
-    )
+    if args.samples < 1:
+        raise UsageError("samples must be >= 1")
+    try:
+        report = verify_product_numeric(
+            left, right, samples=args.samples, tol=args.tol, seed=args.seed
+        )
+    except DegenerateMetricError as exc:
+        raise UsageError(f"a factor is out of numerical range at a sample point: {exc}") from exc
     results = report.to_json_dict()
     params = {
         "left": model_to_json(left),
@@ -388,6 +393,10 @@ def _verify_row(n: int, args) -> dict:
 def cmd_verify(args):
     if args.n_max < 1:
         raise UsageError("n-max must be >= 1")
+    if args.grid < 2:
+        raise UsageError("grid must be >= 2")
+    if args.samples < 1:
+        raise UsageError("samples must be >= 1")
     rows = [_verify_row(n, args) for n in range(1, args.n_max + 1)]
     passed = all(row["pass"] for row in rows)
     params = {
@@ -477,8 +486,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError("seed must be >= 0")
         payload, rows, passed = _DISPATCH[args.command](args)
-    except (UsageError, hirzebruch.AdmissibilityError, CommonBoundError) as exc:
+    except (UsageError, hirzebruch.AdmissibilityError, ProductHypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, rows if args.format == "csv" else None, args)

@@ -7,11 +7,19 @@ Index conventions used throughout the package:
     ddg[i, j, k, l] = d^2 g_{i jbar} / (d z_k d zbar_l)
     R[i, j, k, l]   = R_{i jbar k lbar}
 
+Every array may carry leading batch axes ahead of these indices: a stack of
+points has g of shape (..., m, m), dg (..., m, m, m), ddg and R (..., m, m, m,
+m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
+``curvature_tensor``, ``orthonormal_frame`` and ``hsc_gradient`` act on the
+whole stack at once through ``...`` einsum subscripts and batched
+``np.linalg``; a single point is the stack with no batch axis.
+
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +47,9 @@ _IMAG_TOL = 1e-10
 class DegenerateMetricError(ValueError):
     """Raised when a metric matrix is singular or not positive definite."""
 
-    def __init__(self, min_eigenvalue: float):
+    def __init__(self, min_eigenvalue: float, reason: str | None = None):
         super().__init__(
-            f"degenerate metric: smallest eigenvalue {min_eigenvalue:.6e}"
+            reason or f"degenerate metric: smallest eigenvalue {min_eigenvalue:.6e}"
         )
         self.min_eigenvalue = min_eigenvalue
 
@@ -52,7 +60,10 @@ class ZeroDirectionError(ValueError):
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric matrix plus first and mixed second Wirtinger derivatives at a point."""
+    """Metric matrix plus first and mixed second Wirtinger derivatives.
+
+    At one point, or at a stack of points sharing the leading batch axes.
+    """
 
     g: np.ndarray
     dg: np.ndarray
@@ -62,8 +73,14 @@ class MetricJet:
         g = np.asarray(self.g, dtype=complex)
         dg = np.asarray(self.dg, dtype=complex)
         ddg = np.asarray(self.ddg, dtype=complex)
-        m = g.shape[0] if g.ndim == 2 else 0
-        if g.shape != (m, m) or dg.shape != (m,) * 3 or ddg.shape != (m,) * 4 or m < 1:
+        m = g.shape[-1] if g.ndim >= 2 else 0
+        batch = g.shape[:-2]
+        if (
+            m < 1
+            or g.shape != batch + (m,) * 2
+            or dg.shape != batch + (m,) * 3
+            or ddg.shape != batch + (m,) * 4
+        ):
             raise ValueError("inconsistent metric jet array shapes")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dg", dg)
@@ -71,7 +88,7 @@ class MetricJet:
 
     @property
     def dimension(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -113,23 +130,31 @@ def _real_part(value, what: str):
     return real
 
 
+def _hermitian_part(g: np.ndarray) -> np.ndarray:
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
 def metric_eigenvalues(g: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part of ``g``, ascending."""
-    g = np.asarray(g, dtype=complex)
-    return np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    return np.linalg.eigvalsh(_hermitian_part(np.asarray(g, dtype=complex)))
 
 
 def _require_positive_definite(g: np.ndarray) -> None:
+    """Raise unless every metric of the stack ``g`` is finite and positive definite."""
+    if not np.all(np.isfinite(g)):
+        raise DegenerateMetricError(math.nan, "degenerate metric: non-finite entries")
     ev = metric_eigenvalues(g)
-    if not np.all(np.isfinite(ev)) or ev[0] <= 0.0:
-        raise DegenerateMetricError(float(ev[0]))
+    low = ev[..., 0]
+    bad = ~np.all(np.isfinite(ev), axis=-1) | (low <= 0.0)
+    if np.any(bad):
+        raise DegenerateMetricError(float(low[bad][0]))
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """Inverse metric g^{i jbar}, computed by a direct linear solve."""
     g = np.asarray(g, dtype=complex)
     _require_positive_definite(g)
-    return np.linalg.solve(g, np.eye(g.shape[0], dtype=complex))
+    return np.linalg.solve(g, np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape))
 
 
 def curvature_tensor(jet: MetricJet) -> np.ndarray:
@@ -141,7 +166,7 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
     with conj(dg[j,q,l]) = d g_{q jbar} / d zbar_l.
     """
     ginv = inverse_metric(jet.g)
-    quad = np.einsum("pq,ipk,jql->ijkl", ginv, jet.dg, jet.dg.conj())
+    quad = np.einsum("...pq,...ipk,...jql->...ijkl", ginv, jet.dg, jet.dg.conj())
     return -jet.ddg + quad
 
 
@@ -177,14 +202,15 @@ def hsc_gradient(R: np.ndarray, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     under complex rescaling; its norm is the stationarity residual of the
     constrained extremization over the metric unit sphere.
     """
+    g = np.asarray(g, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    S = norm_squared(g, xi)
-    if S <= 0.0:
+    S = _real_part(np.einsum("...ij,...i,...j->...", g, xi, xi.conj())[..., None], "metric norm")
+    if np.any(S <= 0.0):
         raise ZeroDirectionError("zero direction")
-    N = complex(np.einsum("ijkl,i,j,k,l->", R, xi, xi.conj(), xi, xi.conj()))
-    dN = 2.0 * np.einsum("ijkl,i,k,l->j", R, xi, xi, xi.conj())
-    dS = np.einsum("ij,i->j", np.asarray(g, dtype=complex), xi)
-    return 2.0 * dN / S**2 - 4.0 * N.real * dS / S**3
+    N = np.einsum("...ijkl,...i,...j,...k,...l->...", R, xi, xi.conj(), xi, xi.conj())
+    dN = 2.0 * np.einsum("...ijkl,...i,...k,...l->...j", R, xi, xi, xi.conj())
+    dS = np.einsum("...ij,...i->...j", g, xi)
+    return 2.0 * dN / S**2 - 4.0 * N.real[..., None] * dS / S**3
 
 
 def ricci(R: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -211,8 +237,8 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=complex)
     _require_positive_definite(g)
-    L = np.linalg.cholesky(0.5 * (g + g.conj().T).conj())
-    return np.linalg.inv(L).conj().T
+    L = np.linalg.cholesky(_hermitian_part(g).conj())
+    return np.linalg.inv(L).conj().swapaxes(-1, -2)
 
 
 def check_symmetries(R: np.ndarray, jet: MetricJet) -> SymmetryReport:

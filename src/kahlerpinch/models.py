@@ -22,7 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import MetricJet, _require_positive_definite
+from .geometry import DegenerateMetricError, MetricJet, _require_positive_definite
+
+# Curvature scales like 1/s and the two-dimensional direction solve squares
+# it; outside this range the square leaves the floating-point range.
+_S_RANGE = (1e-150, 1e150)
 
 __all__ = [
     "KernelJet",
@@ -51,9 +55,12 @@ class KernelJet:
         d3w[i, k, j]   = d3w/(dz_i dz_k dzbar_j)
         d3wb[i, j, l]  = d3w/(dz_i dzbar_j dzbar_l)
         d4w[i, k, j, l] = d4w/(dz_i dz_k dzbar_j dzbar_l)
+
+    At a stack of points every field carries the stack's leading batch axes,
+    ``w`` of shape (...) and ``dw`` of shape (..., m) and so on.
     """
 
-    w: float
+    w: float | np.ndarray
     dw: np.ndarray
     dwb: np.ndarray
     d2w: np.ndarray
@@ -64,18 +71,16 @@ class KernelJet:
     d4w: np.ndarray
 
 
-def _empty_kernel(m: int, w: float) -> dict:
-    return dict(
-        w=w,
-        dw=np.zeros(m, dtype=complex),
-        dwb=np.zeros(m, dtype=complex),
-        d2w=np.zeros((m, m), dtype=complex),
-        d2wb=np.zeros((m, m), dtype=complex),
-        dmix=np.zeros((m, m), dtype=complex),
-        d3w=np.zeros((m, m, m), dtype=complex),
-        d3wb=np.zeros((m, m, m), dtype=complex),
-        d4w=np.zeros((m, m, m, m), dtype=complex),
-    )
+def _empty_kernel(batch: tuple, m: int, w) -> dict:
+    parts = {
+        name: np.zeros(batch + (m,) * rank, dtype=complex)
+        for name, rank in (
+            ("dw", 1), ("dwb", 1), ("d2w", 2), ("d2wb", 2), ("dmix", 2),
+            ("d3w", 3), ("d3wb", 3), ("d4w", 4),
+        )
+    }
+    parts["w"] = w
+    return parts
 
 
 def log_jet(kernel: KernelJet) -> MetricJet:
@@ -83,48 +88,57 @@ def log_jet(kernel: KernelJet) -> MetricJet:
 
     The three returned arrays are the mixed Wirtinger derivatives of log(w) of
     orders (1,1), (2,1) and (2,2), expanded by the chain and product rules.
+    Every einsum carries the leading ``...`` batch axes of the kernel, so a
+    stack of points gives a stacked jet; ``w`` broadcasts over the index axes.
     """
-    w = kernel.w
+    w = np.asarray(kernel.w, dtype=float)
+    # Powers w**k per element as numpy scalars, through the C library's pow:
+    # numpy's vectorised power takes a SIMD path on some hosts (AVX-512) whose
+    # last bit can differ from it, and the jets should not depend on the host.
+    flat = w.ravel()
+    # wg[k], wdg[k], wddg[k] hold w**k shaped to broadcast over g, dg and ddg.
+    powers = [np.array([x**k for x in flat]).reshape(w.shape) for k in range(5)]
+    wg, wdg, wddg = ([p.reshape(w.shape + (1,) * rank) for p in powers] for rank in (2, 3, 4))
     dw, dwb = kernel.dw, kernel.dwb
     d2w, d2wb, dmix = kernel.d2w, kernel.d2wb, kernel.dmix
     d3w, d3wb, d4w = kernel.d3w, kernel.d3wb, kernel.d4w
 
-    g = dmix / w - np.einsum("i,j->ij", dw, dwb) / w**2
+    g = dmix / wg[1] - np.einsum("...i,...j->...ij", dw, dwb) / wg[2]
 
     dg = (
-        np.einsum("ikj->ijk", d3w) / w
+        np.einsum("...ikj->...ijk", d3w) / wdg[1]
         - (
-            np.einsum("kj,i->ijk", dmix, dw)
-            + np.einsum("ij,k->ijk", dmix, dw)
-            + np.einsum("ik,j->ijk", d2w, dwb)
+            np.einsum("...kj,...i->...ijk", dmix, dw)
+            + np.einsum("...ij,...k->...ijk", dmix, dw)
+            + np.einsum("...ik,...j->...ijk", d2w, dwb)
         )
-        / w**2
-        + 2.0 * np.einsum("i,k,j->ijk", dw, dw, dwb) / w**3
+        / wdg[2]
+        + 2.0 * np.einsum("...i,...k,...j->...ijk", dw, dw, dwb) / wdg[3]
     )
 
     ddg = (
-        np.einsum("ikjl->ijkl", d4w) / w
+        np.einsum("...ikjl->...ijkl", d4w) / wddg[1]
         - (
-            np.einsum("ikj,l->ijkl", d3w, dwb)
-            + np.einsum("ikl,j->ijkl", d3w, dwb)
-            + np.einsum("kjl,i->ijkl", d3wb, dw)
-            + np.einsum("ijl,k->ijkl", d3wb, dw)
-            + np.einsum("ij,kl->ijkl", dmix, dmix)
-            + np.einsum("kj,il->ijkl", dmix, dmix)
-            + np.einsum("ik,jl->ijkl", d2w, d2wb)
+            np.einsum("...ikj,...l->...ijkl", d3w, dwb)
+            + np.einsum("...ikl,...j->...ijkl", d3w, dwb)
+            + np.einsum("...kjl,...i->...ijkl", d3wb, dw)
+            + np.einsum("...ijl,...k->...ijkl", d3wb, dw)
+            + np.einsum("...ij,...kl->...ijkl", dmix, dmix)
+            + np.einsum("...kj,...il->...ijkl", dmix, dmix)
+            + np.einsum("...ik,...jl->...ijkl", d2w, d2wb)
         )
-        / w**2
+        / wddg[2]
         + 2.0
         * (
-            np.einsum("ij,k,l->ijkl", dmix, dw, dwb)
-            + np.einsum("kj,i,l->ijkl", dmix, dw, dwb)
-            + np.einsum("il,k,j->ijkl", dmix, dw, dwb)
-            + np.einsum("kl,i,j->ijkl", dmix, dw, dwb)
-            + np.einsum("jl,i,k->ijkl", d2wb, dw, dw)
-            + np.einsum("ik,j,l->ijkl", d2w, dwb, dwb)
+            np.einsum("...ij,...k,...l->...ijkl", dmix, dw, dwb)
+            + np.einsum("...kj,...i,...l->...ijkl", dmix, dw, dwb)
+            + np.einsum("...il,...k,...j->...ijkl", dmix, dw, dwb)
+            + np.einsum("...kl,...i,...j->...ijkl", dmix, dw, dwb)
+            + np.einsum("...jl,...i,...k->...ijkl", d2wb, dw, dw)
+            + np.einsum("...ik,...j,...l->...ijkl", d2w, dwb, dwb)
         )
-        / w**3
-        - 6.0 * np.einsum("i,k,j,l->ijkl", dw, dw, dwb, dwb) / w**4
+        / wddg[3]
+        - 6.0 * np.einsum("...i,...k,...j,...l->...ijkl", dw, dw, dwb, dwb) / wddg[4]
     )
 
     return MetricJet(g, dg, ddg)
@@ -139,12 +153,31 @@ def _scale_add(left: MetricJet, scale: float, right: MetricJet) -> MetricJet:
 
 
 def _as_point(z, m: int) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.size != m:
-        raise ValueError(f"expected a point with {m} coordinates, got {z.size}")
+    """Chart point(s) as a complex array of shape (..., m); a scalar is a point of C^1."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        z = z.reshape(1)
+    if z.shape[-1] != m:
+        raise ValueError(f"expected a point with {m} coordinates, got {z.shape[-1]}")
     if not np.all(np.isfinite(z)):
         raise ValueError("chart point coordinates must be finite")
     return z
+
+
+def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
+    """Finite, definite metric jet ``jet_of`` of the points z, as a stack of rows.
+
+    A point alone is the one-row stack: numpy's scalar arithmetic can differ
+    from its array loops in the last bit, and a point should get the same jet
+    alone as in a stack.  The jet comes back with the batch axes of z.
+    """
+    z = _as_point(z, m)
+    jet = jet_of(z.reshape(-1, m))
+    _require_positive_definite(jet.g)
+    if not (np.all(np.isfinite(jet.dg)) and np.all(np.isfinite(jet.ddg))):
+        raise DegenerateMetricError(math.nan, "metric jet has non-finite derivatives")
+    batch = z.shape[:-1]
+    return MetricJet(*(a.reshape(batch + a.shape[1:]) for a in (jet.g, jet.dg, jet.ddg)))
 
 
 @dataclass(frozen=True)
@@ -163,19 +196,17 @@ class FubiniStudy:
 
     def kernel(self, z) -> KernelJet:
         z = _as_point(z, self.m)
-        parts = _empty_kernel(self.m, float(1.0 + np.vdot(z, z).real))
+        parts = _empty_kernel(z.shape[:-1], self.m, 1.0 + (z.conj() * z).real.sum(axis=-1))
         parts["dw"] = z.conj()
         parts["dwb"] = z.copy()
-        parts["dmix"] = np.eye(self.m, dtype=complex)
+        parts["dmix"][...] = np.eye(self.m)
         return KernelJet(**parts)
 
     def potential(self, z) -> float:
         return math.log(self.kernel(z).w)
 
     def metric_jet(self, z) -> MetricJet:
-        jet = log_jet(self.kernel(z))
-        _require_positive_definite(jet.g)
-        return jet
+        return _jet_on_rows(lambda rows: log_jet(self.kernel(rows)), z, self.m)
 
 
 @dataclass(frozen=True)
@@ -198,6 +229,10 @@ class Hitchin:
             object.__setattr__(self, "s", float(self.s_exact))
         if not self.s > 0.0:
             raise ValueError("family parameter s must be positive")
+        if not _S_RANGE[0] <= self.s <= _S_RANGE[1]:
+            raise ValueError(
+                "family parameter s outside [%g, %g] is out of numerical range" % _S_RANGE
+            )
 
     @classmethod
     def make(cls, n: int, s) -> "Hitchin":
@@ -218,31 +253,32 @@ class Hitchin:
 
     def base_kernel(self, z) -> KernelJet:
         z = _as_point(z, 2)
-        parts = _empty_kernel(2, float(1.0 + (z[0] * z[0].conjugate()).real))
-        parts["dw"][0] = z[0].conjugate()
-        parts["dwb"][0] = z[0]
-        parts["dmix"][0, 0] = 1.0
+        z1 = z[..., 0]
+        parts = _empty_kernel(z.shape[:-1], 2, 1.0 + (z1 * z1.conjugate()).real)
+        parts["dw"][..., 0] = z1.conjugate()
+        parts["dwb"][..., 0] = z1
+        parts["dmix"][..., 0, 0] = 1.0
         return KernelJet(**parts)
 
     def fiber_kernel(self, z) -> KernelJet:
         z = _as_point(z, 2)
         n = self.n
-        z1, z2 = z
+        z1, z2 = z[..., 0], z[..., 1]
         q = (z1 * z1.conjugate()).real
         U = 1.0 + q
-        parts = _empty_kernel(2, float(U**n + (z2 * z2.conjugate()).real))
-        parts["dw"][0] = n * U ** (n - 1) * z1.conjugate()
-        parts["dw"][1] = z2.conjugate()
+        parts = _empty_kernel(z.shape[:-1], 2, U**n + (z2 * z2.conjugate()).real)
+        parts["dw"][..., 0] = n * U ** (n - 1) * z1.conjugate()
+        parts["dw"][..., 1] = z2.conjugate()
         parts["dwb"][:] = parts["dw"].conj()
-        parts["d2w"][0, 0] = n * (n - 1) * U ** (n - 2) * z1.conjugate() ** 2
+        parts["d2w"][..., 0, 0] = n * (n - 1) * U ** (n - 2) * z1.conjugate() ** 2
         parts["d2wb"][:] = parts["d2w"].conj()
-        parts["dmix"][0, 0] = n * U ** (n - 1) + n * (n - 1) * U ** (n - 2) * q
-        parts["dmix"][1, 1] = 1.0
-        parts["d3w"][0, 0, 0] = (
+        parts["dmix"][..., 0, 0] = n * U ** (n - 1) + n * (n - 1) * U ** (n - 2) * q
+        parts["dmix"][..., 1, 1] = 1.0
+        parts["d3w"][..., 0, 0, 0] = (
             n * (n - 1) * U ** (n - 3) * z1.conjugate() * (2.0 * U + (n - 2) * q)
         )
-        parts["d3wb"][0, 0, 0] = parts["d3w"][0, 0, 0].conjugate()
-        parts["d4w"][0, 0, 0, 0] = (
+        parts["d3wb"][..., 0, 0, 0] = parts["d3w"][..., 0, 0, 0].conjugate()
+        parts["d4w"][..., 0, 0, 0, 0] = (
             n
             * (n - 1)
             * (
@@ -259,15 +295,23 @@ class Hitchin:
         )
 
     def metric_jet(self, z) -> MetricJet:
-        jet = _scale_add(log_jet(self.base_kernel(z)), self.s, log_jet(self.fiber_kernel(z)))
-        _require_positive_definite(jet.g)
-        return jet
+        def jet_of(rows):
+            base, fiber = log_jet(self.base_kernel(rows)), log_jet(self.fiber_kernel(rows))
+            return _scale_add(base, self.s, fiber)
 
-    def fiber_point(self, r: float) -> np.ndarray:
-        """Chart point (0, z2) with |z2|^2 = r on the central fiber."""
-        if not (r >= 0.0 and math.isfinite(r)):
+        return _jet_on_rows(jet_of, z, 2)
+
+    def fiber_point(self, r) -> np.ndarray:
+        """Chart point (0, z2) with |z2|^2 = r on the central fiber.
+
+        An array of radii gives the stack of points, of shape r.shape + (2,).
+        """
+        r = np.asarray(r, dtype=float)
+        if not np.all((r >= 0.0) & np.isfinite(r)):
             raise ValueError("fiber radius must be finite and non-negative")
-        return np.array([0.0, math.sqrt(r)], dtype=complex)
+        z = np.zeros(r.shape + (2,), dtype=complex)
+        z[..., 1] = np.sqrt(r)
+        return z
 
 
 @dataclass(frozen=True)
@@ -287,20 +331,23 @@ class Product:
         return self.left.potential(z[:ml]) + self.right.potential(z[ml:])
 
     def metric_jet(self, z) -> MetricJet:
-        z = _as_point(z, self.dimension)
         ml, m = self.left.dimension, self.dimension
-        jl = self.left.metric_jet(z[:ml])
-        jr = self.right.metric_jet(z[ml:])
-        g = np.zeros((m, m), dtype=complex)
-        dg = np.zeros((m, m, m), dtype=complex)
-        ddg = np.zeros((m, m, m, m), dtype=complex)
-        g[:ml, :ml] = jl.g
-        g[ml:, ml:] = jr.g
-        dg[:ml, :ml, :ml] = jl.dg
-        dg[ml:, ml:, ml:] = jr.dg
-        ddg[:ml, :ml, :ml, :ml] = jl.ddg
-        ddg[ml:, ml:, ml:, ml:] = jr.ddg
-        return MetricJet(g, dg, ddg)
+
+        def jet_of(rows):
+            jl = self.left.metric_jet(rows[:, :ml])
+            jr = self.right.metric_jet(rows[:, ml:])
+            g = np.zeros((len(rows),) + (m,) * 2, dtype=complex)
+            dg = np.zeros((len(rows),) + (m,) * 3, dtype=complex)
+            ddg = np.zeros((len(rows),) + (m,) * 4, dtype=complex)
+            g[:, :ml, :ml] = jl.g
+            g[:, ml:, ml:] = jr.g
+            dg[:, :ml, :ml, :ml] = jl.dg
+            dg[:, ml:, ml:, ml:] = jr.dg
+            ddg[:, :ml, :ml, :ml, :ml] = jl.ddg
+            ddg[:, ml:, ml:, ml:, ml:] = jr.ddg
+            return MetricJet(g, dg, ddg)
+
+        return _jet_on_rows(jet_of, z, m)
 
 
 MetricModel = FubiniStudy | Hitchin | Product

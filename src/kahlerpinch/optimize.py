@@ -10,16 +10,19 @@ there the direction lines form the Bloch sphere S^2, on which K is a quadratic
 v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
 (Gander, Golub and von Matt, "A constrained eigenvalue problem", 1989).  The
 weight quadratic of the Hirzebruch family is extremized exactly on its
-interval.  Higher dimensions use a multi-start downhill simplex in an affine
-chart of the direction space, and the fiber extrema are refined by a bounded
-scalar search in the fiber parameter.  Stationarity is certified through the
+interval.  The two-dimensional solve is stacked: the fiber sweep and the 2-d
+grid check hand it all their tangent spaces at once, and a single tangent
+space is the one-row stack of the same code.  Higher dimensions use a
+multi-start downhill simplex in an affine chart of the direction space, and
+the fiber extrema are refined by a bounded scalar search in the fiber
+parameter.  Stationarity is certified through the
 analytic gradient of K, whose full Euclidean norm vanishes at extremal
 directions.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -52,6 +55,9 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # Compactified fiber samples per parameter value in sweep_s, t = 1 included.
 _SWEEP_T_POINTS = 65
+# Fiber samples per stacked solve in sweep_fiber: bounds the memory of the
+# stack's intermediates (54 KKT candidates per sample) at no cost in speed.
+_FIBER_BLOCK = 128
 # Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
 _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -69,7 +75,11 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirectionExtrema:
-    """Extrema of K over the unit direction sphere of one tangent space."""
+    """Extrema of K over the unit direction sphere of one tangent space.
+
+    Fields are floats (and direction vectors) for one tangent space; the
+    stacked solves of this module fill them with arrays over the stack.
+    """
 
     min_K: float
     max_K: float
@@ -96,24 +106,26 @@ class QuadraticExtrema:
     max_residual: float
 
 
-def _residual(R, g, xi) -> float:
-    xi = xi / np.linalg.norm(xi)
-    return float(np.linalg.norm(hsc_gradient(R, g, xi)))
+def _residual(R, g, xi) -> np.ndarray:
+    """Stationarity residual |dK/d conj(xi)| at the Euclidean-normalised xi, stacked."""
+    xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+    return np.linalg.norm(hsc_gradient(R, g, xi), axis=-1)
 
 
 def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     """(A, b, c0) with K(F c) = v.A v + b.v + c0 for unit c, c c* = (I + v.sigma)/2.
 
     In the frame, K(F c) = 2 sum Rhat_abcd P_ab P_cd with P = c c* =
-    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v).
+    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v).  Stacked
+    over the leading axes of R and F.
     """
-    Rhat = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, F, F.conj(), F, F.conj())
-    M = 0.5 * np.einsum("abcd,mab,ncd->mn", Rhat, _PAULI, _PAULI).real
-    M = 0.5 * (M + M.T)
-    return M[1:, 1:], 2.0 * M[0, 1:], M[0, 0]
+    Rhat = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", R, F, F.conj(), F, F.conj())
+    M = 0.5 * np.einsum("...abcd,mab,ncd->...mn", Rhat, _PAULI, _PAULI).real
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    return M[..., 1:, 1:], 2.0 * M[..., 0, 1:], M[..., 0, 0]
 
 
-def _sphere_kkt_points(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
     """Unit vectors (rows) among which lie all KKT points of v.A v + b.v on S^2.
 
     A KKT point solves (A - mu) v = -b/2 with |v| = 1.  Its multiplier mu is a
@@ -121,54 +133,108 @@ def _sphere_kkt_points(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     eigenvalue of A, where v is completed to unit length along an eigenvector
     of that eigenvalue.  Every multiplier of both spectra is tried: a spurious
     one still yields a point of the sphere, which is harmless as a candidate.
+
+    Stacked over the leading axes of A (..., 3, 3) and b (..., 3): returns the
+    candidates (..., C, 3) and a mask (..., C) of those that exist, which is
+    every candidate but a zero vector.
     """
     lam, Q = np.linalg.eigh(A)
-    beta = Q.T @ b / 2.0
-    H = np.block([[A, -np.eye(3)], [-np.outer(b, b) / 4.0, A]])
-    mu = np.concatenate([np.linalg.eigvals(H).real, lam])
-    gap = lam - mu[:, None]
-    singular = np.abs(gap) <= 1e-12 * max(1.0, np.abs(lam).max(), np.abs(beta).max())
-    w = -beta / np.where(singular, np.inf, gap)
-    fill = np.sqrt(np.maximum(0.0, 1.0 - np.sum(w * w, axis=1)))
+    beta = np.einsum("...ji,...j->...i", Q, b) / 2.0
+    H = np.zeros(A.shape[:-2] + (6, 6))
+    H[..., :3, :3] = H[..., 3:, 3:] = A
+    H[..., :3, 3:] = -np.eye(3)
+    H[..., 3:, :3] = -(b[..., :, None] * b[..., None, :]) / 4.0
+    mu = np.concatenate([np.linalg.eigvals(H).real, lam], axis=-1)
+    gap = lam[..., None, :] - mu[..., :, None]
+    scale = np.maximum(1.0, np.maximum(np.abs(lam).max(axis=-1), np.abs(beta).max(axis=-1)))
+    singular = np.abs(gap) <= 1e-12 * scale[..., None, None]
+    w = -beta[..., None, :] / np.where(singular, np.inf, gap)
+    fill = np.sqrt(np.maximum(0.0, 1.0 - np.sum(w * w, axis=-1)))
     W = np.concatenate(
         [
-            w + sign * np.outer(np.where(singular[:, j], fill, 0.0), np.eye(3)[j])
+            w + sign * np.where(singular[..., j], fill, 0.0)[..., None] * np.eye(3)[j]
             for j in range(3)
             for sign in (1.0, -1.0)
-        ]
+        ],
+        axis=-2,
     )
-    norm = np.linalg.norm(W, axis=1)
-    return (W[norm > 0.0] / norm[norm > 0.0, None]) @ Q.T
+    norm = np.linalg.norm(W, axis=-1)
+    valid = norm > 0.0
+    W /= np.where(valid, norm, 1.0)[..., None]
+    return W @ Q.swapaxes(-1, -2), valid
 
 
-def _bloch_to_c(v: np.ndarray) -> np.ndarray:
-    """Unit c with c c* = (I + v.sigma)/2: the larger column of that projector."""
-    if v[2] >= 0.0:
-        c = np.array([1.0 + v[2], v[0] + 1j * v[1]])
-    else:
-        c = np.array([v[0] - 1j * v[1], 1.0 - v[2]])
-    return c / np.linalg.norm(c)
+def _bloch_direction(F: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Direction F c of the unit c with c c* = (I + v.sigma)/2, stacked.
+
+    c is the larger column of that projector, normalised.
+    """
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    c = np.where(
+        (v3 >= 0.0)[..., None],
+        np.stack([1.0 + v3, v1 + 1j * v2], axis=-1),
+        np.stack([v1 - 1j * v2, 1.0 - v3], axis=-1),
+    )
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    return np.einsum("...ij,...j->...i", F, c)
+
+
+def _bloch_weights(v: np.ndarray) -> np.ndarray:
+    """Squared moduli (|c_0|^2, |c_1|^2) = ((1 + v_3)/2, (1 - v_3)/2) of the frame coordinates."""
+    return np.stack([(1.0 + v[..., 2]) / 2.0, (1.0 - v[..., 2]) / 2.0], axis=-1)
 
 
 def _extremize_sphere(R: np.ndarray, F: np.ndarray):
-    """Exact (argmin, min, argmax, max) of K over a two-dimensional tangent space."""
+    """Exact (v_min, min_K, v_max, max_K) of K over two-dimensional tangent spaces.
+
+    Stacked over the leading axes of R and F; the extremizers are returned as
+    Bloch vectors v in the frame F.
+    """
     A, b, c0 = _bloch_quadratic(R, F)
-    V = _sphere_kkt_points(A, b)
-    quad = np.einsum("ki,ij,kj->k", V, A, V)
-    K = quad + V @ b + c0
-    mu = quad + V @ b / 2.0
-    kkt = np.linalg.norm(V @ A + b / 2.0 - mu[:, None] * V, axis=1)
-    tie = 1e-12 * max(1.0, np.abs(K).max())
+    V, valid = _sphere_kkt_points(A, b)
+    VA = V @ A
+    quad = np.sum(VA * V, axis=-1)
+    Vb = np.einsum("...ki,...i->...k", V, b)
+    K = quad + Vb + c0[..., None]
+    kkt = np.linalg.norm(VA + b[..., None, :] / 2.0 - (quad + Vb / 2.0)[..., None] * V, axis=-1)
+    tie = 1e-12 * np.maximum(1.0, np.abs(np.where(valid, K, 0.0)).max(axis=-1))
 
     def pick(x):
         # Spurious multipliers next to a multiple eigenvalue of A give points
         # within rounding of a true KKT point; the exact one is the most
         # stationary of the tied candidates.
-        near = np.flatnonzero(x <= x.min() + tie)
-        return near[np.argmin(kkt[near])]
+        x = np.where(valid, x, np.inf)
+        near = x <= (x.min(axis=-1) + tie)[..., None]
+        i = np.argmin(np.where(near, kkt, np.inf), axis=-1)[..., None]
+        v = np.take_along_axis(V, i[..., None], axis=-2)[..., 0, :]
+        return v, np.take_along_axis(K, i, axis=-1)[..., 0]
 
-    i, j = pick(K), pick(-K)
-    return F @ _bloch_to_c(V[i]), float(K[i]), F @ _bloch_to_c(V[j]), float(K[j])
+    v_min, min_K = pick(K)
+    v_max, max_K = pick(-K)
+    return v_min, min_K, v_max, max_K
+
+
+def _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol) -> DirectionExtrema:
+    """Residuals and convergence flags at given extremizers, stacked."""
+    res_min, res_max = _residual(R, g, xi_min), _residual(R, g, xi_max)
+    converged = (res_min <= residual_tol * np.maximum(1.0, np.abs(min_K))) & (
+        res_max <= residual_tol * np.maximum(1.0, np.abs(max_K))
+    )
+    return DirectionExtrema(min_K, max_K, xi_min, xi_max, res_min, res_max, converged)
+
+
+def _extremize_surfaces(R: np.ndarray, g: np.ndarray, residual_tol: float):
+    """Exact extrema of K over stacked two-dimensional tangent spaces.
+
+    Returns the stacked DirectionExtrema and the Bloch vectors of its
+    extremizers, whose third component gives the frame weights.
+    """
+    F = orthonormal_frame(g)
+    v_min, min_K, v_max, max_K = _extremize_sphere(R, F)
+    ex = _direction_extrema(
+        R, g, _bloch_direction(F, v_min), min_K, _bloch_direction(F, v_max), max_K, residual_tol
+    )
+    return ex, v_min, v_max
 
 
 def _extremize_general(R, g, F, sign: float, seed: int, max_iter: int):
@@ -231,28 +297,26 @@ def extremize_direction(
     """
     g = np.asarray(g, dtype=complex)
     m = g.shape[0]
-    F = orthonormal_frame(g)
-
-    if m == 1:
-        xi = F[:, 0]
-        val = holomorphic_sectional_curvature(R, g, xi)
-        res = _residual(R, g, xi)
-        ok = res <= residual_tol * max(1.0, abs(val))
-        return DirectionExtrema(val, val, xi, xi, res, res, ok)
-
     if m == 2:
-        xi_min, min_K, xi_max, max_K = _extremize_sphere(R, F)
+        one, _, _ = _extremize_surfaces(np.asarray(R)[None], g[None], residual_tol)
+        ex = DirectionExtrema(*(getattr(one, f.name)[0] for f in fields(one)))
     else:
-        xi_min, min_K = _extremize_general(R, g, F, +1.0, seed, max_iter)
-        xi_max, max_K = _extremize_general(R, g, F, -1.0, seed, max_iter)
-
-    res_min = _residual(R, g, xi_min)
-    res_max = _residual(R, g, xi_max)
-    converged = res_min <= residual_tol * max(1.0, abs(min_K)) and res_max <= (
-        residual_tol * max(1.0, abs(max_K))
-    )
+        F = orthonormal_frame(g)
+        if m == 1:
+            xi_min = xi_max = F[:, 0]
+            min_K = max_K = holomorphic_sectional_curvature(R, g, xi_min)
+        else:
+            xi_min, min_K = _extremize_general(R, g, F, +1.0, seed, max_iter)
+            xi_max, max_K = _extremize_general(R, g, F, -1.0, seed, max_iter)
+        ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
     return DirectionExtrema(
-        float(min_K), float(max_K), xi_min, xi_max, res_min, res_max, converged
+        float(ex.min_K),
+        float(ex.max_K),
+        ex.argmin,
+        ex.argmax,
+        float(ex.min_residual),
+        float(ex.max_residual),
+        bool(ex.converged),
     )
 
 
@@ -330,59 +394,84 @@ class PinchingReport:
 
 
 @dataclass(frozen=True)
-class _FiberCell:
-    t: float
-    min_K: float
-    max_K: float
-    min_weights: tuple
-    max_weights: tuple
-    min_residual: float
-    max_residual: float
-    converged: bool
+class _FiberCells:
+    """Direction extrema at a stack of compactified fiber samples t.
+
+    Every field is an array over the samples; the weights are (samples, 2).
+    """
+
+    t: np.ndarray
+    min_K: np.ndarray
+    max_K: np.ndarray
+    min_weights: np.ndarray
+    max_weights: np.ndarray
+    min_residual: np.ndarray
+    max_residual: np.ndarray
+    converged: np.ndarray
+
+    def rows(self, index) -> "_FiberCells":
+        return _FiberCells(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _fiber_cell(model: Hitchin, t: float, residual_tol, seed) -> _FiberCell:
-    if t >= 1.0:
-        q = extremize_quadratic(*hsc_coefficients(model.n, model.s, math.inf))
-        return _FiberCell(
-            1.0,
-            q.min_K,
-            q.max_K,
-            (q.a_min, 1.0 - q.a_min),
-            (q.a_max, 1.0 - q.a_max),
-            q.min_residual,
-            q.max_residual,
-            True,
-        )
-    r = t / (1.0 - t)
-    jet = model.metric_jet(model.fiber_point(r))
-    R = curvature_tensor(jet)
-    ex = extremize_direction(R, jet.g, residual_tol=residual_tol, seed=seed)
-    wmin = direction_weights(jet.g, ex.argmin)
-    wmax = direction_weights(jet.g, ex.argmax)
-    return _FiberCell(
-        float(t),
+def _concat_cells(parts) -> _FiberCells:
+    return _FiberCells(
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(_FiberCells))
+    )
+
+
+def _limit_cell(model: Hitchin) -> _FiberCells:
+    """The t = 1 sample, from the analytic limit of the weight quadratic."""
+    q = extremize_quadratic(*hsc_coefficients(model.n, model.s, math.inf))
+    return _FiberCells(
+        np.array([1.0]),
+        np.array([q.min_K]),
+        np.array([q.max_K]),
+        np.array([[q.a_min, 1.0 - q.a_min]]),
+        np.array([[q.a_max, 1.0 - q.a_max]]),
+        np.array([q.min_residual]),
+        np.array([q.max_residual]),
+        np.array([True]),
+    )
+
+
+def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol) -> _FiberCells:
+    """Exact direction extrema at the fiber samples t in [0, 1), one stacked solve.
+
+    The weights of each extremizer are read off its Bloch vector in the frame
+    of the solve.
+    """
+    jet = model.metric_jet(model.fiber_point(t / (1.0 - t)))
+    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, residual_tol)
+    return _FiberCells(
+        t,
         ex.min_K,
         ex.max_K,
-        (float(wmin[0]), float(wmin[1])),
-        (float(wmax[0]), float(wmax[1])),
+        _bloch_weights(v_min),
+        _bloch_weights(v_max),
         ex.min_residual,
         ex.max_residual,
         ex.converged,
     )
 
 
-def _refine_t(model, lo: float, hi: float, sign: float, tol, residual_tol, seed):
+def _fiber_cell(model: Hitchin, t: float, residual_tol) -> _FiberCells:
+    """The one-sample stack at t; t = 1 is the analytic limit."""
+    if t >= 1.0:
+        return _limit_cell(model)
+    return _fiber_cells(model, np.array([t]), residual_tol)
+
+
+def _refine_t(model, lo: float, hi: float, sign: float, tol, residual_tol):
     """Bounded scalar search in t over [lo, hi] for the exact per-cell extremum."""
 
     def extremum(t):
-        cell = _fiber_cell(model, t, residual_tol, seed)
-        return cell.min_K if sign > 0 else -cell.max_K
+        cell = _fiber_cell(model, t, residual_tol)
+        return cell.min_K[0] if sign > 0 else -cell.max_K[0]
 
     res = minimize_scalar(
         extremum, bounds=(lo, hi), method="bounded", options=dict(xatol=tol)
     )
-    return _fiber_cell(model, float(res.x), residual_tol, seed), int(res.nit)
+    return _fiber_cell(model, float(res.x), residual_tol), int(res.nit)
 
 
 def sweep_fiber(
@@ -395,57 +484,58 @@ def sweep_fiber(
 ) -> PinchingReport:
     """Extremize K over the compactified central fiber and all directions.
 
-    Sweeps t = r/(1+r) over a uniform grid on [0, 1]; the t = 1 endpoint is
-    evaluated through the analytic limit of the direction quadratic rather
-    than a large-r sample, so the global minimum carries no truncation bias.
-    The extreme cells are refined by a bounded search in t between their grid
-    neighbours, to the x-tolerance ``tol``.  Extrema that tie with the t = 1
-    tangent space (within 1e-9 relative) are reported there, where both
-    extremal directions coexist.
+    Sweeps t = r/(1+r) over a uniform grid on [0, 1]; the finite samples are
+    solved as stacks of ``_FIBER_BLOCK`` tangent spaces, and the t = 1
+    endpoint is evaluated through the analytic limit of the direction
+    quadratic rather than a large-r sample, so the global minimum carries no
+    truncation bias.  The extreme cells are refined by a bounded search in t
+    between their grid neighbours, to the x-tolerance ``tol``.  Extrema that
+    tie with the t = 1 tangent space (within 1e-9 relative) are reported
+    there, where both extremal directions coexist.  ``seed`` is recorded in
+    the method data; the exact two-dimensional solve draws no random numbers.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     require_admissible(model.n, model.s_exact if model.s_exact is not None else model.s)
-    cells = [
-        _fiber_cell(model, float(t), residual_tol, seed)
-        for t in np.linspace(0.0, 1.0, grid)
-    ]
-    profile = [(c.t, c.min_K, c.max_K) for c in cells]
-    unconverged = sum(1 for c in cells if not c.converged)
+    ts = np.linspace(0.0, 1.0, grid)
+    cells = _concat_cells(
+        [
+            _fiber_cells(model, ts[i : min(i + _FIBER_BLOCK, grid - 1)], residual_tol)
+            for i in range(0, grid - 1, _FIBER_BLOCK)
+        ]
+        + [_limit_cell(model)]
+    )
+    profile = list(zip(cells.t.tolist(), cells.min_K.tolist(), cells.max_K.tolist()))
+    unconverged = int(np.count_nonzero(~cells.converged))
 
-    imin = min(range(grid), key=lambda i: cells[i].min_K)
-    imax = max(range(grid), key=lambda i: cells[i].max_K)
+    imin, imax = int(np.argmin(cells.min_K)), int(np.argmax(cells.max_K))
+    cmin, cmax = cells.rows([imin]), cells.rows([imax])
     refine_iters = 0
     if refine and 0 < imin < grid - 1:
-        better, iters = _refine_t(
-            model, cells[imin - 1].t, cells[imin + 1].t, +1.0, tol, residual_tol, seed
-        )
+        better, iters = _refine_t(model, ts[imin - 1], ts[imin + 1], +1.0, tol, residual_tol)
         refine_iters += iters
-        if better.min_K < cells[imin].min_K:
-            cells[imin] = better
+        if better.min_K[0] < cmin.min_K[0]:
+            cmin = better
     if refine and 0 < imax < grid - 1:
-        better, iters = _refine_t(
-            model, cells[imax - 1].t, cells[imax + 1].t, -1.0, tol, residual_tol, seed
-        )
+        better, iters = _refine_t(model, ts[imax - 1], ts[imax + 1], -1.0, tol, residual_tol)
         refine_iters += iters
-        if better.max_K > cells[imax].max_K:
-            cells[imax] = better
+        if better.max_K[0] > cmax.max_K[0]:
+            cmax = better
 
-    limit = cells[-1]
-    if limit.min_K <= cells[imin].min_K + 1e-9 * abs(cells[imin].min_K):
-        imin = grid - 1
-    if limit.max_K >= cells[imax].max_K - 1e-9 * abs(cells[imax].max_K):
-        imax = grid - 1
-    cmin, cmax = cells[imin], cells[imax]
+    limit = cells.rows([grid - 1])
+    if limit.min_K[0] <= cmin.min_K[0] + 1e-9 * abs(cmin.min_K[0]):
+        cmin = limit
+    if limit.max_K[0] >= cmax.max_K[0] - 1e-9 * abs(cmax.max_K[0]):
+        cmax = limit
 
     return PinchingReport(
-        min_K=cmin.min_K,
-        max_K=cmax.max_K,
-        pinching=cmin.min_K / cmax.max_K,
-        argmin={"t": cmin.t, "weights": list(cmin.min_weights)},
-        argmax={"t": cmax.t, "weights": list(cmax.max_weights)},
-        lagrange_residual=max(cmin.min_residual, cmax.max_residual),
-        converged=cmin.converged and cmax.converged,
+        min_K=float(cmin.min_K[0]),
+        max_K=float(cmax.max_K[0]),
+        pinching=float(cmin.min_K[0] / cmax.max_K[0]),
+        argmin={"t": float(cmin.t[0]), "weights": cmin.min_weights[0].tolist()},
+        argmax={"t": float(cmax.t[0]), "weights": cmax.max_weights[0].tolist()},
+        lagrange_residual=float(max(cmin.min_residual[0], cmax.max_residual[0])),
+        converged=bool(cmin.converged[0] and cmax.converged[0]),
         method={
             "grid": grid,
             "tol": tol,
@@ -486,27 +576,25 @@ def grid_2d_verify(
     tol: float = 1e-3,
     seed: int = 0,
 ) -> Grid2DReport:
-    """Check that extrema off the central fiber never beat the fiber extrema."""
+    """Check that extrema off the central fiber never beat the fiber extrema.
+
+    Every sample point, on the fiber and off it, is solved in one stacked
+    call; ``seed`` is unused, since the exact two-dimensional solve draws no
+    random numbers.
+    """
     if model.dimension != 2:
         raise ValueError("the 2-d grid check needs a 2-dimensional model")
     tvals = np.linspace(0.0, 1.0, t_points, endpoint=False)
-    rvals = tvals / (1.0 - tvals)
-
-    def extrema_at(z1: complex):
-        lo, hi = math.inf, -math.inf
-        for r in rvals:
-            z = np.array([z1, math.sqrt(r)], dtype=complex)
-            jet = model.metric_jet(z)
-            ex = extremize_direction(curvature_tensor(jet), jet.g, seed=seed)
-            lo, hi = min(lo, ex.min_K), max(hi, ex.max_K)
-        return lo, hi
-
-    fiber_min, fiber_max = extrema_at(0.0)
-    off_min, off_max = math.inf, -math.inf
-    for rad in radii:
-        for ang in np.linspace(0.0, _TWO_PI, angles, endpoint=False):
-            lo, hi = extrema_at(rad * np.exp(1j * ang))
-            off_min, off_max = min(off_min, lo), max(off_max, hi)
+    angs = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
+    # Row 0 is the central fiber z1 = 0, the other rows the off-fiber circles.
+    circles = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * angs)
+    z1 = np.concatenate([[0.0], circles.ravel()])
+    z = np.stack(np.broadcast_arrays(z1[:, None], np.sqrt(tvals / (1.0 - tvals))), axis=-1)
+    jet = model.metric_jet(z)
+    _, lo, _, hi = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
+    fiber_min, fiber_max = float(lo[0].min()), float(hi[0].max())
+    off_min = float(lo[1:].min(initial=math.inf))
+    off_max = float(hi[1:].max(initial=-math.inf))
 
     grid_min = min(fiber_min, off_min)
     grid_max = max(fiber_max, off_max)

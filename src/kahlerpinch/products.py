@@ -19,6 +19,7 @@ from .models import Hitchin, MetricModel, Product
 from .optimize import extremize_direction
 
 __all__ = [
+    "ProductHypothesisError",
     "CommonBoundError",
     "ProductBounds",
     "FactorStats",
@@ -30,7 +31,11 @@ __all__ = [
 ]
 
 
-class CommonBoundError(ValueError):
+class ProductHypothesisError(ValueError):
+    """The factors violate a hypothesis of the product pinching theorem."""
+
+
+class CommonBoundError(ProductHypothesisError):
     """The two factors do not share a common upper curvature bound."""
 
 
@@ -102,7 +107,7 @@ def factor_curvature_stats(
         ex = extremize_direction(curvature_tensor(jet), jet.g, seed=seed)
         lo, hi = min(lo, ex.min_K), max(hi, ex.max_K)
     if lo <= 0:
-        raise ValueError("factor has non-positive sectional curvature on samples")
+        raise ProductHypothesisError("factor has non-positive sectional curvature on samples")
     return FactorStats(lo, hi)
 
 

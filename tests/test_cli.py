@@ -207,6 +207,13 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["curvature", "--model", "fs2", "--point", "nan,0"], 2),
         (["curvature", "--model", "hitchin:1:1/3", "--point", "0,1e200"], 2),
         (["curvature", "--model", "product:hitchin:1:1/3:fs1"], 0),
+        (["verify", "--n-max", "1", "--samples", "0"], 2),
+        (["verify", "--n-max", "1", "--grid", "1"], 2),
+        (["product", "--left", "fs1", "--right", "fs1", "--samples", "-1"], 2),
+        (["product", "--left", "fs1", "--right", "fs1", "--samples", "0"], 2),
+        (["product", "--left", "hitchin:9:1/3", "--right", "fs1"], 2),
+        (["pinch", "--n", "1", "--s", "1e-300"], 2),
+        (["berger", "--model", "fs1", "--seed", "-1"], 2),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
