@@ -91,6 +91,20 @@ def sample_directions(
     return raw @ orthonormal_frame(g).T
 
 
+def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> BergerEstimate:
+    """Monte Carlo estimate of m(m+1)/4 times the mean of K over the unit sphere of (R, g)."""
+    m = g.shape[-1]
+    rng = np.random.default_rng(cfg.seed)
+    xis = sample_directions(g, cfg.sample_count, rng, cfg.antithetic)
+    values = 0.25 * m * (m + 1) * batch_hsc(R, g, xis)
+    if cfg.antithetic and values.size >= 2:
+        half = values.size // 2
+        values = 0.5 * (values[:half] + values[half : 2 * half])
+    est = float(np.mean(values))
+    sem = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return BergerEstimate(est, sem, cfg.sample_count)
+
+
 def berger_scalar(model: MetricModel, z, cfg: SphereSampleConfig) -> BergerEstimate:
     """Monte Carlo estimate of the scalar curvature at a chart point.
 
@@ -98,18 +112,8 @@ def berger_scalar(model: MetricModel, z, cfg: SphereSampleConfig) -> BergerEstim
     together with the standard error of that mean (antithetic pairs are
     averaged before the error estimate, keeping it unbiased).
     """
-    m = model.dimension
     jet = model.metric_jet(z)
-    R = curvature_tensor(jet)
-    rng = np.random.default_rng(cfg.seed)
-    xis = sample_directions(jet.g, cfg.sample_count, rng, cfg.antithetic)
-    values = 0.25 * m * (m + 1) * batch_hsc(R, jet.g, xis)
-    if cfg.antithetic and values.size >= 2:
-        half = values.size // 2
-        values = 0.5 * (values[:half] + values[half : 2 * half])
-    est = float(np.mean(values))
-    sem = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-    return BergerEstimate(est, sem, cfg.sample_count)
+    return _sphere_average(curvature_tensor(jet), jet.g, cfg)
 
 
 def _zscore(diff: float, stderr: float) -> float:
@@ -123,15 +127,21 @@ def berger_vs_trace(
 ) -> list[BergerComparison]:
     """Compare the Monte Carlo estimate with the trace scalar curvature.
 
-    ``bracket`` optionally carries the (lower, upper) scalar-curvature bounds;
-    for Hitchin models every trace value is checked against it.
+    The jets and curvature tensors of all points come from one stacked
+    evaluation; each point's sphere average reseeds from ``cfg.seed``, as
+    :func:`berger_scalar` does.  ``bracket`` optionally carries the (lower,
+    upper) scalar-curvature bounds; for Hitchin models every trace value is
+    checked against it.
     """
+    points = list(points)
+    if not points:
+        return []
+    jet = model.metric_jet(np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]))
+    R = curvature_tensor(jet)
     rows = []
-    for z in points:
-        jet = model.metric_jet(z)
-        R = curvature_tensor(jet)
-        tau = scalar_curvature(R, jet.g)
-        est = berger_scalar(model, z, cfg)
+    for i, z in enumerate(points):
+        tau = scalar_curvature(R[i], jet.g[i])
+        est = _sphere_average(R[i], jet.g[i], cfg)
         within = None
         if bracket is not None:
             lo, hi = bracket

@@ -12,12 +12,14 @@ v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
 weight quadratic of the Hirzebruch family is extremized exactly on its
 interval.  The two-dimensional solve is stacked: the fiber sweep and the 2-d
 grid check hand it all their tangent spaces at once, and a single tangent
-space is the one-row stack of the same code.  Higher dimensions use a
-multi-start downhill simplex in an affine chart of the direction space, and
-the fiber extrema are refined by a bounded scalar search in the fiber
-parameter.  Stationarity is certified through the
-analytic gradient of K, whose full Euclidean norm vanishes at extremal
-directions.
+space is the one-row stack of the same code.  Higher dimensions contract the
+curvature tensor into an orthonormal frame once per tangent space, score a
+seeded set of start directions on it, and run a gradient (BFGS) search with
+the analytic gradient from the best start, in an affine chart of the
+direction space: a local search with no global guarantee.  The fiber extrema
+are refined by a bounded scalar search in the fiber parameter.  Stationarity
+is certified through the analytic gradient of K, whose full Euclidean norm
+vanishes at extremal directions.
 """
 from __future__ import annotations
 
@@ -58,6 +60,13 @@ _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: bounds the memory of the
 # stack's intermediates (54 KKT candidates per sample) at no cost in speed.
 _FIBER_BLOCK = 128
+# Directions per matrix product in batch_hsc: bounds its (rows, m^2) buffers.
+_HSC_BLOCK = 8192
+# Gradient tolerance of the general-dimension search, relative to max(1, |K|)
+# over its start candidates.
+_GRADIENT_TOL = 1e-12
+# Ulps of the largest term of the S^2 quadratic in the rounding floor of its extrema.
+_ROUNDING_ULPS = 4.0
 # Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
 _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -66,11 +75,23 @@ _PAULI = np.array(
 
 
 def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Sectional curvature of every row direction of ``xis`` (shape (B, m))."""
+    """Holomorphic sectional curvature of every row direction of ``xis`` (shape (B, m)).
+
+    With p = vec(xi xi*) and M the tensor R reshaped to (m^2, m^2), K(xi) =
+    2 p.M p / (vec(g).p)^2; the rows are evaluated as one matrix product per
+    block of ``_HSC_BLOCK`` rows.
+    """
     xis = np.asarray(xis, dtype=complex)
-    num = 2.0 * np.einsum("ijkl,bi,bj,bk,bl->b", R, xis, xis.conj(), xis, xis.conj())
-    den = np.einsum("ij,bi,bj->b", np.asarray(g, dtype=complex), xis, xis.conj()).real
-    return _real_part(num, "sectional curvature numerator") / den**2
+    rows, m = xis.shape
+    M = np.asarray(R, dtype=complex).reshape(m * m, m * m)
+    gv = np.asarray(g, dtype=complex).reshape(m * m)
+    K = np.empty(rows)
+    for i in range(0, rows, _HSC_BLOCK):
+        x = xis[i : i + _HSC_BLOCK]
+        P = (x[:, :, None] * x.conj()[:, None, :]).reshape(len(x), m * m)
+        num = 2.0 * np.einsum("bi,bi->b", P @ M, P)
+        K[i : i + len(x)] = _real_part(num, "sectional curvature numerator") / (P @ gv).real ** 2
+    return K
 
 
 @dataclass(frozen=True)
@@ -112,6 +133,18 @@ def _residual(R, g, xi) -> np.ndarray:
     return np.linalg.norm(hsc_gradient(R, g, xi), axis=-1)
 
 
+def _frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Rhat = R(F., conj(F)., F., conj(F).), the curvature tensor in the frame F, stacked.
+
+    In the frame the metric is the identity, so K(F c) = 2 sum Rhat_abcd c_a
+    conj(c_b) c_c conj(c_d) / |c|^4 for every nonzero c in C^m.
+    """
+    Rhat = np.einsum("...ijkl,...ld->...ijkd", R, F.conj())
+    Rhat = np.einsum("...ijkd,...kc->...ijcd", Rhat, F)
+    Rhat = np.einsum("...ijcd,...jb->...ibcd", Rhat, F.conj())
+    return np.einsum("...ibcd,...ia->...abcd", Rhat, F)
+
+
 def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     """(A, b, c0) with K(F c) = v.A v + b.v + c0 for unit c, c c* = (I + v.sigma)/2.
 
@@ -119,7 +152,7 @@ def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v).  Stacked
     over the leading axes of R and F.
     """
-    Rhat = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", R, F, F.conj(), F, F.conj())
+    Rhat = _frame_tensor(R, F)
     M = 0.5 * np.einsum("...abcd,mab,ncd->...mn", Rhat, _PAULI, _PAULI).real
     M = 0.5 * (M + M.swapaxes(-1, -2))
     return M[..., 1:, 1:], 2.0 * M[..., 0, 1:], M[..., 0, 0]
@@ -185,12 +218,17 @@ def _bloch_weights(v: np.ndarray) -> np.ndarray:
 
 
 def _extremize_sphere(R: np.ndarray, F: np.ndarray):
-    """Exact (v_min, min_K, v_max, max_K) of K over two-dimensional tangent spaces.
+    """Exact (v_min, min_K, v_max, max_K, floor) of K over two-dimensional tangent spaces.
 
     Stacked over the leading axes of R and F; the extremizers are returned as
-    Bloch vectors v in the frame F.
+    Bloch vectors v in the frame F.  ``floor`` is the rounding floor of the
+    extrema, a few ulps of the largest value the quadratic's terms can take:
+    K is a sum of terms of that size, so its absolute error is no smaller.
     """
     A, b, c0 = _bloch_quadratic(R, F)
+    floor = _ROUNDING_ULPS * np.finfo(float).eps * (
+        np.abs(A).sum(axis=(-1, -2)) + np.abs(b).sum(axis=-1) + np.abs(c0)
+    )
     V, valid = _sphere_kkt_points(A, b)
     VA = V @ A
     quad = np.sum(VA * V, axis=-1)
@@ -211,14 +249,20 @@ def _extremize_sphere(R: np.ndarray, F: np.ndarray):
 
     v_min, min_K = pick(K)
     v_max, max_K = pick(-K)
-    return v_min, min_K, v_max, max_K
+    return v_min, min_K, v_max, max_K, floor
 
 
-def _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol) -> DirectionExtrema:
-    """Residuals and convergence flags at given extremizers, stacked."""
+def _direction_extrema(
+    R, g, xi_min, min_K, xi_max, max_K, residual_tol, floor=0.0
+) -> DirectionExtrema:
+    """Residuals and convergence flags at given extremizers, stacked.
+
+    An extremum is converged when its residual, and the solve's rounding
+    ``floor``, are within ``residual_tol`` times max(1, |K|).
+    """
     res_min, res_max = _residual(R, g, xi_min), _residual(R, g, xi_max)
-    converged = (res_min <= residual_tol * np.maximum(1.0, np.abs(min_K))) & (
-        res_max <= residual_tol * np.maximum(1.0, np.abs(max_K))
+    converged = (np.maximum(res_min, floor) <= residual_tol * np.maximum(1.0, np.abs(min_K))) & (
+        np.maximum(res_max, floor) <= residual_tol * np.maximum(1.0, np.abs(max_K))
     )
     return DirectionExtrema(min_K, max_K, xi_min, xi_max, res_min, res_max, converged)
 
@@ -230,15 +274,14 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray, residual_tol: float):
     extremizers, whose third component gives the frame weights.
     """
     F = orthonormal_frame(g)
-    v_min, min_K, v_max, max_K = _extremize_sphere(R, F)
-    ex = _direction_extrema(
-        R, g, _bloch_direction(F, v_min), min_K, _bloch_direction(F, v_max), max_K, residual_tol
-    )
+    v_min, min_K, v_max, max_K, floor = _extremize_sphere(R, F)
+    xi_min, xi_max = _bloch_direction(F, v_min), _bloch_direction(F, v_max)
+    ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol, floor)
     return ex, v_min, v_max
 
 
-def _extremize_general(R, g, F, sign: float, seed: int, max_iter: int):
-    m = g.shape[0]
+def _start_candidates(m: int, seed: int) -> np.ndarray:
+    """Unit frame vectors that seed the general search: e_i, (e_i + phase e_j)/sqrt 2, 64 random."""
     cands = list(np.eye(m, dtype=complex))
     for i in range(m):
         for j in range(i + 1, m):
@@ -250,32 +293,45 @@ def _extremize_general(R, g, F, sign: float, seed: int, max_iter: int):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
     cands.extend(raw / np.linalg.norm(raw, axis=1)[:, None])
-    cands = np.asarray(cands)
-    values = sign * batch_hsc(R, g, cands @ F.T)
-    c0 = cands[int(np.argmin(values))]
+    return np.asarray(cands)
 
+
+def _local_search(Rhat, F, c0, sign: float, gtol: float, max_iter: int) -> np.ndarray:
+    """Unit direction F c at a local minimum of sign * K, by BFGS from the frame vector c0.
+
+    The search runs in the affine chart c_i0 = 1 of the largest coordinate of
+    c0, with the analytic gradient dK/d conj(c) = 4v/|c|^4 - 4Nc/|c|^6, where
+    v_b = sum Rhat_abcd c_a c_c conj(c_d) and N = conj(c).v; a real chart
+    coordinate x + iy of c has the gradient 2 (Re, Im) dK/d conj(c).  It
+    stops when the gradient's largest entry is within ``gtol``.
+    """
+    m = len(c0)
     i0 = int(np.argmax(np.abs(c0)))
-    c0 = c0 / c0[i0]
-    free = [i for i in range(m) if i != i0]
-    x0 = np.empty(2 * len(free))
-    for t, i in enumerate(free):
-        x0[2 * t], x0[2 * t + 1] = c0[i].real, c0[i].imag
+    free = np.arange(m) != i0
+    start = c0[free] / c0[i0]
 
-    def to_xi(x):
-        c = np.zeros(m, dtype=complex)
-        c[i0] = 1.0
-        for t, i in enumerate(free):
-            c[i] = x[2 * t] + 1j * x[2 * t + 1]
-        xi = F @ c
-        return xi / np.linalg.norm(xi)
+    def to_c(x):
+        c = np.ones(m, dtype=complex)
+        c[free] = x[0::2] + 1j * x[1::2]
+        return c
 
+    def fun(x):
+        c = to_c(x)
+        v = np.einsum("abcd,a,c,d->b", Rhat, c, c, c.conj())
+        S = (c.conj() @ c).real
+        N = (c.conj() @ v).real
+        G = (4.0 * sign / S**2) * (v - (N / S) * c)[free]
+        grad = np.empty(len(x))
+        grad[0::2], grad[1::2] = 2.0 * G.real, 2.0 * G.imag
+        return sign * 2.0 * N / S**2, grad
+
+    x0 = np.empty(2 * (m - 1))
+    x0[0::2], x0[1::2] = start.real, start.imag
     res = minimize(
-        lambda x: sign * holomorphic_sectional_curvature(R, g, to_xi(x)),
-        x0,
-        method="Nelder-Mead",
-        options=dict(maxiter=max_iter * len(x0), xatol=1e-11, fatol=1e-13),
+        fun, x0, jac=True, method="BFGS", options=dict(maxiter=max_iter * len(x0), gtol=gtol)
     )
-    return to_xi(res.x), sign * float(res.fun)
+    xi = F @ to_c(res.x)
+    return xi / np.linalg.norm(xi)
 
 
 def extremize_direction(
@@ -287,13 +343,19 @@ def extremize_direction(
 ) -> DirectionExtrema:
     """Extrema of K over the unit sphere of one tangent space.
 
-    Two-dimensional tangent spaces are solved exactly on the Bloch sphere;
-    higher dimensions by a multi-start downhill simplex.  The returned
-    residuals are analytic K-gradient norms at the extremizers, the numerical
-    counterpart of the constrained stationarity conditions; the result is
-    flagged unconverged when either exceeds ``residual_tol`` scaled by the
-    curvature magnitude (the default reflects the noise floor of the
-    derivative-free simplex).
+    Two-dimensional tangent spaces are solved exactly on the Bloch sphere.
+    Higher dimensions take the best of a seeded set of frame directions, for
+    the minimum and for the maximum, as the start of a gradient (BFGS) search
+    on the curvature tensor contracted into the frame; this is a local search
+    with no global guarantee.  The returned values are K, and the residuals
+    the analytic K-gradient norms, at the returned extremizers, the numerical
+    counterpart of the constrained stationarity conditions.  The result is
+    flagged unconverged when either residual exceeds ``residual_tol`` scaled
+    by the curvature magnitude (for surfaces, also when the solve's rounding
+    floor does).  The exact solve reaches residuals near rounding; the
+    gradient search's line search compares values of K, which stalls it near
+    the square root of rounding, about 1e-7 relative, so the default leaves a
+    wide margin over both.
     """
     g = np.asarray(g, dtype=complex)
     m = g.shape[0]
@@ -304,10 +366,15 @@ def extremize_direction(
         F = orthonormal_frame(g)
         if m == 1:
             xi_min = xi_max = F[:, 0]
-            min_K = max_K = holomorphic_sectional_curvature(R, g, xi_min)
         else:
-            xi_min, min_K = _extremize_general(R, g, F, +1.0, seed, max_iter)
-            xi_max, max_K = _extremize_general(R, g, F, -1.0, seed, max_iter)
+            Rhat = _frame_tensor(R, F)
+            cands = _start_candidates(m, seed)
+            values = batch_hsc(Rhat, np.eye(m), cands)
+            gtol = _GRADIENT_TOL * max(1.0, np.abs(values).max())
+            xi_min = _local_search(Rhat, F, cands[np.argmin(values)], +1.0, gtol, max_iter)
+            xi_max = _local_search(Rhat, F, cands[np.argmax(values)], -1.0, gtol, max_iter)
+        min_K = holomorphic_sectional_curvature(R, g, xi_min)
+        max_K = holomorphic_sectional_curvature(R, g, xi_max)
         ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
     return DirectionExtrema(
         float(ex.min_K),
@@ -591,7 +658,7 @@ def grid_2d_verify(
     z1 = np.concatenate([[0.0], circles.ravel()])
     z = np.stack(np.broadcast_arrays(z1[:, None], np.sqrt(tvals / (1.0 - tvals))), axis=-1)
     jet = model.metric_jet(z)
-    _, lo, _, hi = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
+    _, lo, _, hi, _ = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
     fiber_min, fiber_max = float(lo[0].min()), float(hi[0].max())
     off_min = float(lo[1:].min(initial=math.inf))
     off_max = float(hi[1:].max(initial=-math.inf))

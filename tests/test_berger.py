@@ -108,3 +108,20 @@ def test_antithetic_variant_unbiased_and_deterministic():
     jet = model.metric_jet(model.fiber_point(1.0))
     tau = scalar_curvature(curvature_tensor(jet), jet.g)
     assert abs(a.estimate - tau) <= 3.0 * a.stderr
+
+
+def test_comparison_evaluates_all_jets_once_and_matches_pointwise(monkeypatch):
+    model = Hitchin.make(2, Fraction(1, 10))
+    points = [model.fiber_point(r) for r in (0.0, 2.0)] + [np.array([0.3 - 0.2j, 0.5j])]
+    cfg = SphereSampleConfig(4000, MASTER_SEED)
+    single = [berger_scalar(model, z, cfg) for z in points]
+    jet_calls = []
+    metric_jet = Hitchin.metric_jet
+    monkeypatch.setattr(
+        Hitchin, "metric_jet", lambda self, z: jet_calls.append(z) or metric_jet(self, z)
+    )
+    rows = berger_vs_trace(model, points, cfg)
+    assert len(jet_calls) == 1
+    for row, est in zip(rows, single):
+        assert row.estimate == pytest.approx(est.estimate, rel=1e-13)
+        assert abs(row.stderr - est.stderr) <= 1e-13 * abs(est.estimate)

@@ -1,11 +1,19 @@
+import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kahlerpinch import hirzebruch as hz
-from kahlerpinch.geometry import curvature_tensor, orthonormal_frame
+from kahlerpinch import optimize
+from kahlerpinch.cli import main
+from kahlerpinch.geometry import (
+    curvature_tensor,
+    holomorphic_sectional_curvature,
+    orthonormal_frame,
+)
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import (
     extremize_direction,
@@ -215,3 +223,94 @@ def test_unconverged_flag_is_reported_not_silenced():
     ex = extremize_direction(curvature_tensor(jet), jet.g, residual_tol=0.0)
     assert not ex.converged
     assert abs(ex.max_K - 12.0) < 1e-8  # the answer is still reported
+
+
+def _random_tangent_space(model, rng):
+    jet = model.metric_jet(random_point(model, rng))
+    return curvature_tensor(jet), jet.g
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        FubiniStudy(1),
+        Hitchin.make(1, "1/3"),
+        Product(FubiniStudy(1), Hitchin.make(2, "1/10")),
+        Product(Hitchin.make(1, "1/3"), Hitchin.make(3, "1/21")),
+    ],
+    ids=["m1", "m2", "m3", "m4"],
+)
+def test_batch_hsc_matches_pointwise_across_blocks(model, rng, monkeypatch):
+    monkeypatch.setattr(optimize, "_HSC_BLOCK", 64)
+    R, g = _random_tangent_space(model, rng)
+    m = model.dimension
+    xis = rng.standard_normal((150, m)) + 1j * rng.standard_normal((150, m))
+    K = batch_hsc(R, g, xis)
+    want = np.array([holomorphic_sectional_curvature(R, g, xi) for xi in xis])
+    assert K.shape == (150,)
+    assert np.all(np.abs(K - want) <= 1e-13 * np.abs(want))
+
+
+def test_batch_hsc_rejects_imaginary_residue(rng):
+    R, g = _random_tangent_space(Hitchin.make(1, "1/3"), rng)
+    R = R.copy()
+    R[0, 0, 0, 0] += 1j * np.abs(R).max()
+    with pytest.raises(ValueError, match="imaginary residue"):
+        batch_hsc(R, g, np.array([[1.0, 0.5j], [0.3, 1.0]]))
+
+
+_GENERAL_MODELS = {
+    "fs3": FubiniStudy(3),
+    "fs1xfs2": Product(FubiniStudy(1), FubiniStudy(2)),
+    "hitchin-1_3xfs1": Product(Hitchin.make(1, "1/3"), FubiniStudy(1)),
+    "hitchin-2_10xfs2": Product(Hitchin.make(2, "1/10"), FubiniStudy(2)),
+    "hitchin-1_3xhitchin-3_21": Product(Hitchin.make(1, "1/3"), Hitchin.make(3, "1/21")),
+    "hitchin-6_78xfs1": Product(Hitchin.make(6, "1/78"), FubiniStudy(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GENERAL_MODELS))
+def test_general_extrema_bracket_dense_sample(name):
+    model = _GENERAL_MODELS[name]
+    m = model.dimension
+    rng = np.random.default_rng(MASTER_SEED)
+    for k in range(8):
+        R, g = _random_tangent_space(model, rng)
+        ex = extremize_direction(R, g, seed=k)
+        raw = rng.standard_normal((20000, m)) + 1j * rng.standard_normal((20000, m))
+        K = batch_hsc(R, g, raw @ orthonormal_frame(g).T)
+        scale = max(1.0, abs(ex.min_K), abs(ex.max_K))
+        assert ex.min_K <= K.min() + 1e-12 * scale
+        assert ex.max_K >= K.max() - 1e-12 * scale
+        assert ex.min_residual <= 1e-6 * max(1.0, abs(ex.min_K))
+        assert ex.max_residual <= 1e-6 * max(1.0, abs(ex.max_K))
+        assert ex.converged
+
+
+def test_general_extrema_repeat_for_a_seed(rng):
+    R, g = _random_tangent_space(_GENERAL_MODELS["hitchin-2_10xfs2"], rng)
+    a, b = (extremize_direction(R, g, seed=5) for _ in range(2))
+    for f in fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("s", ["1e-16", "1e-17"])
+def test_tiny_parameter_is_not_converged(s, capsys):
+    # K spans 4 .. 4/s, so the rounding of the S^2 quadratic swamps the minimum.
+    assert main(["pinch", "--n", "1", "--grid", "64", "--s", s]) == 1
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["converged"] is False
+    assert res["method"]["unconverged_cells"] > 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rounding_floor_leaves_certified_reports_unchanged(n, capsys, monkeypatch):
+    for s in (str(hz.optimal_s(n)[0]), f"3/{10 * n * n}"):
+        argv = ["pinch", "--n", str(n), "--grid", "512", "--s", s]
+        main(argv)
+        with_floor = capsys.readouterr().out
+        monkeypatch.setattr(optimize, "_ROUNDING_ULPS", 0.0)
+        main(argv)
+        monkeypatch.undo()
+        assert capsys.readouterr().out == with_floor
+        assert json.loads(with_floor)["results"]["method"]["unconverged_cells"] == 0

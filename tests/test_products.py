@@ -1,10 +1,18 @@
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kahlerpinch import products
+from kahlerpinch.cli import main
 from kahlerpinch.geometry import curvature_tensor, holomorphic_sectional_curvature, norm_squared
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
+from kahlerpinch.optimize import extremize_direction
 from kahlerpinch.products import (
     CommonBoundError,
+    factor_curvature_stats,
     product_bounds,
     product_hsc,
     verify_product_numeric,
@@ -99,3 +107,48 @@ def test_verify_product_mixed_dimensions():
 def test_verify_product_rejects_mismatched_bound():
     with pytest.raises(CommonBoundError):
         verify_product_numeric(Hitchin.make(1, "1/3"), FubiniStudy(1))
+
+
+def _one_unconverged_search(monkeypatch, index):
+    """Make the index-th direction search of kahlerpinch.products report unconverged."""
+    calls = []
+
+    def search(*args, **kwargs):
+        ex = extremize_direction(*args, **kwargs)
+        calls.append(ex)
+        return replace(ex, converged=False) if len(calls) == index + 1 else ex
+
+    monkeypatch.setattr(products, "extremize_direction", search)
+    return calls
+
+
+# Search 0 is on the left factor; with fs1 x fs1 and samples=1 the factors take
+# searches 0-3 and the product searches 4-7.
+@pytest.mark.parametrize("index", [0, 3, 7])
+def test_unconverged_search_breaks_agreement(monkeypatch, index):
+    calls = _one_unconverged_search(monkeypatch, index)
+    report = verify_product_numeric(FubiniStudy(1), FubiniStudy(1), samples=1)
+    assert len(calls) == 8
+    assert report.rel_min_err <= report.tol and report.rel_max_err <= report.tol
+    assert not report.agree
+
+
+def test_unconverged_search_fails_product_command(monkeypatch, capsys):
+    _one_unconverged_search(monkeypatch, 5)
+    assert main(["product", "--left", "fs1", "--right", "fs1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["agree"] is False and doc["pass"] is False
+
+
+def test_stacked_sampling_matches_pointwise():
+    model = Product(FubiniStudy(1), Hitchin.make(1, "1/3"))
+    stats = factor_curvature_stats(model, samples=3, seed=4)
+    rng = np.random.default_rng(4)
+    lo, hi = math.inf, -math.inf
+    for z in products._sample_points(model, rng, 3):
+        jet = model.metric_jet(z)
+        ex = extremize_direction(curvature_tensor(jet), jet.g, seed=4)
+        lo, hi = min(lo, ex.min_K), max(hi, ex.max_K)
+    assert stats.converged
+    assert stats.min_K == pytest.approx(lo, rel=1e-13)
+    assert stats.max_K == pytest.approx(hi, rel=1e-13)
