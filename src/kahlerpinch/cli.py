@@ -274,13 +274,7 @@ def cmd_product(args):
         "tol": args.tol,
         "seed": args.seed,
     }
-
-    def csv_rows():
-        yield ("key", "value")
-        for key, value in results.items():
-            yield (key, value)
-
-    return _envelope("product", params, results, report.agree), csv_rows(), report.agree
+    return _envelope("product", params, results, report.agree), None, report.agree
 
 
 def cmd_curvature(args):
@@ -347,8 +341,7 @@ def _verify_row(n: int, args) -> dict:
     berger_ok = all(abs(r.zscore) < args.zmax or r.near_exact for r in rows)
     bracket_ok = all(r.within_bracket for r in rows)
 
-    a_inf = 2 * n / (2 * n + 1)
-    b_inf = (1 + n) / (1 + 3 * n + 2 * n * n)
+    a_inf, b_inf = (float(w) for w in hirzebruch.stationary_weights(n, s_star, math.inf))
     wmin = report.argmin["weights"]
     weights_ok = (
         report.argmin["t"] == 1.0
@@ -488,6 +481,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise UsageError("seed must be >= 0")
+        for name in ("tol", "zmax"):
+            value = getattr(args, name, None)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise UsageError(f"--{name} must be finite and > 0, got {value}")
         payload, rows, passed = _DISPATCH[args.command](args)
     except (UsageError, hirzebruch.AdmissibilityError, ProductHypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,12 @@ space is the one-row stack of the same code.  Higher dimensions contract the
 curvature tensor into an orthonormal frame once per tangent space, score a
 seeded set of start directions on it, and run a gradient (BFGS) search with
 the analytic gradient from the best start, in an affine chart of the
-direction space: a local search with no global guarantee.  The fiber extrema
-are refined by a bounded scalar search in the fiber parameter.  Stationarity
-is certified through the analytic gradient of K, whose full Euclidean norm
-vanishes at extremal directions.
+direction space: a local search with no global guarantee.  The fiber sweep
+solves its grid and the t = 1 limit through one stacked cell function, and
+refines an extreme cell inside the grid by a bounded scalar search in the
+fiber parameter whose objective computes K alone.  Stationarity is certified
+through the analytic gradient of K, whose full Euclidean norm vanishes at
+extremal directions.
 """
 from __future__ import annotations
 
@@ -65,6 +67,8 @@ _HSC_BLOCK = 8192
 # Gradient tolerance of the general-dimension search, relative to max(1, |K|)
 # over its start candidates.
 _GRADIENT_TOL = 1e-12
+# BFGS iterations of the general-dimension search per real chart coordinate.
+_MAX_ITER = 200
 # Ulps of the largest term of the S^2 quadratic in the rounding floor of its extrema.
 _ROUNDING_ULPS = 4.0
 # Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
@@ -280,6 +284,12 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray, residual_tol: float):
     return ex, v_min, v_max
 
 
+def _surface_extrema(jet):
+    """Exact (min_K, max_K) over the stacked two-dimensional tangent spaces of ``jet``, K only."""
+    _, min_K, _, max_K, _ = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
+    return min_K, max_K
+
+
 def _start_candidates(m: int, seed: int) -> np.ndarray:
     """Unit frame vectors that seed the general search: e_i, (e_i + phase e_j)/sqrt 2, 64 random."""
     cands = list(np.eye(m, dtype=complex))
@@ -296,7 +306,7 @@ def _start_candidates(m: int, seed: int) -> np.ndarray:
     return np.asarray(cands)
 
 
-def _local_search(Rhat, F, c0, sign: float, gtol: float, max_iter: int) -> np.ndarray:
+def _local_search(Rhat, F, c0, sign: float, gtol: float) -> np.ndarray:
     """Unit direction F c at a local minimum of sign * K, by BFGS from the frame vector c0.
 
     The search runs in the affine chart c_i0 = 1 of the largest coordinate of
@@ -328,7 +338,7 @@ def _local_search(Rhat, F, c0, sign: float, gtol: float, max_iter: int) -> np.nd
     x0 = np.empty(2 * (m - 1))
     x0[0::2], x0[1::2] = start.real, start.imag
     res = minimize(
-        fun, x0, jac=True, method="BFGS", options=dict(maxiter=max_iter * len(x0), gtol=gtol)
+        fun, x0, jac=True, method="BFGS", options=dict(maxiter=_MAX_ITER * len(x0), gtol=gtol)
     )
     xi = F @ to_c(res.x)
     return xi / np.linalg.norm(xi)
@@ -339,7 +349,6 @@ def extremize_direction(
     g: np.ndarray,
     residual_tol: float = 1e-4,
     seed: int = 0,
-    max_iter: int = 200,
 ) -> DirectionExtrema:
     """Extrema of K over the unit sphere of one tangent space.
 
@@ -371,8 +380,8 @@ def extremize_direction(
             cands = _start_candidates(m, seed)
             values = batch_hsc(Rhat, np.eye(m), cands)
             gtol = _GRADIENT_TOL * max(1.0, np.abs(values).max())
-            xi_min = _local_search(Rhat, F, cands[np.argmin(values)], +1.0, gtol, max_iter)
-            xi_max = _local_search(Rhat, F, cands[np.argmax(values)], -1.0, gtol, max_iter)
+            xi_min = _local_search(Rhat, F, cands[np.argmin(values)], +1.0, gtol)
+            xi_max = _local_search(Rhat, F, cands[np.argmax(values)], -1.0, gtol)
         min_K = holomorphic_sectional_curvature(R, g, xi_min)
         max_K = holomorphic_sectional_curvature(R, g, xi_max)
         ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
@@ -460,85 +469,40 @@ class PinchingReport:
             yield (t, lo, hi)
 
 
-@dataclass(frozen=True)
-class _FiberCells:
-    """Direction extrema at a stack of compactified fiber samples t.
+def _fiber_jet(model: Hitchin, t: np.ndarray):
+    """Metric jet at the finite compactified fiber samples t in [0, 1), stacked."""
+    return model.metric_jet(model.fiber_point(t / (1.0 - t)))
 
-    Every field is an array over the samples; the weights are (samples, 2).
+
+def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol):
+    """Direction extrema at the ascending compactified fiber samples t, one stacked solve.
+
+    Returns arrays over t with a last axis (min, max): K (samples, 2), the
+    extremizers' weights (samples, 2, 2), read off their Bloch vectors, and
+    residuals (samples, 2), and the convergence flags (samples,).  Samples at
+    t = 1 take the analytic limit of the weight quadratic.
     """
-
-    t: np.ndarray
-    min_K: np.ndarray
-    max_K: np.ndarray
-    min_weights: np.ndarray
-    max_weights: np.ndarray
-    min_residual: np.ndarray
-    max_residual: np.ndarray
-    converged: np.ndarray
-
-    def rows(self, index) -> "_FiberCells":
-        return _FiberCells(*(getattr(self, f.name)[index] for f in fields(self)))
-
-
-def _concat_cells(parts) -> _FiberCells:
-    return _FiberCells(
-        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(_FiberCells))
-    )
-
-
-def _limit_cell(model: Hitchin) -> _FiberCells:
-    """The t = 1 sample, from the analytic limit of the weight quadratic."""
-    q = extremize_quadratic(*hsc_coefficients(model.n, model.s, math.inf))
-    return _FiberCells(
-        np.array([1.0]),
-        np.array([q.min_K]),
-        np.array([q.max_K]),
-        np.array([[q.a_min, 1.0 - q.a_min]]),
-        np.array([[q.a_max, 1.0 - q.a_max]]),
-        np.array([q.min_residual]),
-        np.array([q.max_residual]),
-        np.array([True]),
-    )
-
-
-def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol) -> _FiberCells:
-    """Exact direction extrema at the fiber samples t in [0, 1), one stacked solve.
-
-    The weights of each extremizer are read off its Bloch vector in the frame
-    of the solve.
-    """
-    jet = model.metric_jet(model.fiber_point(t / (1.0 - t)))
+    finite = t[t < 1.0]
+    jet = _fiber_jet(model, finite)
     ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, residual_tol)
-    return _FiberCells(
-        t,
-        ex.min_K,
-        ex.max_K,
-        _bloch_weights(v_min),
-        _bloch_weights(v_max),
-        ex.min_residual,
-        ex.max_residual,
+    q = extremize_quadratic(*hsc_coefficients(model.n, model.s, math.inf))
+    solved = (
+        np.stack([ex.min_K, ex.max_K], axis=-1),
+        np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),
+        np.stack([ex.min_residual, ex.max_residual], axis=-1),
         ex.converged,
     )
-
-
-def _fiber_cell(model: Hitchin, t: float, residual_tol) -> _FiberCells:
-    """The one-sample stack at t; t = 1 is the analytic limit."""
-    if t >= 1.0:
-        return _limit_cell(model)
-    return _fiber_cells(model, np.array([t]), residual_tol)
-
-
-def _refine_t(model, lo: float, hi: float, sign: float, tol, residual_tol):
-    """Bounded scalar search in t over [lo, hi] for the exact per-cell extremum."""
-
-    def extremum(t):
-        cell = _fiber_cell(model, t, residual_tol)
-        return cell.min_K[0] if sign > 0 else -cell.max_K[0]
-
-    res = minimize_scalar(
-        extremum, bounds=(lo, hi), method="bounded", options=dict(xatol=tol)
+    limit = (
+        [q.min_K, q.max_K],
+        [[q.a_min, 1.0 - q.a_min], [q.a_max, 1.0 - q.a_max]],
+        [q.min_residual, q.max_residual],
+        True,
     )
-    return _fiber_cell(model, float(res.x), residual_tol), int(res.nit)
+    rows = len(t) - len(finite)
+    return [
+        np.concatenate([x, np.broadcast_to(y, (rows,) + np.shape(y))])
+        for x, y in zip(solved, limit)
+    ]
 
 
 def sweep_fiber(
@@ -547,71 +511,68 @@ def sweep_fiber(
     tol: float = 1e-9,
     residual_tol: float = 1e-4,
     seed: int = 0,
-    refine: bool = True,
 ) -> PinchingReport:
     """Extremize K over the compactified central fiber and all directions.
 
-    Sweeps t = r/(1+r) over a uniform grid on [0, 1]; the finite samples are
-    solved as stacks of ``_FIBER_BLOCK`` tangent spaces, and the t = 1
-    endpoint is evaluated through the analytic limit of the direction
+    Sweeps t = r/(1+r) over a uniform grid on [0, 1] in stacks of
+    ``_FIBER_BLOCK`` samples; t = 1 takes the analytic limit of the direction
     quadratic rather than a large-r sample, so the global minimum carries no
-    truncation bias.  The extreme cells are refined by a bounded search in t
-    between their grid neighbours, to the x-tolerance ``tol``.  Extrema that
-    tie with the t = 1 tangent space (within 1e-9 relative) are reported
-    there, where both extremal directions coexist.  ``seed`` is recorded in
-    the method data; the exact two-dimensional solve draws no random numbers.
+    truncation bias.  An extreme cell inside the grid is refined by a bounded
+    search in t between its grid neighbours, to the x-tolerance ``tol``, whose
+    objective computes K alone; the full cell is solved at the refined t only
+    when it beats the grid cell.  Extrema that tie with t = 1 (within 1e-9
+    relative) are reported there, where both extremal directions coexist.
+    ``seed`` is recorded in the method data; the exact solve draws no random
+    numbers.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     require_admissible(model.n, model.s_exact if model.s_exact is not None else model.s)
     ts = np.linspace(0.0, 1.0, grid)
-    cells = _concat_cells(
-        [
-            _fiber_cells(model, ts[i : min(i + _FIBER_BLOCK, grid - 1)], residual_tol)
-            for i in range(0, grid - 1, _FIBER_BLOCK)
-        ]
-        + [_limit_cell(model)]
+    blocks = (
+        _fiber_cells(model, ts[i : i + _FIBER_BLOCK], residual_tol)
+        for i in range(0, grid, _FIBER_BLOCK)
     )
-    profile = list(zip(cells.t.tolist(), cells.min_K.tolist(), cells.max_K.tolist()))
-    unconverged = int(np.count_nonzero(~cells.converged))
+    K, weights, residual, converged = (np.concatenate(x) for x in zip(*blocks))
 
-    imin, imax = int(np.argmin(cells.min_K)), int(np.argmax(cells.max_K))
-    cmin, cmax = cells.rows([imin]), cells.rows([imax])
-    refine_iters = 0
-    if refine and 0 < imin < grid - 1:
-        better, iters = _refine_t(model, ts[imin - 1], ts[imin + 1], +1.0, tol, residual_tol)
-        refine_iters += iters
-        if better.min_K[0] < cmin.min_K[0]:
-            cmin = better
-    if refine and 0 < imax < grid - 1:
-        better, iters = _refine_t(model, ts[imax - 1], ts[imax + 1], -1.0, tol, residual_tol)
-        refine_iters += iters
-        if better.max_K[0] > cmax.max_K[0]:
-            cmax = better
-
-    limit = cells.rows([grid - 1])
-    if limit.min_K[0] <= cmin.min_K[0] + 1e-9 * abs(cmin.min_K[0]):
-        cmin = limit
-    if limit.max_K[0] >= cmax.max_K[0] - 1e-9 * abs(cmax.max_K[0]):
-        cmax = limit
+    extremes, refine_iters = [], 0
+    for j, sign in enumerate((1.0, -1.0)):  # j = 0: the minimum, j = 1: the maximum
+        i = int(np.argmin(sign * K[:, j]))
+        cell = (ts[i], K[i, j], weights[i, j], residual[i, j], converged[i])
+        if 0 < i < grid - 1:
+            res = minimize_scalar(
+                lambda x: sign * _surface_extrema(_fiber_jet(model, np.array([x])))[j][0],
+                bounds=(ts[i - 1], ts[i + 1]),
+                method="bounded",
+                options=dict(xatol=tol),
+            )
+            refine_iters += int(res.nit)
+            if res.fun < sign * K[i, j]:
+                t = np.array([float(res.x)])
+                Kt, wt, rt, ct = _fiber_cells(model, t, residual_tol)
+                cell = (t[0], Kt[0, j], wt[0, j], rt[0, j], ct[0])
+        if sign * K[-1, j] <= sign * cell[1] + 1e-9 * abs(cell[1]):
+            cell = (1.0, K[-1, j], weights[-1, j], residual[-1, j], converged[-1])
+        extremes.append(cell)
+    (t_min, min_K, w_min, r_min, c_min), (t_max, max_K, w_max, r_max, c_max) = extremes
 
     return PinchingReport(
-        min_K=float(cmin.min_K[0]),
-        max_K=float(cmax.max_K[0]),
-        pinching=float(cmin.min_K[0] / cmax.max_K[0]),
-        argmin={"t": float(cmin.t[0]), "weights": cmin.min_weights[0].tolist()},
-        argmax={"t": float(cmax.t[0]), "weights": cmax.max_weights[0].tolist()},
-        lagrange_residual=float(max(cmin.min_residual[0], cmax.max_residual[0])),
-        converged=bool(cmin.converged[0] and cmax.converged[0]),
+        min_K=float(min_K),
+        max_K=float(max_K),
+        pinching=float(min_K / max_K),
+        argmin={"t": float(t_min), "weights": w_min.tolist()},
+        argmax={"t": float(t_max), "weights": w_max.tolist()},
+        lagrange_residual=float(max(r_min, r_max)),
+        converged=bool(c_min and c_max),
         method={
             "grid": grid,
             "tol": tol,
             "residual_tol": residual_tol,
             "seed": seed,
             "refine_iterations": refine_iters,
-            "unconverged_cells": unconverged,
+            "unconverged_cells": int(np.count_nonzero(~converged)),
         },
-        profile=profile,
+        profile=list(zip(ts.tolist(), K[:, 0].tolist(), K[:, 1].tolist())),
     )
 
 
@@ -641,13 +602,10 @@ def grid_2d_verify(
     angles: int = 4,
     t_points: int = 9,
     tol: float = 1e-3,
-    seed: int = 0,
 ) -> Grid2DReport:
     """Check that extrema off the central fiber never beat the fiber extrema.
 
-    Every sample point, on the fiber and off it, is solved in one stacked
-    call; ``seed`` is unused, since the exact two-dimensional solve draws no
-    random numbers.
+    Every sample point, on the fiber and off it, is solved in one stacked call.
     """
     if model.dimension != 2:
         raise ValueError("the 2-d grid check needs a 2-dimensional model")
@@ -657,8 +615,7 @@ def grid_2d_verify(
     circles = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * angs)
     z1 = np.concatenate([[0.0], circles.ravel()])
     z = np.stack(np.broadcast_arrays(z1[:, None], np.sqrt(tvals / (1.0 - tvals))), axis=-1)
-    jet = model.metric_jet(z)
-    _, lo, _, hi, _ = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
+    lo, hi = _surface_extrema(model.metric_jet(z))
     fiber_min, fiber_max = float(lo[0].min()), float(hi[0].max())
     off_min = float(lo[1:].min(initial=math.inf))
     off_max = float(hi[1:].max(initial=-math.inf))

@@ -29,6 +29,10 @@ __all__ = [
     "verify_product_numeric",
 ]
 
+# Relative tolerance within which the two factors' measured maxima count as
+# one common upper bound k.
+_K_MATCH_TOL = 1e-6
+
 
 class ProductHypothesisError(ValueError):
     """The factors violate a hypothesis of the product pinching theorem."""
@@ -159,7 +163,6 @@ def verify_product_numeric(
     samples: int = 3,
     tol: float = 1e-6,
     seed: int = 0,
-    k_match_tol: float = 1e-6,
 ) -> ProductReport:
     """Extremize K on the product of two factor models and check the theorem.
 
@@ -173,7 +176,7 @@ def verify_product_numeric(
     stats_l = factor_curvature_stats(left, samples=samples, seed=seed)
     stats_r = factor_curvature_stats(right, samples=samples, seed=seed + 1)
     k_l, k_r = stats_l.max_K, stats_r.max_K
-    if abs(k_l - k_r) > k_match_tol * max(k_l, k_r):
+    if abs(k_l - k_r) > _K_MATCH_TOL * max(k_l, k_r):
         raise CommonBoundError(
             f"common bound k violated: left max {k_l:.6g} != right max {k_r:.6g}"
         )

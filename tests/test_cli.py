@@ -214,6 +214,14 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["product", "--left", "hitchin:9:1/3", "--right", "fs1"], 2),
         (["pinch", "--n", "1", "--s", "1e-300"], 2),
         (["berger", "--model", "fs1", "--seed", "-1"], 2),
+        (["pinch", "--n", "1", "--tol", "nan"], 2),
+        (["pinch", "--n", "1", "--tol", "-1"], 2),
+        (["pinch", "--n", "1", "--tol", "0"], 2),
+        (["product", "--left", "fs1", "--right", "fs1", "--tol", "inf"], 2),
+        (["verify", "--n-max", "1", "--tol=-inf"], 2),
+        (["verify", "--n-max", "1", "--zmax", "nan"], 2),
+        (["berger", "--model", "fs1", "--zmax", "0"], 2),
+        (["berger", "--model", "fs1", "--zmax", "inf"], 2),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):

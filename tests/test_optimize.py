@@ -185,6 +185,36 @@ def test_limit_state_extremizer_weights():
         assert report.argmax["weights"][0] < 1e-6
 
 
+@pytest.mark.parametrize("n,s", [(1, "1/3"), (2, "1/10"), (2, "3/40")])
+def test_refine_wins_and_limit_tie_lost(n, s, monkeypatch):
+    # Lowering the t = 1 limit quadratic to (c, 0, c) with c = 0.99 gamma moves
+    # both extrema off t = 1: the minimum into the last grid cell, where the
+    # refine beats the grid, and the maximum to the finite grid.
+    coefficients = optimize.hsc_coefficients
+
+    def lowered_limit(n, s, r):
+        if np.all(np.isinf(r)):
+            c = 0.99 * 4.0 / s
+            return c, 0.0, c
+        return coefficients(n, s, r)
+
+    monkeypatch.setattr(optimize, "hsc_coefficients", lowered_limit)
+    model = Hitchin.make(n, s)
+    report = sweep_fiber(model, grid=64)
+    ts = np.linspace(0.0, 1.0, 64)
+    finite = report.profile[:-1]
+    t = report.argmin["t"]
+    assert 0.0 < t < 1.0 and np.min(np.abs(ts - t)) > 0.0
+    assert report.min_K < min(row[1] for row in finite)
+    jet = model.metric_jet(model.fiber_point(t / (1.0 - t)))
+    ex = extremize_direction(curvature_tensor(jet), jet.g)
+    assert abs(report.min_K - ex.min_K) <= 1e-12 * ex.min_K
+    assert report.argmax["t"] < 1.0
+    assert report.max_K == max(row[2] for row in finite)
+    assert report.method["refine_iterations"] > 0
+    assert report.converged
+
+
 @pytest.mark.parametrize("model", [Hitchin.make(1, "1/3"), Hitchin.make(2, "1/10")])
 def test_grid_2d_agreement(model):
     rep = grid_2d_verify(model, radii=(0.8, 2.0), angles=3, t_points=7)
