@@ -36,6 +36,17 @@ class UsageError(ValueError):
     """Bad parameter or model descriptor supplied on the command line."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose own errors are usage errors, reported like any other.
+
+    Subparsers take the class of their parent, so one override covers every
+    subcommand.
+    """
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parse_s(text: str):
     """Family parameter: exact fraction 'p/q' or a decimal literal."""
     try:
@@ -411,7 +422,7 @@ def cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kahlerpinch",
         description="Curvature pinching certification for built-in Kahler metric models.",
     )
@@ -476,9 +487,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise UsageError("seed must be >= 0")
         for name in ("tol", "zmax"):

@@ -14,12 +14,14 @@ interval.  The two-dimensional solve is stacked: the fiber sweep and the 2-d
 grid check hand it all their tangent spaces at once, and a single tangent
 space is the one-row stack of the same code.  Higher dimensions contract the
 curvature tensor into an orthonormal frame once per tangent space, score a
-seeded set of start directions on it, and run a gradient (BFGS) search with
-the analytic gradient from the best start, in an affine chart of the
-direction space: a local search with no global guarantee.  The fiber sweep
-solves its grid and the t = 1 limit through one stacked cell function, and
-refines an extreme cell inside the grid by a bounded scalar search in the
-fiber parameter whose objective computes K alone.  Stationarity is certified
+seeded set of start directions on it, and run a trust-region Newton search
+(More and Sorensen 1983) with the analytic gradient and Hessian from the best
+start, in an affine chart of the direction space: a local search with no
+global guarantee, which converges quadratically to residuals at rounding.
+The fiber sweep solves its grid and the t = 1 limit through one stacked cell
+function, and refines an extreme cell inside the grid by bounded Brent (Brent
+1973) in the fiber parameter, whose objective computes K alone.  Both
+searches are implemented here, on numpy alone.  Stationarity is certified
 through the analytic gradient of K, whose full Euclidean norm vanishes at
 extremal directions.
 """
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .geometry import (
     _real_part,
@@ -43,6 +44,7 @@ from .models import Hitchin, MetricModel
 
 __all__ = [
     "DirectionExtrema",
+    "NewtonResult",
     "QuadraticExtrema",
     "PinchingReport",
     "Grid2DReport",
@@ -51,6 +53,7 @@ __all__ = [
     "extremize_direction",
     "extremize_quadratic",
     "direction_weights",
+    "minimize",
     "sweep_fiber",
     "grid_2d_verify",
     "sweep_s",
@@ -64,12 +67,18 @@ _SWEEP_T_POINTS = 65
 _FIBER_BLOCK = 128
 # Directions per matrix product in batch_hsc: bounds its (rows, m^2) buffers.
 _HSC_BLOCK = 8192
-# Gradient tolerance of the general-dimension search, relative to max(1, |K|)
-# over its start candidates.
+_EPS = float(np.finfo(float).eps)
+# Gradient tolerance of each general-dimension search, relative to max(1, |K|)
+# at its start.
 _GRADIENT_TOL = 1e-12
-# BFGS iterations of the general-dimension search per real chart coordinate.
-_MAX_ITER = 200
-# Ulps of the largest term of the S^2 quadratic in the rounding floor of its extrema.
+# Evaluations of one general-dimension Newton search.
+_MAX_ITER = 100
+# Newton steps on the trust-region boundary equation.
+_TRUST_REGION_ITER = 50
+# Evaluations of the bounded Brent refine.
+_BRENT_MAX_EVAL = 500
+# Ulps in a rounding floor: of the largest term of the S^2 quadratic for its
+# extrema, and of |K| for the decreases the Newton search can tell apart.
 _ROUNDING_ULPS = 4.0
 # Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
 _PAULI = np.array(
@@ -230,7 +239,7 @@ def _extremize_sphere(R: np.ndarray, F: np.ndarray):
     K is a sum of terms of that size, so its absolute error is no smaller.
     """
     A, b, c0 = _bloch_quadratic(R, F)
-    floor = _ROUNDING_ULPS * np.finfo(float).eps * (
+    floor = _ROUNDING_ULPS * _EPS * (
         np.abs(A).sum(axis=(-1, -2)) + np.abs(b).sum(axis=-1) + np.abs(c0)
     )
     V, valid = _sphere_kkt_points(A, b)
@@ -306,41 +315,155 @@ def _start_candidates(m: int, seed: int) -> np.ndarray:
     return np.asarray(cands)
 
 
-def _local_search(Rhat, F, c0, sign: float, gtol: float) -> np.ndarray:
-    """Unit direction F c at a local minimum of sign * K, by BFGS from the frame vector c0.
+def _chart_vector(x: np.ndarray) -> np.ndarray:
+    """c = (1, z) in C^m for the chart point x = (Re z_1, Im z_1, Re z_2, ...)."""
+    return np.concatenate([[1.0 + 0j], x.view(complex)])
 
-    The search runs in the affine chart c_i0 = 1 of the largest coordinate of
-    c0, with the analytic gradient dK/d conj(c) = 4v/|c|^4 - 4Nc/|c|^6, where
-    v_b = sum Rhat_abcd c_a c_c conj(c_d) and N = conj(c).v; a real chart
-    coordinate x + iy of c has the gradient 2 (Re, Im) dK/d conj(c).  It
-    stops when the gradient's largest entry is within ``gtol``.
+
+def _chart_objective(Rhat: np.ndarray, sign: float):
+    """sign * K, with its gradient and Hessian, in the affine chart c_0 = 1 of the frame.
+
+    A real chart point x holds the other coordinates of c, interleaved as
+    (Re, Im).  With S = |c|^2, N = conj(c).v, v_b = sum Rhat_abcd c_a c_c
+    conj(c_d), W_ba = sum Rhat_abcd c_c conj(c_d) and U_bd = sum Rhat_abcd
+    c_a c_c, K = 2N/S^2 has the Wirtinger derivatives
+
+        dK/dconj(c)            = 4v/S^2 - 4Nc/S^3,
+        d2K/dconj(c) dc        = 8W/S^2 - 8(v c* + c v*)/S^3 - 4N I/S^3 + 12N c c*/S^4,
+        d2K/dconj(c) dconj(c)  = 4U/S^2 - 8(v c^T + c v^T)/S^3 + 12N c c^T/S^4,
+
+    from which the real gradient and Hessian in x follow.
     """
-    m = len(c0)
-    i0 = int(np.argmax(np.abs(c0)))
-    free = np.arange(m) != i0
-    start = c0[free] / c0[i0]
-
-    def to_c(x):
-        c = np.ones(m, dtype=complex)
-        c[free] = x[0::2] + 1j * x[1::2]
-        return c
+    m = Rhat.shape[0]
+    M_ab_cd = Rhat.reshape(m * m, m * m)
+    M_ac_bd = Rhat.transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    n = 2 * (m - 1)
+    diagonal = np.diag_indices(m)
 
     def fun(x):
-        c = to_c(x)
-        v = np.einsum("abcd,a,c,d->b", Rhat, c, c, c.conj())
-        S = (c.conj() @ c).real
-        N = (c.conj() @ v).real
-        G = (4.0 * sign / S**2) * (v - (N / S) * c)[free]
-        grad = np.empty(len(x))
-        grad[0::2], grad[1::2] = 2.0 * G.real, 2.0 * G.imag
-        return sign * 2.0 * N / S**2, grad
+        c = _chart_vector(x)
+        cc = c.conj()
+        P, Q = np.outer(c, cc), np.outer(c, c)
+        W = (M_ab_cd @ P.ravel()).reshape(m, m).T
+        U = (Q.ravel() @ M_ac_bd).reshape(m, m)
+        v = W @ c
+        S = float((cc @ c).real)
+        N = float((cc @ v).real)
+        G = (4.0 / S**2) * v - (4.0 * N / S**3) * c
+        vc, vq = np.outer(v, cc), np.outer(v, c)
+        H1 = (8.0 / S**2) * W - (8.0 / S**3) * (vc + vc.conj().T) + (12.0 * N / S**4) * P
+        H1[diagonal] -= 4.0 * N / S**3
+        H2 = (4.0 / S**2) * U - (8.0 / S**3) * (vq + vq.T) + (12.0 * N / S**4) * Q
+        # d/dx = d/dz + d/dconj(z) and d/dy = i (d/dz - d/dconj(z)) on each coordinate z = x + iy.
+        A, B = sign * (H1 + H2)[1:, 1:], sign * (H1 - H2)[1:, 1:]
+        hess = np.empty((n, n))
+        hess[0::2, 0::2], hess[1::2, 0::2] = 2.0 * A.real, 2.0 * A.imag
+        hess[0::2, 1::2], hess[1::2, 1::2] = -2.0 * B.imag, 2.0 * B.real
+        grad = (2.0 * sign) * G[1:].view(float)
+        return sign * 2.0 * N / S**2, grad, 0.5 * (hess + hess.T)
 
-    x0 = np.empty(2 * (m - 1))
-    x0[0::2], x0[1::2] = start.real, start.imag
-    res = minimize(
-        fun, x0, jac=True, method="BFGS", options=dict(maxiter=_MAX_ITER * len(x0), gtol=gtol)
-    )
-    xi = F @ to_c(res.x)
+    return fun
+
+
+def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> np.ndarray:
+    """Minimiser p of g.p + p.Hp/2 over |p| <= radius (More and Sorensen 1983).
+
+    In the eigenbasis of H, p = -(H + mu I)^-1 g for the least mu >= max(0,
+    -lambda_min) that puts p in the region.  On the boundary, mu = max(0,
+    -lambda_min) + shift solves |p| = radius, by Newton steps on 1/|p| kept
+    inside a bracket by geometric bisection.  Shifts below the rounding of
+    the eigenvalues are zero: if p stays inside the region there (the hard
+    case), it is completed to the boundary along the eigenvector of lambda_min.
+    """
+    lam, Q = np.linalg.eigh(H)
+    a = Q.T @ g
+    if lam[0] > 0.0:
+        p = -a / lam
+        if p @ p <= radius**2:
+            return Q @ p
+    gap = lam - min(0.0, lam[0])
+    hi = math.sqrt(a @ a) / radius  # |p| <= radius at this shift
+    lo = _EPS * (np.abs(lam).max() + hi)
+    p = -a / (gap + lo)
+    short = radius**2 - p @ p
+    if short >= 0.0:
+        p[0] -= math.copysign(math.sqrt(short), a[0])
+        return Q @ p
+    shift = hi
+    for _ in range(_TRUST_REGION_ITER):
+        p = -a / (gap + shift)
+        norm = math.sqrt(p @ p)
+        if abs(norm - radius) <= 1e-12 * radius:
+            return Q @ p
+        if norm > radius:
+            lo = shift
+        else:
+            hi = shift
+        shift += (norm / radius - 1.0) * norm**2 / ((p * p) @ (1.0 / (gap + shift)))
+        if not lo < shift < hi:
+            shift = math.sqrt(lo * hi)
+    return Q @ (-a / (gap + hi))
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Last iterate of :func:`minimize`, its value and the evaluations spent."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0: np.ndarray, gtol: float) -> NewtonResult:
+    """Local minimum of ``fun`` by trust-region Newton (More and Sorensen 1983).
+
+    ``fun(x)`` returns the value, gradient and Hessian at x.  Each step
+    minimises the quadratic model exactly in the trust region, which grows
+    when the model predicts the decrease well and shrinks when it does not.
+    Near a minimum the decreases fall below the rounding of the value, where
+    the ratio of actual to predicted decrease is noise; there a step is taken
+    when it lowers the gradient norm.  Stops once the largest gradient entry
+    is within ``gtol``, the region has shrunk below the rounding of x, or
+    after ``_MAX_ITER`` evaluations.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, H = fun(x)
+    nfev, radius = 1, 1.0
+    while np.abs(g).max() > gtol and nfev < _MAX_ITER:
+        p = _trust_region_step(g, H, radius)
+        predicted = -(g @ p + 0.5 * p @ H @ p)
+        f_new, g_new, H_new = fun(x + p)
+        nfev += 1
+        step = math.sqrt(p @ p)
+        if predicted <= _ROUNDING_ULPS * _EPS * abs(f):
+            accept = g_new @ g_new < g @ g
+            ratio = 1.0 if accept else 0.0
+        else:
+            ratio = (f - f_new) / predicted
+            accept = ratio > 0.1
+        if ratio < 0.25:
+            radius = 0.25 * step
+        elif ratio > 0.75 and step >= 0.99 * radius:
+            radius = 2.0 * radius
+        if accept:
+            x, f, g, H = x + p, f_new, g_new, H_new
+        if radius <= _EPS * (1.0 + math.sqrt(x @ x)):
+            break
+    return NewtonResult(x, f, nfev)
+
+
+def _local_search(Rhat, F, c0, sign: float, gtol: float) -> np.ndarray:
+    """Unit direction F c at a local minimum of sign * K, by :func:`minimize` from the frame vector c0.
+
+    The search runs in the affine chart of the largest coordinate of c0:
+    the frame is rotated to put that coordinate first, where
+    :func:`_chart_objective` sets it to 1.  It stops when the gradient's
+    largest entry is within ``gtol``.
+    """
+    order = np.roll(np.arange(len(c0)), -int(np.argmax(np.abs(c0))))
+    x0 = (c0[order[1:]] / c0[order[0]]).view(float)
+    res = minimize(_chart_objective(Rhat[np.ix_(order, order, order, order)], sign), x0, gtol)
+    xi = F[:, order] @ _chart_vector(res.x)
     return xi / np.linalg.norm(xi)
 
 
@@ -354,17 +477,16 @@ def extremize_direction(
 
     Two-dimensional tangent spaces are solved exactly on the Bloch sphere.
     Higher dimensions take the best of a seeded set of frame directions, for
-    the minimum and for the maximum, as the start of a gradient (BFGS) search
-    on the curvature tensor contracted into the frame; this is a local search
-    with no global guarantee.  The returned values are K, and the residuals
-    the analytic K-gradient norms, at the returned extremizers, the numerical
-    counterpart of the constrained stationarity conditions.  The result is
-    flagged unconverged when either residual exceeds ``residual_tol`` scaled
-    by the curvature magnitude (for surfaces, also when the solve's rounding
-    floor does).  The exact solve reaches residuals near rounding; the
-    gradient search's line search compares values of K, which stalls it near
-    the square root of rounding, about 1e-7 relative, so the default leaves a
-    wide margin over both.
+    the minimum and for the maximum, as the start of a trust-region Newton
+    search (:func:`minimize`) on the curvature tensor contracted into the
+    frame; this is a local search with no global guarantee.  The returned
+    values are K, and the residuals the analytic K-gradient norms, at the
+    returned extremizers, the numerical counterpart of the constrained
+    stationarity conditions.  The result is flagged unconverged when either
+    residual exceeds ``residual_tol`` scaled by the curvature magnitude (for
+    surfaces, also when the solve's rounding floor does).  Both the exact
+    solve and the Newton search reach residuals near rounding, about 1e-12
+    relative, so the default leaves a wide margin.
     """
     g = np.asarray(g, dtype=complex)
     m = g.shape[0]
@@ -379,9 +501,10 @@ def extremize_direction(
             Rhat = _frame_tensor(R, F)
             cands = _start_candidates(m, seed)
             values = batch_hsc(Rhat, np.eye(m), cands)
-            gtol = _GRADIENT_TOL * max(1.0, np.abs(values).max())
-            xi_min = _local_search(Rhat, F, cands[np.argmin(values)], +1.0, gtol)
-            xi_max = _local_search(Rhat, F, cands[np.argmax(values)], -1.0, gtol)
+            xi_min, xi_max = (
+                _local_search(Rhat, F, cands[i], sign, _GRADIENT_TOL * max(1.0, abs(values[i])))
+                for i, sign in ((np.argmin(values), 1.0), (np.argmax(values), -1.0))
+            )
         min_K = holomorphic_sectional_curvature(R, g, xi_min)
         max_K = holomorphic_sectional_curvature(R, g, xi_max)
         ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
@@ -469,6 +592,73 @@ class PinchingReport:
             yield (t, lo, hi)
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float):
+    """(x, func(x), evaluations) at a minimum of the scalar ``func`` on [lo, hi].
+
+    Bounded Brent (Brent, "Algorithms for Minimization without Derivatives",
+    1973, ch. 5): parabolic steps through the three best points where they
+    fall inside the bracket and shrink it fast enough, golden-section steps
+    otherwise, never closer than tol1 = sqrt(eps)|x| + xatol/3 to a point
+    already evaluated, until the bracket is within 2 tol1 of its best point.
+    This transcribes, step for step, the bounded method of SciPy's
+    ``minimize_scalar``, whose iteration count is its evaluation count, so it
+    visits the same points and reports the same count.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)  # the transcribed constant, not the exact machine epsilon
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)  # best, second best and previous second best
+    fx = fw = fv = func(x)
+    nfev, d, e = 1, 0.0, 0.0  # d: the last step, e: the step before it
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            d = golden * e
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu = func(u)
+        nfev += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= _BRENT_MAX_EVAL:
+            break
+    return x, fx, nfev
+
+
 def _fiber_jet(model: Hitchin, t: np.ndarray):
     """Metric jet at the finite compactified fiber samples t in [0, 1), stacked."""
     return model.metric_jet(model.fiber_point(t / (1.0 - t)))
@@ -540,15 +730,15 @@ def sweep_fiber(
         i = int(np.argmin(sign * K[:, j]))
         cell = (ts[i], K[i, j], weights[i, j], residual[i, j], converged[i])
         if 0 < i < grid - 1:
-            res = minimize_scalar(
+            x, fx, nfev = _bounded_brent(
                 lambda x: sign * _surface_extrema(_fiber_jet(model, np.array([x])))[j][0],
-                bounds=(ts[i - 1], ts[i + 1]),
-                method="bounded",
-                options=dict(xatol=tol),
+                float(ts[i - 1]),
+                float(ts[i + 1]),
+                tol,
             )
-            refine_iters += int(res.nit)
-            if res.fun < sign * K[i, j]:
-                t = np.array([float(res.x)])
+            refine_iters += nfev
+            if fx < sign * K[i, j]:
+                t = np.array([x])
                 Kt, wt, rt, ct = _fiber_cells(model, t, residual_tol)
                 cell = (t[0], Kt[0, j], wt[0, j], rt[0, j], ct[0])
         if sign * K[-1, j] <= sign * cell[1] + 1e-9 * abs(cell[1]):

@@ -222,6 +222,10 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["verify", "--n-max", "1", "--zmax", "nan"], 2),
         (["berger", "--model", "fs1", "--zmax", "0"], 2),
         (["berger", "--model", "fs1", "--zmax", "inf"], 2),
+        (["pinch", "--n", "x"], 2),
+        (["pinch", "--bogus"], 2),
+        (["pinch", "--n", "1", "--bogus"], 2),
+        (["verify", "--n-max", "1", "--tol", "-inf"], 2),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
@@ -256,10 +260,19 @@ def test_bad_model_is_usage_error(capsys):
     assert main(["curvature", "--model", "fsx"]) == 2
 
 
-def test_unknown_command_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_command_is_usage_error(capsys):
+    assert main(["frobnicate"]) == 2
+    assert main([]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["pinch", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kahlerpinch")
 
 
 def test_out_file(tmp_path, capsys):
@@ -298,3 +311,39 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+_RUNTIME_IMPORTS = """
+import json, os, sys
+from kahlerpinch.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv + ["--out", os.devnull])
+    report.append([code, "scipy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_commands_run_without_scipy():
+    # numpy is the only runtime dependency: no command may import scipy, even lazily.
+    argvs = [
+        ["pinch", "--n", "1", "--grid", "64"],
+        ["sweep-s", "--n", "2", "--points", "99"],
+        ["verify", "--n-max", "1"],
+        ["berger", "--model", "fs3", "--samples", "2000"],
+        ["product", "--left", "fs1", "--right", "fs2"],
+        ["curvature", "--model", "fs3"],
+        ["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"],
+    ]
+    src = os.path.dirname(os.path.dirname(kahlerpinch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_IMPORTS, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [code for code, _ in report] == [0] * len(argvs)
+    assert not any(scipy for _, scipy in report), list(zip(argvs, report))

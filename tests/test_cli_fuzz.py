@@ -3,7 +3,8 @@
 Drives ``cli.main`` in-process over all subcommands with small grids and
 sample counts, and with malformed numbers, points and model descriptors.
 Whatever the input, the exit code is 0, 1 or 2, nothing prints a traceback,
-and a JSON report is valid JSON whenever one is written (exit 0 or 1).
+exit 2 prints exactly one ``error:`` line and nothing else, and a JSON report
+is valid JSON whenever one is written (exit 0 or 1).
 """
 import contextlib
 import io
@@ -88,10 +89,7 @@ def argvs(draw):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -108,5 +106,6 @@ def test_cli_never_crashes(argv):
     assert "Traceback" not in err, (argv, err)
     if code == 2:
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     elif "csv" not in argv:
         json.loads(out)

@@ -312,9 +312,64 @@ def test_general_extrema_bracket_dense_sample(name):
         scale = max(1.0, abs(ex.min_K), abs(ex.max_K))
         assert ex.min_K <= K.min() + 1e-12 * scale
         assert ex.max_K >= K.max() - 1e-12 * scale
-        assert ex.min_residual <= 1e-6 * max(1.0, abs(ex.min_K))
-        assert ex.max_residual <= 1e-6 * max(1.0, abs(ex.max_K))
+        assert ex.min_residual <= 1e-11 * max(1.0, abs(ex.min_K))
+        assert ex.max_residual <= 1e-11 * max(1.0, abs(ex.max_K))
         assert ex.converged
+
+
+@pytest.mark.parametrize("name", list(_GENERAL_MODELS))
+def test_chart_hessian_matches_gradient_differences(name):
+    model = _GENERAL_MODELS[name]
+    m = model.dimension
+    rng = np.random.default_rng(MASTER_SEED)
+    h = 3e-4
+    for k in range(4):
+        R, g = _random_tangent_space(model, rng)
+        F = np.roll(orthonormal_frame(g), -k, axis=1)  # chart c_k = 1 of the frame
+        fun = optimize._chart_objective(optimize._frame_tensor(R, F), 1.0 if k % 2 else -1.0)
+        x = rng.uniform(-1.0, 1.0, 2 * (m - 1))
+        K, _, H = fun(x)
+        fd = np.empty_like(H)
+        for i in range(len(x)):
+            e = np.zeros_like(x)
+            e[i] = h
+            grad = [fun(x + j * e)[1] for j in (-2, -1, 1, 2)]
+            # fourth-order central difference of the gradient
+            fd[:, i] = (8.0 * (grad[2] - grad[1]) - (grad[3] - grad[0])) / (12.0 * h)
+        # fs3 has constant K, so its Hessian is rounding noise; K sets the scale there.
+        assert np.abs(H - fd).max() <= 1e-9 * max(abs(K), np.abs(H).max())
+
+
+def test_newton_minimize_rosenbrock():
+    def rosenbrock(x):
+        a, b = x
+        f = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        g = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+        H = np.array([[2.0 - 400.0 * b + 1200.0 * a * a, -400.0 * a], [-400.0 * a, 200.0]])
+        return f, g, H
+
+    res = optimize.minimize(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-12)
+    assert np.abs(res.x - 1.0).max() <= 1e-10
+    assert res.fun <= 1e-20
+    assert 1 < res.nfev < optimize._MAX_ITER
+
+
+def test_bounded_brent_matches_scipy():
+    from scipy.optimize import minimize_scalar  # the reference; a test dependency only
+
+    rng = np.random.default_rng(MASTER_SEED)
+    for _ in range(240):
+        a, b, c, d, e = rng.uniform(-3.0, 3.0, 5)
+
+        def f(x):
+            return math.sin(a * x + b) + c * x * x + d * math.cos(3.0 * e * x) + 0.1 * x**3
+
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + rng.uniform(1e-6, 10.0)
+        xatol = 10.0 ** rng.uniform(-12.0, -3.0)
+        want = minimize_scalar(f, bounds=(lo, hi), method="bounded", options=dict(xatol=xatol))
+        x, fx, nit = optimize._bounded_brent(f, lo, hi, xatol)
+        assert (x, fx, nit) == (want.x, want.fun, want.nit)
 
 
 def test_general_extrema_repeat_for_a_seed(rng):
