@@ -2,10 +2,12 @@
 
 Everything here is a rational function of the Hirzebruch index ``n``, the
 family parameter ``s`` and the fiber radius ``r = |z2|^2`` along the central
-fiber z1 = 0.  All formulas accept exact :class:`fractions.Fraction` inputs
-and then return exact rational outputs; ``r = math.inf`` selects the
-hard-coded analytic limits at the rational curve at infinity (the compactified
-fiber parameter t = r/(1+r) reaches it at t = 1).
+fiber z1 = 0.  Each quantity is one formula in u = 1/(1+r) = 1 - t, where
+t = r/(1+r) is the compactified fiber parameter, built from the three
+orthonormal-frame curvature components; u = 0 is the rational curve at
+infinity (t = 1), an ordinary point of every formula, reached by passing
+``r = math.inf`` (or inf inside an array).  All formulas accept exact
+:class:`fractions.Fraction` inputs and then return exact rational outputs.
 
 Positive holomorphic sectional curvature requires 0 < s < 1/n^2; the
 quantities that depend on positivity raise :class:`AdmissibilityError`
@@ -48,10 +50,6 @@ class AdmissibilityError(ValueError):
     """Parameter outside the interval with positive sectional curvature."""
 
 
-def _is_inf(r) -> bool:
-    return isinstance(r, float) and math.isinf(r)
-
-
 def _check_params(n: int, s) -> None:
     if n < 1:
         raise ValueError("Hirzebruch index n must be >= 1")
@@ -59,11 +57,29 @@ def _check_params(n: int, s) -> None:
         raise ValueError("family parameter s must be positive")
 
 
-def _check_radius(r) -> None:
-    if _is_inf(r):
-        return
+def _u(r, s):
+    """u = 1/(1+r) = 1 - t, exact for exact r and s; r = math.inf gives the integer 0."""
     if not np.all(r >= 0):
         raise ValueError("fiber radius r must be non-negative")
+    if isinstance(r, float) and math.isinf(r):
+        return 0
+    exact = isinstance(r, int) and isinstance(s, (int, Fraction))
+    return Fraction(1, 1 + r) if exact else 1 / (1 + r)
+
+
+def _frame_components(n: int, s, r):
+    """Orthonormal-frame curvature components (P, Q, T) = (Rhat_1111, Rhat_1122, Rhat_2222).
+
+    Rational in u = 1/(1+r), and defined at u = 0, the curve at infinity:
+    P = 2(1 + nsu - n^2 su(1-u))/(1+nsu)^2, Q = n((1+ns)u^2 - (1-u)^2)/(1+nsu)^2
+    and T = 2/s.  K along frame weights (a, b) is 2(P a^2 + 4Q ab + T b^2).
+    """
+    _check_params(n, s)
+    u = _u(r, s)
+    nsu = n * s * u
+    den = (1 + nsu) ** 2
+    P = 2 * (1 + nsu - n * nsu * (1 - u)) / den
+    return P, n * ((1 + n * s) * u**2 - (1 - u) ** 2) / den, 2 / s
 
 
 def is_admissible(n: int, s) -> bool:
@@ -80,18 +96,17 @@ def require_admissible(n: int, s) -> None:
 def curvature_components(n: int, s, r):
     """The three independent curvature components along the central fiber.
 
-    Returns (R_{1 1bar 1 1bar}, R_{1 1bar 2 2bar}, R_{2 2bar 2 2bar}) as
-    functions of the fiber radius; all remaining components vanish there.
+    Returns (R_{1 1bar 1 1bar}, R_{1 1bar 2 2bar}, R_{2 2bar 2 2bar}) in the
+    chart (z1, z2), the frame components times the metric factors g11 = 1+nsu
+    and g22 = su^2; all remaining components vanish there.  The chart does not
+    reach r = inf.
     """
-    _check_params(n, s)
-    _check_radius(r)
-    if _is_inf(r):
+    if not np.all(r < math.inf):
         raise ValueError("curvature components need a finite fiber radius")
-    one_r = 1 + r
-    r1111 = 2 * (-(n * n) * s * r + one_r**2 + n * s * one_r) / one_r**2
-    r1122 = n * s * (1 + n * s - r * r) / (one_r**3 * (1 + n * s + r))
-    r2222 = 2 * s / one_r**4
-    return r1111, r1122, r2222
+    P, Q, T = _frame_components(n, s, r)
+    u = _u(r, s)
+    g11, g22 = 1 + n * s * u, s * u**2
+    return P * g11**2, Q * g11 * g22, T * g22**2
 
 
 def hsc_coefficients(n: int, s, r):
@@ -99,18 +114,10 @@ def hsc_coefficients(n: int, s, r):
 
     The sectional curvature along the unit direction with weights (a, b) is
     alpha a^2 + beta a b + gamma b^2; gamma = 4/s independently of r.  Array
-    values of s and of a finite r broadcast against each other.
+    values of s and r broadcast against each other.
     """
-    _check_params(n, s)
-    _check_radius(r)
-    gamma = 4 / s
-    if _is_inf(r):
-        return 4, -8 * n, gamma
-    one_r = 1 + r
-    den = (one_r + n * s) ** 2
-    alpha = 4 * (one_r**2 + n * s * (one_r - n * r)) / den
-    beta = 8 * n * (1 + n * s - r * r) / den
-    return alpha, beta, gamma
+    P, Q, T = _frame_components(n, s, r)
+    return 2 * P, 8 * Q, 2 * T
 
 
 def hsc_value(n: int, s, r, a, b=None):
@@ -126,18 +133,13 @@ def hsc_value(n: int, s, r, a, b=None):
 def stationary_weights(n: int, s, r):
     """Unique stationary weights (a0, b0) of the constrained quadratic.
 
-    a0 + b0 = 1 holds as an algebraic identity (the two numerators sum to the
-    shared denominator), so exact inputs give an exact partition of unity.
+    The vertex of the quadratic on a + b = 1: a0 = (T - 2Q)/D and b0 =
+    (P - 2Q)/D with D = P - 4Q + T, so a0 + b0 = 1 holds as an algebraic
+    identity and exact inputs give an exact partition of unity.
     """
-    _check_params(n, s)
-    _check_radius(r)
-    if _is_inf(r):
-        den = 1 + s + 2 * n * s
-        return (1 + n * s) / den, s * (1 + n) / den
-    den = 1 + s - (n - 1) * n * s * s + r * (1 + s + 2 * n * s)
-    a0 = (1 + r) * (1 + n * s) / den
-    b0 = s * (1 - n + r + n * r + n * s - n * n * s) / den
-    return a0, b0
+    P, Q, T = _frame_components(n, s, r)
+    den = P - 4 * Q + T
+    return (T - 2 * Q) / den, (P - 2 * Q) / den
 
 
 def lagrange_multiplier(n: int, s, r):
@@ -154,27 +156,13 @@ def stationarity_residual(n: int, s, r, a, b):
 
 
 def stationary_branch(n: int, s, r):
-    """Sectional curvature along the stationary weights, as a function of r."""
-    _check_params(n, s)
-    _check_radius(r)
-    if _is_inf(r):
-        return (4 - 4 * n * n * s) / (1 + s + 2 * n * s)
-    ns1 = 1 + n * s
-    num = (
-        3 * r * r * ns1
-        + 3 * r * ns1**2
-        - r**3 * (n * n * s - 1)
-        - ns1**2 * (n * n * s - n * s - 1)
-    )
-    den = (1 + r + n * s) ** 2 * (1 + s - (n - 1) * n * s * s + r * (1 + s + 2 * n * s))
-    return 4 * num / den
+    """Sectional curvature along the stationary weights, the vertex value of the quadratic."""
+    P, Q, T = _frame_components(n, s, r)
+    return 2 * (P * T - 4 * Q * Q) / (P - 4 * Q + T)
 
 
 def horizontal_branch(n: int, s, r):
     """Sectional curvature of the pure base direction (a, b) = (1, 0)."""
-    if _is_inf(r):
-        _check_params(n, s)
-        return 4
     return hsc_coefficients(n, s, r)[0]
 
 
@@ -276,20 +264,11 @@ def scalar_bounds(n: int, s):
 
 
 def ricci_fiber_eigenvalues(n: int, s, r):
-    """Metric-relative Ricci eigenvalues along the central fiber.
+    """Metric-relative Ricci eigenvalues (P + Q, Q + T) along the central fiber.
 
-    At r = inf the hard-coded limits are (2 - n, (2 - ns)/s): the base
-    eigenvalue crosses zero exactly at n = 2 and is negative beyond, the
-    numerical shadow of the absence of positive-Ricci metrics for n >= 2.
+    At r = inf they are (2 - n, (2 - ns)/s): the base eigenvalue crosses zero
+    exactly at n = 2 and is negative beyond, the numerical shadow of the
+    absence of positive-Ricci metrics for n >= 2.
     """
-    _check_params(n, s)
-    _check_radius(r)
-    if _is_inf(r):
-        return 2 - n, (2 - n * s) / s
-    r1111, r1122, r2222 = curvature_components(n, s, r)
-    one_r = 1 + r
-    g11 = (one_r + n * s) / one_r
-    g22 = s / one_r**2
-    ric11 = r1111 / g11 + r1122 / g22
-    ric22 = r1122 / g11 + r2222 / g22
-    return ric11 / g11, ric22 / g22
+    P, Q, T = _frame_components(n, s, r)
+    return P + Q, Q + T

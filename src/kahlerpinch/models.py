@@ -11,7 +11,8 @@ Models:
 
 * ``FubiniStudy(m)``   -- complex projective space P^m, potential log(1+|z|^2).
 * ``Hitchin(n, s)``    -- the Kahler family on the n-th Hirzebruch surface with
-  potential log(1+|z1|^2) + s log((1+|z1|^2)^n + |z2|^2).
+  potential log(1+|z1|^2) + s log((1+|z1|^2)^n + |z2|^2), and in the chart
+  (z1, w = 1/z2) of the curve at infinity log(1+|z1|^2) + s log(1 + |w|^2 (1+|z1|^2)^n).
 * ``Product(a, b)``    -- block product metric of two factor models.
 """
 from __future__ import annotations
@@ -142,14 +143,6 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     )
 
     return MetricJet(g, dg, ddg)
-
-
-def _scale_add(left: MetricJet, scale: float, right: MetricJet) -> MetricJet:
-    return MetricJet(
-        left.g + scale * right.g,
-        left.dg + scale * right.dg,
-        left.ddg + scale * right.ddg,
-    )
 
 
 def _as_point(z, m: int) -> np.ndarray:
@@ -289,17 +282,56 @@ class Hitchin:
         )
         return KernelJet(**parts)
 
+    def far_kernel(self, z) -> KernelJet:
+        """Fiber kernel 1 + |w|^2 V, V = (1+|z1|^2)^n, in the chart (z1, w = 1/z2).
+
+        It is |w|^2 times :meth:`fiber_kernel`, so its potential differs by the
+        pluriharmonic s log|w|^2 and gives the same metric, and it stays well
+        conditioned at w = 0, the curve at infinity.  Each derivative is one
+        of V (Vk: the k-th in |z1|^2) times one of |w|^2.
+        """
+        z = _as_point(z, 2)
+        z1, w = z[..., 0], z[..., 1]
+        z1c, wc = z1.conjugate(), w.conjugate()
+        q, p = (z1 * z1c).real, (w * wc).real
+        V0, V1, V2, V3, V4 = (math.perm(self.n, k) * (1.0 + q) ** (self.n - k) for k in range(5))
+        V11, V21 = V1 + V2 * q, z1c * (V3 * q + 2.0 * V2)  # d2V/dz1 dzbar1, d3V/dz1^2 dzbar1
+        parts = _empty_kernel(z.shape[:-1], 2, 1.0 + p * V0)
+        dw, d2w, dmix, d3w, d4w = (parts[k] for k in ("dw", "d2w", "dmix", "d3w", "d4w"))
+        dw[..., 0], dw[..., 1] = p * V1 * z1c, wc * V0
+        d2w[..., 0, 0] = p * V2 * z1c**2
+        d2w[..., 0, 1] = d2w[..., 1, 0] = wc * V1 * z1c
+        dmix[..., 0, 0], dmix[..., 1, 1] = p * V11, V0
+        dmix[..., 0, 1], dmix[..., 1, 0] = w * V1 * z1c, wc * V1 * z1
+        d3w[..., 0, 0, 0], d3w[..., 0, 0, 1] = p * V21, w * V2 * z1c**2
+        d3w[..., 0, 1, 0] = d3w[..., 1, 0, 0] = wc * V11
+        d3w[..., 0, 1, 1] = d3w[..., 1, 0, 1] = V1 * z1c
+        d4w[..., 0, 0, 0, 0] = p * (2.0 * V2 + 4.0 * V3 * q + V4 * q * q)
+        d4w[..., 0, 0, 0, 1] = d4w[..., 0, 0, 1, 0] = w * V21
+        d4w[..., 0, 1, 0, 0] = d4w[..., 1, 0, 0, 0] = wc * V21.conjugate()
+        for index in ((0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)):
+            d4w[(...,) + index] = V11
+        parts["dwb"][:], parts["d2wb"][:] = dw.conj(), d2w.conj()
+        # d3wb[i, j, l] = conj(d3w[j, l, i]) for a real kernel.
+        parts["d3wb"][:] = np.moveaxis(d3w.conj(), -1, -3)
+        return KernelJet(**parts)
+
     def potential(self, z) -> float:
         return math.log(self.base_kernel(z).w) + self.s * math.log(
             self.fiber_kernel(z).w
         )
 
-    def metric_jet(self, z) -> MetricJet:
+    def _jet(self, fiber_kernel, z) -> MetricJet:
+        """Jet of log(base kernel) + s log(fiber_kernel) at the points z of its chart."""
+
         def jet_of(rows):
-            base, fiber = log_jet(self.base_kernel(rows)), log_jet(self.fiber_kernel(rows))
-            return _scale_add(base, self.s, fiber)
+            base, fiber, s = log_jet(self.base_kernel(rows)), log_jet(fiber_kernel(rows)), self.s
+            return MetricJet(base.g + s * fiber.g, base.dg + s * fiber.dg, base.ddg + s * fiber.ddg)
 
         return _jet_on_rows(jet_of, z, 2)
+
+    def metric_jet(self, z) -> MetricJet:
+        return self._jet(self.fiber_kernel, z)
 
     def fiber_point(self, r) -> np.ndarray:
         """Chart point (0, z2) with |z2|^2 = r on the central fiber.
@@ -312,6 +344,26 @@ class Hitchin:
         z = np.zeros(r.shape + (2,), dtype=complex)
         z[..., 1] = np.sqrt(r)
         return z
+
+    def fiber_jet(self, t) -> MetricJet:
+        """Metric jet at the compactified fiber parameters t = r/(1+r) in [0, 1], stacked.
+
+        t <= 1/2 is the point (0, z2) with |z2|^2 = t/(1-t); t > 1/2 the point
+        (0, w) with |w|^2 = (1-t)/t of the chart of :meth:`far_kernel`, where
+        t = 1 is w = 0.  Both metrics and the Jacobian diag(1, -1/z2^2) of the
+        chart change are diagonal on z1 = 0, so frame weights agree.  A t
+        outside [0, 1] gives a negative radius, a ValueError.
+        """
+        t = np.asarray(t, dtype=float)
+        far = t > 0.5
+        radius = np.where(far, 1.0 - t, t) / np.where(far, t, 1.0 - t)
+        arrays = [np.empty(t.shape + (2,) * rank, dtype=complex) for rank in (2, 3, 4)]
+        for rows, kernel in ((~far, self.fiber_kernel), (far, self.far_kernel)):
+            if rows.any():
+                jet = self._jet(kernel, self.fiber_point(radius[rows]))
+                for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
+                    out[rows] = part
+        return MetricJet(*arrays)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Extremization of holomorphic sectional curvature over directions and parameters.
 
-This module is the generic numerical route to the pinching constants: it
-never consults the closed-form extremal values, only curvature tensors (and,
-at the compactified fiber endpoint t = 1, the analytic limit of the direction
-quadratic, since the metric itself degenerates in the chart there).
+This module is the generic numerical route to the pinching constants: its
+fiber sweep reads no closed form, only curvature tensors.  The compactified
+fiber endpoint t = 1, where the chart (z1, z2) degenerates, is the point
+w = 0 of the chart (z1, w = 1/z2), an ordinary sample (``Hitchin.fiber_jet``).
 
 The extrema over the directions of a two-dimensional tangent space are exact:
 there the direction lines form the Bloch sphere S^2, on which K is a quadratic
@@ -18,7 +18,7 @@ seeded set of start directions on it, and run a trust-region Newton search
 (More and Sorensen 1983) with the analytic gradient and Hessian from the best
 start, in an affine chart of the direction space: a local search with no
 global guarantee, which converges quadratically to residuals at rounding.
-The fiber sweep solves its grid and the t = 1 limit through one stacked cell
+The fiber sweep solves its grid, t = 1 included, through one stacked cell
 function, and refines an extreme cell inside the grid by bounded Brent (Brent
 1973) in the fiber parameter, whose objective computes K alone.  Both
 searches are implemented here, on numpy alone.  Stationarity is certified
@@ -134,10 +134,6 @@ class QuadraticExtrema:
 
     min_K: float
     max_K: float
-    a_min: float
-    a_max: float
-    min_residual: float
-    max_residual: float
 
 
 def _residual(R, g, xi) -> np.ndarray:
@@ -524,9 +520,7 @@ def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
 
     With b = 1 - a the quadratic is (alpha - beta + gamma) a^2 + (beta - 2
     gamma) a + gamma, so its extrema lie at a = 0, a = 1 or its vertex clipped
-    to [0, 1].  Residuals are Karush-Kuhn-Tucker measures: the slope magnitude
-    at interior extremizers, the infeasible-slope magnitude at endpoint
-    extremizers.
+    to [0, 1].
     """
     alpha, beta, gamma = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (alpha, beta, gamma))
@@ -535,19 +529,7 @@ def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
     vertex = np.divide(-slope0, 2.0 * curv, out=np.zeros_like(curv), where=curv != 0.0)
     a = np.stack([np.zeros_like(curv), np.ones_like(curv), np.clip(vertex, 0.0, 1.0)])
     K = alpha * a * a + beta * a * (1.0 - a) + gamma * (1.0 - a) ** 2
-    a_min = np.take_along_axis(a, np.argmin(K, axis=0)[None], 0)[0]
-    a_max = np.take_along_axis(a, np.argmax(K, axis=0)[None], 0)[0]
-
-    def kkt(at, sign):  # sign +1 at the minimizer, -1 at the maximizer
-        slope = sign * (2.0 * curv * at + slope0)
-        return np.select(
-            [at == 0.0, at == 1.0],
-            [np.maximum(0.0, -slope), np.maximum(0.0, slope)],
-            np.abs(slope),
-        )
-
-    out = (K.min(axis=0), K.max(axis=0), a_min, a_max, kkt(a_min, 1.0), kkt(a_max, -1.0))
-    return QuadraticExtrema(*(x if x.ndim else float(x) for x in out))
+    return QuadraticExtrema(*(x if x.ndim else float(x) for x in (K.min(axis=0), K.max(axis=0))))
 
 
 def direction_weights(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -659,40 +641,21 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
     return x, fx, nfev
 
 
-def _fiber_jet(model: Hitchin, t: np.ndarray):
-    """Metric jet at the finite compactified fiber samples t in [0, 1), stacked."""
-    return model.metric_jet(model.fiber_point(t / (1.0 - t)))
-
-
 def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol):
-    """Direction extrema at the ascending compactified fiber samples t, one stacked solve.
+    """Direction extrema at the fiber samples t of :meth:`Hitchin.fiber_jet`, one stacked solve.
 
     Returns arrays over t with a last axis (min, max): K (samples, 2), the
-    extremizers' weights (samples, 2, 2), read off their Bloch vectors, and
-    residuals (samples, 2), and the convergence flags (samples,).  Samples at
-    t = 1 take the analytic limit of the weight quadratic.
+    extremizers' weights (samples, 2, 2), read off their Bloch vectors,
+    residuals (samples, 2), and the convergence flags (samples,).
     """
-    finite = t[t < 1.0]
-    jet = _fiber_jet(model, finite)
+    jet = model.fiber_jet(t)
     ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, residual_tol)
-    q = extremize_quadratic(*hsc_coefficients(model.n, model.s, math.inf))
-    solved = (
+    return (
         np.stack([ex.min_K, ex.max_K], axis=-1),
         np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),
         np.stack([ex.min_residual, ex.max_residual], axis=-1),
         ex.converged,
     )
-    limit = (
-        [q.min_K, q.max_K],
-        [[q.a_min, 1.0 - q.a_min], [q.a_max, 1.0 - q.a_max]],
-        [q.min_residual, q.max_residual],
-        True,
-    )
-    rows = len(t) - len(finite)
-    return [
-        np.concatenate([x, np.broadcast_to(y, (rows,) + np.shape(y))])
-        for x, y in zip(solved, limit)
-    ]
 
 
 def sweep_fiber(
@@ -705,15 +668,16 @@ def sweep_fiber(
     """Extremize K over the compactified central fiber and all directions.
 
     Sweeps t = r/(1+r) over a uniform grid on [0, 1] in stacks of
-    ``_FIBER_BLOCK`` samples; t = 1 takes the analytic limit of the direction
-    quadratic rather than a large-r sample, so the global minimum carries no
-    truncation bias.  An extreme cell inside the grid is refined by a bounded
-    search in t between its grid neighbours, to the x-tolerance ``tol``, whose
-    objective computes K alone; the full cell is solved at the refined t only
-    when it beats the grid cell.  Extrema that tie with t = 1 (within 1e-9
-    relative) are reported there, where both extremal directions coexist.
-    ``seed`` is recorded in the method data; the exact solve draws no random
-    numbers.
+    ``_FIBER_BLOCK`` samples.  t = 1, the curve at infinity, is the point
+    w = 0 of the chart (z1, w = 1/z2), solved like every other sample: no
+    closed form is read, and the samples near t = 1 keep full precision.
+    A grid extremum that ties with t = 1 (within 1e-9 relative) is reported
+    there, where both extremal directions coexist.  Any other extreme cell
+    inside the grid is refined by a bounded search in t between its grid
+    neighbours, to the x-tolerance ``tol``, whose objective computes K alone;
+    the full cell is solved at the refined t only when it beats the grid
+    cell.  ``seed`` is recorded in the method data; the exact solve draws no
+    random numbers.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -728,10 +692,12 @@ def sweep_fiber(
     extremes, refine_iters = [], 0
     for j, sign in enumerate((1.0, -1.0)):  # j = 0: the minimum, j = 1: the maximum
         i = int(np.argmin(sign * K[:, j]))
+        if sign * K[-1, j] <= sign * K[i, j] + 1e-9 * abs(K[i, j]):
+            i = grid - 1
         cell = (ts[i], K[i, j], weights[i, j], residual[i, j], converged[i])
         if 0 < i < grid - 1:
             x, fx, nfev = _bounded_brent(
-                lambda x: sign * _surface_extrema(_fiber_jet(model, np.array([x])))[j][0],
+                lambda x: sign * _surface_extrema(model.fiber_jet(np.array([x])))[j][0],
                 float(ts[i - 1]),
                 float(ts[i + 1]),
                 tol,
@@ -741,8 +707,6 @@ def sweep_fiber(
                 t = np.array([x])
                 Kt, wt, rt, ct = _fiber_cells(model, t, residual_tol)
                 cell = (t[0], Kt[0, j], wt[0, j], rt[0, j], ct[0])
-        if sign * K[-1, j] <= sign * cell[1] + 1e-9 * abs(cell[1]):
-            cell = (1.0, K[-1, j], weights[-1, j], residual[-1, j], converged[-1])
         extremes.append(cell)
     (t_min, min_K, w_min, r_min, c_min), (t_max, max_K, w_max, r_max, c_max) = extremes
 
@@ -770,8 +734,9 @@ def sweep_fiber(
 class Grid2DReport:
     """Fiber-vs-full-grid comparison of curvature extrema on matched samples.
 
-    Both sides sample the same finite compactified fiber grid; the analytic
-    t = 1 limit is excluded so the comparison is like for like.
+    Both sides sample the same compactified fiber grid on [0, 1) in the
+    chart (z1, z2); t = 1, the point w = 0 of the far chart, is left out, and
+    no closed form is read.
     """
 
     fiber_min: float
@@ -850,7 +815,7 @@ def sweep_s(n: int, points: int = 999) -> SweepSResult:
 
     Every parameter value is extremized numerically on one (s x t) array: the
     exact interval solve of the weight quadratic at every compactified fiber
-    sample, with the exact t = 1 limit included alongside the finite samples.
+    sample, t = 1 (r = inf) its last column.
     """
     if points < 1:
         raise ValueError("empty parameter grid")
@@ -858,11 +823,11 @@ def sweep_s(n: int, points: int = 999) -> SweepSResult:
         raise ValueError("Hirzebruch index n must be >= 1")
     s_max = 1.0 / (n * n)
     svals = s_max * np.arange(1, points + 1) / (points + 1)
-    tvals = np.linspace(0.0, 1.0, _SWEEP_T_POINTS)[:-1]
-    fiber = extremize_quadratic(*hsc_coefficients(n, svals[:, None], tvals / (1.0 - tvals)))
-    limit = extremize_quadratic(*hsc_coefficients(n, svals, math.inf))
-    k_min = np.minimum(fiber.min_K.min(axis=1), limit.min_K)
-    k_max = np.maximum(fiber.max_K.max(axis=1), limit.max_K)
+    tvals = np.linspace(0.0, 1.0, _SWEEP_T_POINTS)
+    with np.errstate(divide="ignore"):
+        radii = tvals / (1.0 - tvals)  # inf at t = 1
+    fiber = extremize_quadratic(*hsc_coefficients(n, svals[:, None], radii))
+    k_min, k_max = fiber.min_K.min(axis=1), fiber.max_K.max(axis=1)
     rows = [(float(s), float(p)) for s, p in zip(svals, k_min / k_max)]
 
     ps = np.array([p for _, p in rows])

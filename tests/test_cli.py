@@ -299,16 +299,40 @@ def test_json_model_descriptor(capsys):
         assert abs(row["trace_tau"] - 4.0) < 1e-10
 
 
-def test_console_entry_point():
-    # the child imports the same package as this test, from wherever it lives
+def test_pinch_fine_grid_keeps_max_exact(capsys):
+    # Near t = 1 the fiber samples come from the far chart, so a fine grid
+    # carries no rounding overshoot of the plateau max K = 4/s.
+    code, doc = run_json(capsys, "pinch", "--n", "1", "--grid", "32768")
+    assert code == 0
+    assert all(value <= 1e-14 for value in doc["results"]["rel_err"].values())
+
+
+def _run_child(*argv):
     src = os.path.dirname(os.path.dirname(kahlerpinch.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kahlerpinch.cli", "pinch", "--n", "1", "--grid", "16"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_floating_point_warnings_stay_off_stderr():
+    # A child process: Python shows each warning once per location, so an
+    # earlier in-process run could hide it.
+    proc = _run_child(
+        "-m", "kahlerpinch.cli", "product",
+        "--left", "hitchin:2:1e-100", "--right", "hitchin:2:1e-100", "--seed", "3",
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_console_entry_point():
+    # the child imports the same package as this test, from wherever it lives
+    proc = _run_child("-m", "kahlerpinch.cli", "pinch", "--n", "1", "--grid", "16")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
 
@@ -335,14 +359,7 @@ def test_commands_run_without_scipy():
         ["curvature", "--model", "fs3"],
         ["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"],
     ]
-    src = os.path.dirname(os.path.dirname(kahlerpinch.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUNTIME_IMPORTS, json.dumps(argvs)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _run_child("-c", _RUNTIME_IMPORTS, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert [code for code, _ in report] == [0] * len(argvs)

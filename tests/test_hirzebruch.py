@@ -47,6 +47,7 @@ def test_coefficients_broadcast_and_stay_exact():
     for i, j in np.ndindex(3, 4):
         one = hz.hsc_coefficients(2, float(s[i, 0]), float(r[j]))
         assert all(np.broadcast_to(x, (3, 4))[i, j] == y for x, y in zip(grid, one))
+    assert all(np.asarray(x).dtype == float for x in hz.hsc_coefficients(2, s, 0))
     exact = hz.hsc_coefficients(2, Fraction(1, 10), Fraction(1, 2))
     assert exact == (Fraction(940, 289), Fraction(1520, 289), 40)
     assert all(isinstance(x, Fraction) for x in exact)
@@ -238,3 +239,46 @@ def test_ricci_fiber_limit_values():
     assert lam1 == -1
     assert abs(lam2 - (2 - 3.0 / 21.0) * 21.0) < 1e-12
     assert hz.ricci_fiber_eigenvalues(1, 1.0 / 3.0, math.inf)[0] == 1
+
+
+def test_limits_at_infinity_are_exact():
+    for n in range(1, 7):
+        for s in (hz.optimal_s(n)[0], Fraction(3, 10 * n * n), Fraction(1, 7 * n * n)):
+            den = 1 + s + 2 * n * s
+            cases = (
+                (hz.hsc_coefficients, (4, -8 * n, 4 / s)),
+                (hz.stationary_weights, ((1 + n * s) / den, s * (1 + n) / den)),
+                (hz.ricci_fiber_eigenvalues, (2 - n, (2 - n * s) / s)),
+                (lambda *a: (hz.stationary_branch(*a), hz.horizontal_branch(*a)),
+                 ((4 - 4 * n * n * s) / den, 4)),
+            )
+            for f, want in cases:
+                got = f(n, s, math.inf)
+                assert got == want
+                assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_case_bounds_stay_exact():
+    for n in range(1, 7):
+        s = hz.optimal_s(n)[0]
+        bounds = hz.case_bounds(n, s)
+        want = (
+            4 / s,
+            4,
+            4 / (1 + n * s),
+            (4 - s * (n - 1) ** 2) / (1 + n * s),
+            4 * (1 + n * s - n * n * s) / (1 + s - (n - 1) * n * s * s),
+            (4 - 4 * n * n * s) / (1 + s + 2 * n * s),
+        )
+        assert bounds.chain == want
+        assert all(isinstance(x, Fraction) for x in bounds.chain + (bounds.critical_radius,))
+
+
+def test_array_radius_holding_inf_gives_the_limit():
+    r = np.array([0.0, 1.0, 7.5, np.inf])
+    for f in (hz.hsc_coefficients, hz.stationary_weights, hz.ricci_fiber_eigenvalues):
+        for got, i in ((f(2, 0.1, r), i) for i in range(len(r))):
+            one = f(2, 0.1, math.inf if np.isinf(r[i]) else float(r[i]))
+            assert all(np.broadcast_to(x, r.shape)[i] == y for x, y in zip(got, one))
+    assert hz.stationary_branch(2, 0.1, r)[-1] == hz.stationary_branch(2, 0.1, math.inf)
+    assert np.all(np.isfinite(hz.hsc_coefficients(2, 0.1, r)[0]))

@@ -19,8 +19,43 @@ from kahlerpinch.models import (
     model_from_json,
     model_to_json,
 )
+from kahlerpinch.optimize import extremize_direction
 
 from conftest import builtin_models, random_point
+
+
+def test_far_chart_is_the_same_metric(rng):
+    # w = 1/z2 has the Jacobian diag(1, -1/w^2) into the chart (z1, z2), and
+    # curvature extrema are invariants; both charts are well conditioned here.
+    for _ in range(12):
+        n = int(rng.integers(1, 7))
+        model = Hitchin.make(n, float(rng.uniform(0.05, 0.95)) / (n * n))
+        z1 = rng.uniform(0.0, 0.7) * np.exp(2j * np.pi * rng.uniform())
+        w = rng.uniform(0.6, 1.6) * np.exp(2j * np.pi * rng.uniform())
+        near, far = model.metric_jet([z1, 1.0 / w]), model._jet(model.far_kernel, [z1, w])
+        J = np.array([1.0, -1.0 / w**2])
+        assert np.allclose(far.g, J[:, None] * near.g * J.conj(), rtol=1e-13, atol=0.0)
+        a = extremize_direction(curvature_tensor(near), near.g)
+        b = extremize_direction(curvature_tensor(far), far.g)
+        assert abs(a.min_K - b.min_K) <= 1e-11 * abs(a.min_K)
+        assert abs(a.max_K - b.max_K) <= 1e-11 * abs(a.max_K)
+
+
+def test_fiber_jet_charts():
+    model = Hitchin.make(2, "1/10")
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    jet = model.fiber_jet(t)
+    near = model.metric_jet(model.fiber_point(t[:3] / (1.0 - t[:3])))
+    for got, want in zip((jet.g, jet.dg, jet.ddg), (near.g, near.dg, near.ddg)):
+        assert np.array_equal(got[:3], want)
+    far = model._jet(model.far_kernel, [0.0, math.sqrt(1.0 / 3.0)])
+    assert np.array_equal(jet.g[3], far.g)
+    # t = 1 is w = 0, where the metric is diag(1, s).
+    assert np.allclose(jet.g[4], np.diag([1.0, 0.1]), rtol=1e-15, atol=0.0)
+    assert model.fiber_jet(1.0).g.shape == (2, 2)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            model.fiber_jet(bad)
 
 
 def test_potential_values():

@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -114,20 +116,10 @@ def test_extremize_quadratic_against_grid(rng):
 def test_extremize_quadratic_is_elementwise(rng):
     coeffs = rng.uniform(-5.0, 40.0, size=(3, 4, 5))
     q = extremize_quadratic(*coeffs)
-    assert q.min_K.shape == (4, 5) and q.a_max.shape == (4, 5)
+    assert q.min_K.shape == (4, 5) and q.max_K.shape == (4, 5)
     for idx in np.ndindex(4, 5):
         one = extremize_quadratic(*coeffs[(slice(None),) + idx])
-        assert (one.min_K, one.max_K, one.a_min, one.a_max) == (
-            q.min_K[idx], q.max_K[idx], q.a_min[idx], q.a_max[idx]
-        )
-
-
-def test_extremize_quadratic_residuals():
-    # interior minimum, endpoint maximum
-    q = extremize_quadratic(3.0, 6.0, 12.0)
-    assert q.min_residual < 1e-9
-    assert q.max_residual == 0.0
-    assert q.a_max == 0.0
+        assert (one.min_K, one.max_K) == (q.min_K[idx], q.max_K[idx])
 
 
 @pytest.mark.parametrize(
@@ -187,18 +179,19 @@ def test_limit_state_extremizer_weights():
 
 @pytest.mark.parametrize("n,s", [(1, "1/3"), (2, "1/10"), (2, "3/40")])
 def test_refine_wins_and_limit_tie_lost(n, s, monkeypatch):
-    # Lowering the t = 1 limit quadratic to (c, 0, c) with c = 0.99 gamma moves
-    # both extrema off t = 1: the minimum into the last grid cell, where the
-    # refine beats the grid, and the maximum to the finite grid.
-    coefficients = optimize.hsc_coefficients
+    # Lowering the t = 1 row to the extrema (c/2, c) of the weight quadratic
+    # (c, 0, c), c = 0.99 gamma, moves both extrema off t = 1: the minimum into
+    # the last grid cell, where the refine beats the grid, and the maximum to
+    # the finite grid.
+    cells = optimize._fiber_cells
 
-    def lowered_limit(n, s, r):
-        if np.all(np.isinf(r)):
-            c = 0.99 * 4.0 / s
-            return c, 0.0, c
-        return coefficients(n, s, r)
+    def lowered_limit(model, t, residual_tol):
+        K, weights, residual, converged = cells(model, t, residual_tol)
+        c = 0.99 * 4.0 / model.s
+        K[t == 1.0] = (c / 2.0, c)
+        return K, weights, residual, converged
 
-    monkeypatch.setattr(optimize, "hsc_coefficients", lowered_limit)
+    monkeypatch.setattr(optimize, "_fiber_cells", lowered_limit)
     model = Hitchin.make(n, s)
     report = sweep_fiber(model, grid=64)
     ts = np.linspace(0.0, 1.0, 64)
@@ -206,13 +199,54 @@ def test_refine_wins_and_limit_tie_lost(n, s, monkeypatch):
     t = report.argmin["t"]
     assert 0.0 < t < 1.0 and np.min(np.abs(ts - t)) > 0.0
     assert report.min_K < min(row[1] for row in finite)
-    jet = model.metric_jet(model.fiber_point(t / (1.0 - t)))
+    jet = model.fiber_jet(t)
     ex = extremize_direction(curvature_tensor(jet), jet.g)
     assert abs(report.min_K - ex.min_K) <= 1e-12 * ex.min_K
+    # K = 4/s along the vertical direction at every t, so the maximum is a
+    # plateau on which the refine may beat the grid by rounding alone.
     assert report.argmax["t"] < 1.0
-    assert report.max_K == max(row[2] for row in finite)
+    assert report.max_K >= max(row[2] for row in finite)
+    assert abs(report.max_K - 4.0 / model.s) <= 1e-14 * 4.0 / model.s
     assert report.method["refine_iterations"] > 0
     assert report.converged
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fiber_sweep_exact_to_rounding_on_fine_grids(n):
+    # A finer grid must not certify worse: the samples near t = 1 come from
+    # the far chart, whose jets stay accurate up to t = 1 itself.
+    s_star = hz.optimal_s(n)[0]
+    model = Hitchin.make(n, s_star)
+    lo, hi = (float(x) for x in hz.min_max_hsc(n, s_star))
+    fine = sweep_fiber(model, grid=2048)
+    # Both extrema tie with t = 1, where both extremal directions coexist.
+    assert fine.argmin["t"] == fine.argmax["t"] == 1.0
+    assert abs(fine.min_K - lo) <= 1e-14 * lo
+    assert abs(fine.max_K - hi) <= 1e-14 * hi
+    ts, k_min, k_max = np.array(sweep_fiber(model, grid=512).profile).T
+    with np.errstate(divide="ignore"):
+        want = extremize_quadratic(*hz.hsc_coefficients(n, float(s_star), ts / (1.0 - ts)))
+    assert np.all(np.abs(k_min - want.min_K) <= 1e-13 * want.min_K)
+    assert np.all(np.abs(k_max - want.max_K) <= 1e-13 * want.max_K)
+
+
+def test_fiber_sweep_reads_no_closed_form(monkeypatch):
+    models = [Hitchin.make(n, hz.optimal_s(n)[0]) for n in (1, 2, 3)]
+    want = [sweep_fiber(model, grid=32) for model in models]
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the numeric route read a closed form")
+
+    # Every closed form, wherever it was imported; only the admissibility
+    # check (and the input check it runs) stays.
+    kept = {"require_admissible", "is_admissible", "_check_params"}
+    modules = [m for name, m in sys.modules.items() if name.startswith("kahlerpinch")]
+    for name, value in vars(hz).copy().items():
+        if inspect.isfunction(value) and value.__module__ == hz.__name__ and name not in kept:
+            for module in modules:
+                if getattr(module, name, None) is value:
+                    monkeypatch.setattr(module, name, closed_form)
+    assert [sweep_fiber(model, grid=32) for model in models] == want
 
 
 @pytest.mark.parametrize("model", [Hitchin.make(1, "1/3"), Hitchin.make(2, "1/10")])
