@@ -5,6 +5,13 @@ m(m+1)/4 times the average of the holomorphic sectional curvature over the
 metric unit sphere of the tangent space (Berger's integral formula).  This
 module estimates that average by seeded Monte Carlo sampling and compares it
 with the trace-based scalar curvature, with standard errors.
+
+The sampling works in frame coordinates: K has degree 0 in the direction, and
+the metric-uniform measure on the unit sphere is the push of the Euclidean one
+through an orthonormal frame, so raw complex Gaussian rows scored on each
+point's frame tensor give the average without a normalising or frame product.
+Every point reseeds from the configured seed, so one draw per call serves all
+points, scored as one stacked :func:`~kahlerpinch.optimize.batch_hsc`.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ import numpy as np
 
 from .geometry import curvature_tensor, orthonormal_frame, scalar_curvature
 from .models import Hitchin, MetricModel
-from .optimize import batch_hsc
+from .optimize import _frame_tensor, batch_hsc
 
 __all__ = [
     "SphereSampleConfig",
@@ -32,7 +39,8 @@ class SphereSampleConfig:
 
     ``antithetic`` pairs every draw with its coordinate-reversed mirror (a
     measure-preserving map of the sphere), which damps the variance of
-    weight-quadratic integrands.  Acceptance runs use at least 1000 samples.
+    weight-quadratic integrands; the last draw of an odd count has no mirror
+    in the sample and counts alone.  Acceptance runs use at least 1000 samples.
     """
 
     sample_count: int = 100_000
@@ -74,35 +82,69 @@ class BergerComparison:
         return abs(self.zscore) < 3.0 or self.near_exact
 
 
+def _gaussian_rows(m: int, count: int, rng: np.random.Generator, antithetic: bool) -> np.ndarray:
+    """``count`` complex standard normal rows in C^m, drawn as real then imaginary parts.
+
+    With ``antithetic`` the first ceil(count/2) rows are draws and the rest
+    their coordinate-reversed mirrors, in draw order.  Each real draw goes
+    into the complex rows as it is made, so the two are never held together.
+    """
+    half = (count + 1) // 2 if antithetic else count
+    raw = np.empty((count, m), dtype=complex)
+    raw.real[:half] = rng.standard_normal((half, m))
+    raw.imag[:half] = rng.standard_normal((half, m))
+    raw[half:] = raw[: count - half, ::-1]
+    return raw
+
+
 def sample_directions(
     g: np.ndarray, count: int, rng: np.random.Generator, antithetic: bool = False
 ) -> np.ndarray:
-    """Uniform samples on the metric unit sphere (Gaussian normalize-and-push).
+    """Uniform samples on the metric unit sphere.
 
-    Euclidean-uniform unit vectors are pushed through the orthonormal frame,
-    which realizes the measure induced by the metric.
+    The Gaussian rows of the sphere average's draw, normalised to Euclidean
+    unit length and pushed through the orthonormal frame, which realizes the
+    measure induced by the metric.  (The sphere average scores the same rows
+    in frame coordinates, with neither step.)  ``antithetic`` follows the
+    first ceil(count/2) draws with the mirrors of as many as fit.
     """
-    m = g.shape[0]
-    half = (count + 1) // 2 if antithetic else count
-    raw = rng.standard_normal((half, m)) + 1j * rng.standard_normal((half, m))
+    raw = _gaussian_rows(g.shape[0], count, rng, antithetic)
     raw /= np.linalg.norm(raw, axis=1)[:, None]
-    if antithetic:
-        raw = np.concatenate([raw, raw[:, ::-1]])[:count]
     return raw @ orthonormal_frame(g).T
 
 
-def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> BergerEstimate:
-    """Monte Carlo estimate of m(m+1)/4 times the mean of K over the unit sphere of (R, g)."""
+def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> list[BergerEstimate]:
+    """Monte Carlo estimates of m(m+1)/4 times the mean of K over the unit spheres of (R, g).
+
+    Stacked over a leading point axis, with one draw for the whole stack: in
+    the frame coordinates c of each point, xi = F c, K is
+    2 Rhat(c, c, c, c)/|c|^4 with the frame tensor Rhat (metric I), so the raw
+    Gaussian rows need neither normalising nor pushing through the frame, and
+    a Euclidean-uniform direction of c is a metric-uniform one of xi.  With
+    ``antithetic`` every draw is averaged with its own mirror; the last draw
+    of an odd count, whose mirror falls outside the sample, counts alone.
+    """
     m = g.shape[-1]
+    count = cfg.sample_count
+    Rhat = _frame_tensor(R, orthonormal_frame(g))
     rng = np.random.default_rng(cfg.seed)
-    xis = sample_directions(g, cfg.sample_count, rng, cfg.antithetic)
-    values = 0.25 * m * (m + 1) * batch_hsc(R, g, xis)
-    if cfg.antithetic and values.size >= 2:
-        half = values.size // 2
-        values = 0.5 * (values[:half] + values[half : 2 * half])
-    est = float(np.mean(values))
-    sem = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-    return BergerEstimate(est, sem, cfg.sample_count)
+    values = batch_hsc(Rhat, np.eye(m), _gaussian_rows(m, count, rng, cfg.antithetic))
+    values *= 0.25 * m * (m + 1)
+    if cfg.antithetic:
+        # draw i is column i and its mirror column count - pairs + i
+        pairs = count // 2
+        mean_pairs = 0.5 * (values[:, :pairs] + values[:, count - pairs :])
+        values = np.concatenate([mean_pairs, values[:, pairs : count - pairs]], axis=1)
+    n = values.shape[1]
+    est = np.mean(values, axis=1)
+    sem = np.std(values, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(values))
+    return [BergerEstimate(float(e), float(s), count) for e, s in zip(est, sem)]
+
+
+def _curvature_at(model: MetricModel, points):
+    """One stacked jet and curvature tensor for a list of chart points."""
+    jet = model.metric_jet(np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]))
+    return curvature_tensor(jet), jet.g
 
 
 def berger_scalar(model: MetricModel, z, cfg: SphereSampleConfig) -> BergerEstimate:
@@ -110,10 +152,10 @@ def berger_scalar(model: MetricModel, z, cfg: SphereSampleConfig) -> BergerEstim
 
     Returns m(m+1)/4 times the sample mean of K over the metric unit sphere
     together with the standard error of that mean (antithetic pairs are
-    averaged before the error estimate, keeping it unbiased).
+    averaged before the error estimate, keeping it unbiased).  This is the
+    one-point stack of :func:`berger_vs_trace`'s sphere average.
     """
-    jet = model.metric_jet(z)
-    return _sphere_average(curvature_tensor(jet), jet.g, cfg)
+    return _sphere_average(*_curvature_at(model, [z]), cfg)[0]
 
 
 def _zscore(diff: float, stderr: float) -> float:
@@ -128,20 +170,19 @@ def berger_vs_trace(
     """Compare the Monte Carlo estimate with the trace scalar curvature.
 
     The jets and curvature tensors of all points come from one stacked
-    evaluation; each point's sphere average reseeds from ``cfg.seed``, as
-    :func:`berger_scalar` does.  ``bracket`` optionally carries the (lower,
+    evaluation, and every point's sphere average from the one draw of
+    ``cfg.seed`` that :func:`berger_scalar` makes for a single point, so each
+    row equals it.  ``bracket`` optionally carries the (lower,
     upper) scalar-curvature bounds; for Hitchin models every trace value is
     checked against it.
     """
     points = list(points)
     if not points:
         return []
-    jet = model.metric_jet(np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]))
-    R = curvature_tensor(jet)
+    R, g = _curvature_at(model, points)
     rows = []
-    for i, z in enumerate(points):
-        tau = scalar_curvature(R[i], jet.g[i])
-        est = _sphere_average(R[i], jet.g[i], cfg)
+    for i, (z, est) in enumerate(zip(points, _sphere_average(R, g, cfg))):
+        tau = scalar_curvature(R[i], g[i])
         within = None
         if bracket is not None:
             lo, hi = bracket

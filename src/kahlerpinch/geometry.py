@@ -10,9 +10,10 @@ Index conventions used throughout the package:
 Every array may carry leading batch axes ahead of these indices: a stack of
 points has g of shape (..., m, m), dg (..., m, m, m), ddg and R (..., m, m, m,
 m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
-``curvature_tensor``, ``orthonormal_frame`` and ``hsc_gradient`` act on the
-whole stack at once through ``...`` einsum subscripts and batched
-``np.linalg``; a single point is the stack with no batch axis.
+``curvature_tensor``, ``orthonormal_frame``, ``norm_squared``,
+``holomorphic_sectional_curvature`` and ``hsc_gradient`` act on the whole
+stack at once through ``...`` einsum subscripts and batched ``np.linalg``; a
+single point is the stack with no batch axis.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -170,29 +171,30 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
     return -jet.ddg + quad
 
 
-def norm_squared(g: np.ndarray, xi: np.ndarray) -> float:
-    """Squared metric norm sum_{ij} g_{i jbar} xi_i conj(xi_j)."""
+def norm_squared(g: np.ndarray, xi: np.ndarray):
+    """Squared metric norm sum_{ij} g_{i jbar} xi_i conj(xi_j).
+
+    A float, or an array over the leading axes of a stack.
+    """
     g = np.asarray(g, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    value = np.einsum("ij,i,j->", g, xi, xi.conj())
-    return _real_part(complex(value), "metric norm")
+    return _real_part(np.einsum("...ij,...i,...j->...", g, xi, xi.conj()), "metric norm")
 
 
-def holomorphic_sectional_curvature(
-    R: np.ndarray, g: np.ndarray, xi: np.ndarray
-) -> float:
+def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray, xi: np.ndarray):
     """Holomorphic sectional curvature K(xi) of the complex line through xi.
 
-    Invariant under nonzero complex rescaling of ``xi``.
+    Invariant under nonzero complex rescaling of ``xi``.  A float, or an array
+    over the leading axes of a stack.
     """
     xi = np.asarray(xi, dtype=complex)
-    if not np.any(xi):
+    if not np.all(np.any(xi, axis=-1)):
         raise ZeroDirectionError("zero direction")
     n2 = norm_squared(g, xi)
-    if n2 <= 0.0:
+    if np.any(n2 <= 0.0):
         raise ZeroDirectionError("direction with non-positive metric norm")
-    num = 2.0 * np.einsum("ijkl,i,j,k,l->", R, xi, xi.conj(), xi, xi.conj())
-    return _real_part(complex(num), "sectional curvature numerator") / (n2 * n2)
+    num = 2.0 * np.einsum("...ijkl,...i,...j,...k,...l->...", R, xi, xi.conj(), xi, xi.conj())
+    return _real_part(num, "sectional curvature numerator") / (n2 * n2)
 
 
 def hsc_gradient(R: np.ndarray, g: np.ndarray, xi: np.ndarray) -> np.ndarray:

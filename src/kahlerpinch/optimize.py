@@ -12,12 +12,17 @@ v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
 weight quadratic of the Hirzebruch family is extremized exactly on its
 interval.  The two-dimensional solve is stacked: the fiber sweep and the 2-d
 grid check hand it all their tangent spaces at once, and a single tangent
-space is the one-row stack of the same code.  Higher dimensions contract the
-curvature tensor into an orthonormal frame once per tangent space, score a
-seeded set of start directions on it, and run a trust-region Newton search
-(More and Sorensen 1983) with the analytic gradient and Hessian from the best
-start, in an affine chart of the direction space: a local search with no
-global guarantee, which converges quadratically to residuals at rounding.
+space is the one-row stack of the same code.  Higher dimensions are stacked
+the same way: every curvature tensor of the stack is contracted into its
+orthonormal frame, one seeded set of start directions is scored on all of
+them at once, and from each row's best start a trust-region Newton search
+(More and Sorensen 1983) with the analytic gradient and Hessian runs, in an
+affine chart of the direction space: a local search with no global
+guarantee, which converges quadratically to residuals at rounding, and the
+one part that runs row by row.  Curvature at many directions is one real
+quadratic form per tensor in the m^2 real coordinates of xi xi*
+(``batch_hsc``), evaluated as a matrix product over blocks of directions and
+over a stack of tensors.
 The fiber sweep solves its grid, t = 1 included, through one stacked cell
 function, and refines an extreme cell inside the grid by bounded Brent (Brent
 1973) in the fiber parameter, whose objective computes K alone.  Both
@@ -51,6 +56,7 @@ __all__ = [
     "SweepSResult",
     "batch_hsc",
     "extremize_direction",
+    "extremize_directions",
     "extremize_quadratic",
     "direction_weights",
     "minimize",
@@ -87,23 +93,70 @@ _PAULI = np.array(
 )
 
 
+def _hermitian_coordinates(xis: np.ndarray) -> np.ndarray:
+    """Real coordinates q of xi xi* for the rows xi of ``xis``, as columns (m^2, B).
+
+    q = (|xi_a|^2, Re xi_a conj(xi_b), Im xi_a conj(xi_b)) over a and the
+    pairs a < b in ``np.triu_indices`` order, written in place from
+    contiguous (m, B) real and imaginary parts.
+    """
+    m = xis.shape[1]
+    re, im = xis.real.T.copy(), xis.imag.T.copy()
+    q = np.empty((m * m, len(xis)))
+    np.multiply(re, re, out=q[:m])
+    q[:m] += im * im
+    pairs, j = m * (m - 1) // 2, m
+    for a in range(m - 1):
+        re_ab, im_ab = q[j : j + m - 1 - a], q[j + pairs : j + pairs + m - 1 - a]
+        np.multiply(re[a], re[a + 1 :], out=re_ab)
+        re_ab += im[a] * im[a + 1 :]
+        np.multiply(im[a], re[a + 1 :], out=im_ab)
+        im_ab -= re[a] * im[a + 1 :]
+        j += m - 1 - a
+    return q
+
+
+def _hermitian_form(R: np.ndarray, g: np.ndarray):
+    """(N, gamma) with K(xi) = 2 q.N q / (gamma.q)^2, q from :func:`_hermitian_coordinates`.
+
+    With vec(xi xi*) = T q (row-major vec), N is the real symmetric part of
+    T^T M T, M the tensor R reshaped to (m^2, m^2), and gamma = Re(T^T vec(g));
+    stacked over the leading axes of R and of g.  The quadratic form of a
+    Kahler curvature tensor is real on Hermitian matrices, so the imaginary
+    part of the symmetrised form is residue, checked here once per tensor.
+    """
+    m = g.shape[-1]
+    a, b = np.triu_indices(m, 1)
+    re, im = m + np.arange(len(a)), m + len(a) + np.arange(len(a))
+    T = np.zeros((m * m, m * m), dtype=complex)
+    T[np.arange(m) * (m + 1), np.arange(m)] = 1.0
+    T[a * m + b, re] = T[b * m + a, re] = 1.0
+    T[a * m + b, im], T[b * m + a, im] = 1j, -1j
+    A = T.T @ R.reshape(R.shape[:-4] + (m * m, m * m)) @ T
+    N = _real_part(0.5 * (A + A.swapaxes(-1, -2)), "sectional curvature form")
+    return N, (g.reshape(g.shape[:-2] + (m * m,)) @ T).real
+
+
 def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """Holomorphic sectional curvature of every row direction of ``xis`` (shape (B, m)).
 
-    With p = vec(xi xi*) and M the tensor R reshaped to (m^2, m^2), K(xi) =
-    2 p.M p / (vec(g).p)^2; the rows are evaluated as one matrix product per
-    block of ``_HSC_BLOCK`` rows.
+    R and g may carry leading tensor axes, (..., m, m, m, m) and (..., m, m);
+    the result is (..., B), every tensor of the stack at every direction.  In
+    the real coordinates q of xi xi*, K(xi) = 2 q.N q / (gamma.q)^2 with the
+    form of :func:`_hermitian_form`; the rows are evaluated as one real matrix
+    product per block of ``_HSC_BLOCK`` rows.
     """
     xis = np.asarray(xis, dtype=complex)
-    rows, m = xis.shape
-    M = np.asarray(R, dtype=complex).reshape(m * m, m * m)
-    gv = np.asarray(g, dtype=complex).reshape(m * m)
-    K = np.empty(rows)
-    for i in range(0, rows, _HSC_BLOCK):
-        x = xis[i : i + _HSC_BLOCK]
-        P = (x[:, :, None] * x.conj()[:, None, :]).reshape(len(x), m * m)
-        num = 2.0 * np.einsum("bi,bi->b", P @ M, P)
-        K[i : i + len(x)] = _real_part(num, "sectional curvature numerator") / (P @ gv).real ** 2
+    N, gamma = _hermitian_form(np.asarray(R, dtype=complex), np.asarray(g, dtype=complex))
+    # One (1, m^2) row per metric, so that a shared metric and a stacked one
+    # take the same matrix product and give the same bits.
+    gamma = gamma[..., None, :]
+    K = np.empty(np.broadcast_shapes(N.shape[:-2], gamma.shape[:-2]) + (len(xis),))
+    for i in range(0, len(xis), _HSC_BLOCK):
+        q = _hermitian_coordinates(xis[i : i + _HSC_BLOCK])
+        Nq = N @ q
+        Nq *= q
+        K[..., i : i + q.shape[1]] = 2.0 * Nq.sum(axis=-2) / (gamma @ q)[..., 0, :] ** 2
     return K
 
 
@@ -463,6 +516,52 @@ def _local_search(Rhat, F, c0, sign: float, gtol: float) -> np.ndarray:
     return xi / np.linalg.norm(xi)
 
 
+def extremize_directions(
+    R: np.ndarray,
+    g: np.ndarray,
+    residual_tol: float = 1e-4,
+    seed: int = 0,
+) -> DirectionExtrema:
+    """Extrema of K over the unit spheres of a stack of tangent spaces.
+
+    R and g carry a leading point axis, (P, m, m, m, m) and (P, m, m); the
+    fields of the result are arrays over it.  Two-dimensional tangent spaces
+    are solved exactly on the Bloch sphere.  Higher dimensions contract every
+    curvature tensor into its orthonormal frame, score one seeded set of
+    frame directions on the whole stack with one :func:`batch_hsc`, and start
+    a trust-region Newton search (:func:`minimize`) from each row's best, for
+    the minimum and for the maximum; this is a local search with no global
+    guarantee, and the one part that runs row by row.  The returned values
+    are K, and the residuals the analytic K-gradient norms, at the returned
+    extremizers, the numerical counterpart of the constrained stationarity
+    conditions.  A row is flagged unconverged when either residual exceeds
+    ``residual_tol`` scaled by the curvature magnitude (for surfaces, also
+    when the solve's rounding floor does).  Both the exact solve and the
+    Newton search reach residuals near rounding, about 1e-12 relative, so the
+    default leaves a wide margin.
+    """
+    R, g = np.asarray(R, dtype=complex), np.asarray(g, dtype=complex)
+    m = g.shape[-1]
+    if m == 2:
+        ex, _, _ = _extremize_surfaces(R, g, residual_tol)
+        return ex
+    F = orthonormal_frame(g)
+    if m == 1:
+        xi_min = xi_max = F[..., 0]
+    else:
+        Rhat = _frame_tensor(R, F)
+        cands = _start_candidates(m, seed)
+        values = batch_hsc(Rhat, np.eye(m), cands)
+        xi_min, xi_max = np.empty_like(F[..., 0]), np.empty_like(F[..., 0])
+        for p, row in enumerate(values):
+            for xi, i, sign in ((xi_min, np.argmin(row), 1.0), (xi_max, np.argmax(row), -1.0)):
+                gtol = _GRADIENT_TOL * max(1.0, abs(row[i]))
+                xi[p] = _local_search(Rhat[p], F[p], cands[i], sign, gtol)
+    min_K = holomorphic_sectional_curvature(R, g, xi_min)
+    max_K = holomorphic_sectional_curvature(R, g, xi_max)
+    return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
+
+
 def extremize_direction(
     R: np.ndarray,
     g: np.ndarray,
@@ -471,47 +570,17 @@ def extremize_direction(
 ) -> DirectionExtrema:
     """Extrema of K over the unit sphere of one tangent space.
 
-    Two-dimensional tangent spaces are solved exactly on the Bloch sphere.
-    Higher dimensions take the best of a seeded set of frame directions, for
-    the minimum and for the maximum, as the start of a trust-region Newton
-    search (:func:`minimize`) on the curvature tensor contracted into the
-    frame; this is a local search with no global guarantee.  The returned
-    values are K, and the residuals the analytic K-gradient norms, at the
-    returned extremizers, the numerical counterpart of the constrained
-    stationarity conditions.  The result is flagged unconverged when either
-    residual exceeds ``residual_tol`` scaled by the curvature magnitude (for
-    surfaces, also when the solve's rounding floor does).  Both the exact
-    solve and the Newton search reach residuals near rounding, about 1e-12
-    relative, so the default leaves a wide margin.
+    The one-row stack of :func:`extremize_directions`, with float fields.
     """
-    g = np.asarray(g, dtype=complex)
-    m = g.shape[0]
-    if m == 2:
-        one, _, _ = _extremize_surfaces(np.asarray(R)[None], g[None], residual_tol)
-        ex = DirectionExtrema(*(getattr(one, f.name)[0] for f in fields(one)))
-    else:
-        F = orthonormal_frame(g)
-        if m == 1:
-            xi_min = xi_max = F[:, 0]
-        else:
-            Rhat = _frame_tensor(R, F)
-            cands = _start_candidates(m, seed)
-            values = batch_hsc(Rhat, np.eye(m), cands)
-            xi_min, xi_max = (
-                _local_search(Rhat, F, cands[i], sign, _GRADIENT_TOL * max(1.0, abs(values[i])))
-                for i, sign in ((np.argmin(values), 1.0), (np.argmax(values), -1.0))
-            )
-        min_K = holomorphic_sectional_curvature(R, g, xi_min)
-        max_K = holomorphic_sectional_curvature(R, g, xi_max)
-        ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
+    ex = extremize_directions(np.asarray(R)[None], np.asarray(g)[None], residual_tol, seed)
     return DirectionExtrema(
-        float(ex.min_K),
-        float(ex.max_K),
-        ex.argmin,
-        ex.argmax,
-        float(ex.min_residual),
-        float(ex.max_residual),
-        bool(ex.converged),
+        float(ex.min_K[0]),
+        float(ex.max_K[0]),
+        ex.argmin[0],
+        ex.argmax[0],
+        float(ex.min_residual[0]),
+        float(ex.max_residual[0]),
+        bool(ex.converged[0]),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import curvature_tensor
 from .models import Hitchin, MetricModel, Product
-from .optimize import extremize_direction
+from .optimize import DirectionExtrema, extremize_directions
 
 __all__ = [
     "ProductHypothesisError",
@@ -103,11 +103,10 @@ def _sample_points(model: MetricModel, rng: np.random.Generator, count: int):
     return pts
 
 
-def _extrema_at_points(model: MetricModel, points, seed: int) -> list:
-    """Direction extrema at each point: one stacked jet and tensor, then row by row."""
+def _extrema_at_points(model: MetricModel, points, seed: int) -> DirectionExtrema:
+    """Direction extrema at every point, stacked: one jet, one tensor and one search."""
     jet = model.metric_jet(np.stack(points))
-    R = curvature_tensor(jet)
-    return [extremize_direction(R[i], jet.g[i], seed=seed) for i in range(len(points))]
+    return extremize_directions(curvature_tensor(jet), jet.g, seed=seed)
 
 
 def factor_curvature_stats(
@@ -115,11 +114,11 @@ def factor_curvature_stats(
 ) -> FactorStats:
     """Extremize K over sampled points and all directions of one factor."""
     rng = np.random.default_rng(seed)
-    exs = _extrema_at_points(model, _sample_points(model, rng, samples), seed)
-    lo, hi = min(ex.min_K for ex in exs), max(ex.max_K for ex in exs)
+    ex = _extrema_at_points(model, _sample_points(model, rng, samples), seed)
+    lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
     if lo <= 0:
         raise ProductHypothesisError("factor has non-positive sectional curvature on samples")
-    return FactorStats(lo, hi, all(ex.converged for ex in exs))
+    return FactorStats(lo, hi, bool(ex.converged.all()))
 
 
 @dataclass(frozen=True)
@@ -188,11 +187,11 @@ def verify_product_numeric(
     rng = np.random.default_rng(seed)
     pts_l = _sample_points(left, rng, samples)
     pts_r = _sample_points(right, rng, samples)
-    exs = _extrema_at_points(
+    ex = _extrema_at_points(
         product, [np.concatenate([zl, zr]) for zl in pts_l for zr in pts_r], seed
     )
-    lo, hi = min(ex.min_K for ex in exs), max(ex.max_K for ex in exs)
-    converged = stats_l.converged and stats_r.converged and all(ex.converged for ex in exs)
+    lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
+    converged = stats_l.converged and stats_r.converged and bool(ex.converged.all())
 
     rel_min = abs(lo - expected.lower) / abs(expected.lower)
     rel_max = abs(hi - expected.upper) / abs(expected.upper)

@@ -10,7 +10,7 @@ from kahlerpinch.berger import (
     berger_vs_trace,
     sample_directions,
 )
-from kahlerpinch.geometry import norm_squared
+from kahlerpinch.geometry import norm_squared, orthonormal_frame
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 
 from conftest import MASTER_SEED
@@ -125,3 +125,107 @@ def test_comparison_evaluates_all_jets_once_and_matches_pointwise(monkeypatch):
     for row, est in zip(rows, single):
         assert row.estimate == pytest.approx(est.estimate, rel=1e-13)
         assert abs(row.stderr - est.stderr) <= 1e-13 * abs(est.estimate)
+
+
+def _hsc_at(R, g, c):
+    """K at the direction F c, F the orthonormal frame of g."""
+    from kahlerpinch.geometry import holomorphic_sectional_curvature, orthonormal_frame
+
+    return holomorphic_sectional_curvature(R, g, orthonormal_frame(g) @ c)
+
+
+@pytest.mark.parametrize("count", [5, 6, 7])
+def test_antithetic_pairs_each_draw_with_its_mirror(count):
+    from kahlerpinch.geometry import curvature_tensor
+
+    model, z, seed = Product(FubiniStudy(1), Hitchin.make(2, "1/10")), [0.3j, -0.4, 0.2 + 0.5j], 11
+    jet = model.metric_jet(z)
+    R, m = curvature_tensor(jet), model.dimension
+    rng = np.random.default_rng(seed)
+    half = (count + 1) // 2
+    draws = rng.standard_normal((half, m)) + 1j * rng.standard_normal((half, m))
+    scale = 0.25 * m * (m + 1)
+    units = [
+        0.5 * scale * (_hsc_at(R, jet.g, c) + _hsc_at(R, jet.g, c[::-1]))
+        for c in draws[: count // 2]
+    ]
+    if count % 2:
+        units.append(scale * _hsc_at(R, jet.g, draws[-1]))  # its mirror is not in the sample
+    est = berger_scalar(model, z, SphereSampleConfig(count, seed, antithetic=True))
+    assert est.sample_count == count
+    assert est.estimate == pytest.approx(np.mean(units), rel=1e-13)
+    assert est.stderr == pytest.approx(np.std(units, ddof=1) / np.sqrt(len(units)), rel=1e-12)
+    # the mirrors really are the returned draws, reversed, after the draws
+    xis = sample_directions(jet.g, count, np.random.default_rng(seed), antithetic=True)
+    mirrors = xis[half:] @ np.linalg.inv(orthonormal_frame(jet.g)).T
+    firsts = xis[: count // 2] @ np.linalg.inv(orthonormal_frame(jet.g)).T
+    assert np.allclose(mirrors, firsts[:, ::-1], rtol=0.0, atol=1e-13)
+
+
+# Estimates of the earlier per-point path (normalise, frame push and complex
+# GEMM) at seed 7301 with 20000 samples; they pin the random stream.
+_GOLDEN_POINTS = {
+    "product:fs2:fs2": [
+        [0.3 - 0.2j, -0.5 + 0.1j, 0.25j, 0.7],
+        [-0.8 + 0.4j, 0.1, -0.3 - 0.6j, 0.45 + 0.05j],
+    ],
+    "fs3": [[0.3 - 0.2j, -0.5 + 0.1j, 0.25j], [-0.8 + 0.4j, 0.1, -0.3 - 0.6j]],
+    "hitchin:2:1/10": [[0.3 - 0.2j, -0.5 + 0.1j], [-0.8 + 0.4j, 0.6 - 0.3j]],
+}
+_GOLDEN_ESTIMATES = {
+    "product:fs2:fs2": [11.997670080333561, 11.997670080333563],
+    "fs3": [12.0, 11.999999999999995],
+    "hitchin:2:1/10": [23.961591919098613, 24.260059960866823],
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_POINTS))
+def test_monte_carlo_stream_is_pinned(name):
+    from kahlerpinch.cli import _parse_model
+
+    model = _parse_model(name)
+    points = [np.array(z) for z in _GOLDEN_POINTS[name]]
+    cfg = SphereSampleConfig(20000, 7301)
+    rows = berger_vs_trace(model, points, cfg)
+    for row, want in zip(rows, _GOLDEN_ESTIMATES[name]):
+        assert row.estimate == pytest.approx(want, rel=1e-14)
+    # one shared draw: every row is bit for bit the one-point estimate
+    for row, z in zip(rows, points):
+        one = berger_scalar(model, z, cfg)
+        assert (row.estimate, row.stderr) == (one.estimate, one.stderr)
+
+
+def _old_sphere_values(R, g, rows):
+    """The earlier per-sample path: normalise, push through the frame, complex GEMM."""
+    from kahlerpinch.geometry import orthonormal_frame
+
+    m = g.shape[-1]
+    xis = rows / np.linalg.norm(rows, axis=1)[:, None] @ orthonormal_frame(g).T
+    P = (xis[:, :, None] * xis.conj()[:, None, :]).reshape(len(xis), m * m)
+    num = 2.0 * np.einsum("bi,bi->b", P @ R.reshape(m * m, m * m), P)
+    return 0.25 * m * (m + 1) * num.real / (P @ g.reshape(m * m)).real ** 2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Hitchin.make(1, "1e-12"), Product(Hitchin.make(2, "1e-12"), FubiniStudy(1))],
+    ids=["hitchin-1-1e-12", "hitchin-2-1e-12xfs1"],
+)
+def test_frame_coordinates_match_normalise_and_push(model):
+    from conftest import random_point
+    from kahlerpinch.geometry import curvature_tensor
+
+    rng = np.random.default_rng(MASTER_SEED)
+    points = [random_point(model, rng) for _ in range(3)] + [np.zeros(model.dimension)]
+    cfg = SphereSampleConfig(4000, MASTER_SEED)
+    rows = berger_vs_trace(model, points, cfg)
+    m = model.dimension
+    for row, z in zip(rows, points):
+        jet = model.metric_jet(z)
+        draw = np.random.default_rng(cfg.seed)
+        shape = (cfg.sample_count, m)
+        raw = draw.standard_normal(shape) + 1j * draw.standard_normal(shape)
+        values = _old_sphere_values(curvature_tensor(jet), jet.g, raw)
+        assert row.estimate == pytest.approx(np.mean(values), rel=1e-13)
+        want_sem = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert abs(row.stderr - want_sem) <= 1e-13 * abs(row.estimate)

@@ -120,6 +120,29 @@ def test_zero_direction_rejected():
         holomorphic_sectional_curvature(R, jet.g, [0.0, 0.0])
 
 
+def test_stacked_hsc_matches_rows_and_keeps_every_check(rng):
+    model = Hitchin.make(2, "1/10")
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(4)]))
+    R, g = curvature_tensor(jet), jet.g
+    xi = np.array([random_direction(2, rng) for _ in range(4)])
+    K = holomorphic_sectional_curvature(R, g, xi)
+    assert K.shape == (4,)
+    for p in range(4):
+        assert K[p] == pytest.approx(holomorphic_sectional_curvature(R[p], g[p], xi[p]), rel=1e-14)
+    zero = xi.copy()
+    zero[1] = 0.0
+    with pytest.raises(ZeroDirectionError, match="zero direction"):
+        holomorphic_sectional_curvature(R, g, zero)
+    indefinite = g.copy()
+    indefinite[3] = np.diag([1.0, -1.0])
+    with pytest.raises(ZeroDirectionError, match="non-positive"):
+        holomorphic_sectional_curvature(R, indefinite, np.array([[0.0, 1.0]] * 4))
+    bad = R.copy()
+    bad[2, 0, 0, 0, 0] += 1j * np.abs(R).max()
+    with pytest.raises(ValueError, match="imaginary residue"):
+        holomorphic_sectional_curvature(bad, g, np.array([[1.0, 0.0]] * 4))
+
+
 def test_degenerate_metric_rejected():
     bad = flat_jet(2)
     jet = MetricJet(np.diag([1.0, -1.0]).astype(complex), bad.dg, bad.ddg)

@@ -323,6 +323,42 @@ def test_batch_hsc_rejects_imaginary_residue(rng):
         batch_hsc(R, g, np.array([[1.0, 0.5j], [0.3, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        FubiniStudy(1),
+        Hitchin.make(1, "1/3"),
+        Product(FubiniStudy(1), Hitchin.make(2, "1/10")),
+        Product(Hitchin.make(1, "1/3"), Hitchin.make(3, "1/21")),
+    ],
+    ids=["m1", "m2", "m3", "m4"],
+)
+def test_stacked_batch_hsc_matches_tensor_by_tensor(model, rng, monkeypatch):
+    monkeypatch.setattr(optimize, "_HSC_BLOCK", 64)
+    m = model.dimension
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(5)]))
+    R, g = curvature_tensor(jet), jet.g
+    xis = rng.standard_normal((150, m)) + 1j * rng.standard_normal((150, m))
+    K = batch_hsc(R, g, xis)
+    assert K.shape == (5, 150)
+    for p in range(5):
+        assert np.all(np.abs(K[p] - batch_hsc(R[p], g[p], xis)) <= 1e-13 * np.abs(K[p]))
+        want = np.array([holomorphic_sectional_curvature(R[p], g[p], xi) for xi in xis])
+        assert np.all(np.abs(K[p] - want) <= 1e-13 * np.abs(want))
+    # one metric broadcast against the stack of tensors
+    assert np.array_equal(batch_hsc(R, g[0], xis)[0], K[0])
+
+
+def test_stacked_batch_hsc_rejects_one_bad_tensor(rng):
+    model = Hitchin.make(1, "1/3")
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(4)]))
+    R = curvature_tensor(jet)
+    batch_hsc(R, jet.g, np.array([[1.0, 0.5j], [0.3, 1.0]]))
+    R[2, 0, 1, 1, 0] += 1e-6j * np.abs(R).max()
+    with pytest.raises(ValueError, match="imaginary residue"):
+        batch_hsc(R, jet.g, np.array([[1.0, 0.5j], [0.3, 1.0]]))
+
+
 _GENERAL_MODELS = {
     "fs3": FubiniStudy(3),
     "fs1xfs2": Product(FubiniStudy(1), FubiniStudy(2)),
@@ -349,6 +385,29 @@ def test_general_extrema_bracket_dense_sample(name):
         assert ex.min_residual <= 1e-11 * max(1.0, abs(ex.min_K))
         assert ex.max_residual <= 1e-11 * max(1.0, abs(ex.max_K))
         assert ex.converged
+
+
+_STACKED_MODELS = {**_GENERAL_MODELS, "fs2": FubiniStudy(2), "fs1": FubiniStudy(1)}
+
+
+@pytest.mark.parametrize("name", list(_STACKED_MODELS))
+def test_stacked_search_matches_row_by_row(name, monkeypatch):
+    model = _STACKED_MODELS[name]
+    rng = np.random.default_rng(MASTER_SEED)
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(6)]))
+    R = curvature_tensor(jet)
+    scored = []
+    monkeypatch.setattr(optimize, "batch_hsc", lambda *a: scored.append(a) or batch_hsc(*a))
+    ex = optimize.extremize_directions(R, jet.g, seed=3)
+    assert len(scored) == (1 if model.dimension >= 3 else 0)  # one scoring of all starts
+    monkeypatch.undo()
+    for p in range(len(R)):
+        one = extremize_direction(R[p], jet.g[p], seed=3)
+        for value, residual in (("min_K", "min_residual"), ("max_K", "max_residual")):
+            scale = max(1.0, abs(getattr(one, value)))
+            assert abs(getattr(ex, value)[p] - getattr(one, value)) <= 1e-14 * scale
+            assert abs(getattr(ex, residual)[p] - getattr(one, residual)) <= 1e-14 * scale
+        assert ex.converged[p] == one.converged
 
 
 @pytest.mark.parametrize("name", list(_GENERAL_MODELS))

@@ -9,7 +9,7 @@ from kahlerpinch import products
 from kahlerpinch.cli import main
 from kahlerpinch.geometry import curvature_tensor, holomorphic_sectional_curvature, norm_squared
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import extremize_direction
+from kahlerpinch.optimize import extremize_direction, extremize_directions
 from kahlerpinch.products import (
     CommonBoundError,
     factor_curvature_stats,
@@ -110,15 +110,22 @@ def test_verify_product_rejects_mismatched_bound():
 
 
 def _one_unconverged_search(monkeypatch, index):
-    """Make the index-th direction search of kahlerpinch.products report unconverged."""
+    """Make the index-th direction search of kahlerpinch.products report unconverged.
+
+    The searches are the rows of the stacked solves, counted across calls.
+    """
     calls = []
 
     def search(*args, **kwargs):
-        ex = extremize_direction(*args, **kwargs)
-        calls.append(ex)
-        return replace(ex, converged=False) if len(calls) == index + 1 else ex
+        ex = extremize_directions(*args, **kwargs)
+        first = len(calls)
+        calls.extend(range(first, first + len(ex.converged)))
+        converged = ex.converged.copy()
+        if first <= index < len(calls):
+            converged[index - first] = False
+        return replace(ex, converged=converged)
 
-    monkeypatch.setattr(products, "extremize_direction", search)
+    monkeypatch.setattr(products, "extremize_directions", search)
     return calls
 
 
