@@ -27,7 +27,6 @@ __all__ = [
     "SphereSampleConfig",
     "BergerEstimate",
     "BergerComparison",
-    "sample_directions",
     "berger_scalar",
     "berger_vs_trace",
 ]
@@ -95,22 +94,6 @@ def _gaussian_rows(m: int, count: int, rng: np.random.Generator, antithetic: boo
     raw.imag[:half] = rng.standard_normal((half, m))
     raw[half:] = raw[: count - half, ::-1]
     return raw
-
-
-def sample_directions(
-    g: np.ndarray, count: int, rng: np.random.Generator, antithetic: bool = False
-) -> np.ndarray:
-    """Uniform samples on the metric unit sphere.
-
-    The Gaussian rows of the sphere average's draw, normalised to Euclidean
-    unit length and pushed through the orthonormal frame, which realizes the
-    measure induced by the metric.  (The sphere average scores the same rows
-    in frame coordinates, with neither step.)  ``antithetic`` follows the
-    first ceil(count/2) draws with the mirrors of as many as fit.
-    """
-    raw = _gaussian_rows(g.shape[0], count, rng, antithetic)
-    raw /= np.linalg.norm(raw, axis=1)[:, None]
-    return raw @ orthonormal_frame(g).T
 
 
 def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> list[BergerEstimate]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -345,8 +346,7 @@ def _verify_row(n: int, args) -> dict:
 
     bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(n, s_star))
     cfg = SphereSampleConfig(sample_count=args.samples, seed=args.seed)
-    points = [model.fiber_point(r) for r in (0.0, 1.0, 9.0)]
-    rows = berger_vs_trace(model, points, cfg, bracket=bracket)
+    rows = berger_vs_trace(model, default_points(model), cfg, bracket=bracket)
     max_z = max(abs(r.zscore) for r in rows)
     berger_ok = all(abs(r.zscore) < args.zmax or r.near_exact for r in rows)
     bracket_ok = all(r.within_bracket for r in rows)
@@ -418,7 +418,13 @@ def cmd_verify(args):
     return _envelope("verify", params, {"rows": rows}, passed), csv_rows(), passed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process at its first use.
+
+    Parsing leaves the parser unchanged, so one instance serves every call
+    of :func:`main`.
+    """
     parser = _Parser(
         prog="kahlerpinch",
         description="Curvature pinching certification for built-in Kahler metric models.",

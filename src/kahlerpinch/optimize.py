@@ -24,11 +24,11 @@ quadratic form per tensor in the m^2 real coordinates of xi xi*
 (``batch_hsc``), evaluated as a matrix product over blocks of directions and
 over a stack of tensors.
 The fiber sweep solves its grid, t = 1 included, through one stacked cell
-function, and refines an extreme cell inside the grid by bounded Brent (Brent
-1973) in the fiber parameter, whose objective computes K alone.  Both
-searches are implemented here, on numpy alone.  Stationarity is certified
-through the analytic gradient of K, whose full Euclidean norm vanishes at
-extremal directions.
+function, and refines an extreme cell inside the grid by zooming on the
+bracket of its grid neighbours: each round is one call of the same stacked
+solve on interior samples of the bracket.  Stationarity is certified through
+the analytic gradient of K, whose full Euclidean norm vanishes at extremal
+directions.
 """
 from __future__ import annotations
 
@@ -81,8 +81,13 @@ _GRADIENT_TOL = 1e-12
 _MAX_ITER = 100
 # Newton steps on the trust-region boundary equation.
 _TRUST_REGION_ITER = 50
-# Evaluations of the bounded Brent refine.
-_BRENT_MAX_EVAL = 500
+# Interior samples of the bracket per round of the fiber refine.
+_ZOOM = 16
+# The fiber refine stops once its bracket is within twice this width in t.
+_REFINE_XTOL = 1e-9
+# An extremum is unconverged when its stationarity residual exceeds this
+# fraction of max(1, |K|).
+_RESIDUAL_TOL = 1e-4
 # Ulps in a rounding floor: of the largest term of the S^2 quadratic for its
 # extrema, and of |K| for the decreases the Newton search can tell apart.
 _ROUNDING_ULPS = 4.0
@@ -314,22 +319,21 @@ def _extremize_sphere(R: np.ndarray, F: np.ndarray):
     return v_min, min_K, v_max, max_K, floor
 
 
-def _direction_extrema(
-    R, g, xi_min, min_K, xi_max, max_K, residual_tol, floor=0.0
-) -> DirectionExtrema:
+def _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor=0.0) -> DirectionExtrema:
     """Residuals and convergence flags at given extremizers, stacked.
 
     An extremum is converged when its residual, and the solve's rounding
-    ``floor``, are within ``residual_tol`` times max(1, |K|).
+    ``floor``, are within ``_RESIDUAL_TOL`` times max(1, |K|).
     """
     res_min, res_max = _residual(R, g, xi_min), _residual(R, g, xi_max)
-    converged = (np.maximum(res_min, floor) <= residual_tol * np.maximum(1.0, np.abs(min_K))) & (
-        np.maximum(res_max, floor) <= residual_tol * np.maximum(1.0, np.abs(max_K))
+    tol = _RESIDUAL_TOL
+    converged = (np.maximum(res_min, floor) <= tol * np.maximum(1.0, np.abs(min_K))) & (
+        np.maximum(res_max, floor) <= tol * np.maximum(1.0, np.abs(max_K))
     )
     return DirectionExtrema(min_K, max_K, xi_min, xi_max, res_min, res_max, converged)
 
 
-def _extremize_surfaces(R: np.ndarray, g: np.ndarray, residual_tol: float):
+def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     """Exact extrema of K over stacked two-dimensional tangent spaces.
 
     Returns the stacked DirectionExtrema and the Bloch vectors of its
@@ -338,7 +342,7 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray, residual_tol: float):
     F = orthonormal_frame(g)
     v_min, min_K, v_max, max_K, floor = _extremize_sphere(R, F)
     xi_min, xi_max = _bloch_direction(F, v_min), _bloch_direction(F, v_max)
-    ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol, floor)
+    ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor)
     return ex, v_min, v_max
 
 
@@ -516,12 +520,7 @@ def _local_search(Rhat, F, c0, sign: float, gtol: float) -> np.ndarray:
     return xi / np.linalg.norm(xi)
 
 
-def extremize_directions(
-    R: np.ndarray,
-    g: np.ndarray,
-    residual_tol: float = 1e-4,
-    seed: int = 0,
-) -> DirectionExtrema:
+def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> DirectionExtrema:
     """Extrema of K over the unit spheres of a stack of tangent spaces.
 
     R and g carry a leading point axis, (P, m, m, m, m) and (P, m, m); the
@@ -535,15 +534,15 @@ def extremize_directions(
     are K, and the residuals the analytic K-gradient norms, at the returned
     extremizers, the numerical counterpart of the constrained stationarity
     conditions.  A row is flagged unconverged when either residual exceeds
-    ``residual_tol`` scaled by the curvature magnitude (for surfaces, also
+    ``_RESIDUAL_TOL`` scaled by the curvature magnitude (for surfaces, also
     when the solve's rounding floor does).  Both the exact solve and the
-    Newton search reach residuals near rounding, about 1e-12 relative, so the
-    default leaves a wide margin.
+    Newton search reach residuals near rounding, about 1e-12 relative, so
+    that tolerance leaves a wide margin.
     """
     R, g = np.asarray(R, dtype=complex), np.asarray(g, dtype=complex)
     m = g.shape[-1]
     if m == 2:
-        ex, _, _ = _extremize_surfaces(R, g, residual_tol)
+        ex, _, _ = _extremize_surfaces(R, g)
         return ex
     F = orthonormal_frame(g)
     if m == 1:
@@ -559,20 +558,15 @@ def extremize_directions(
                 xi[p] = _local_search(Rhat[p], F[p], cands[i], sign, gtol)
     min_K = holomorphic_sectional_curvature(R, g, xi_min)
     max_K = holomorphic_sectional_curvature(R, g, xi_max)
-    return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, residual_tol)
+    return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K)
 
 
-def extremize_direction(
-    R: np.ndarray,
-    g: np.ndarray,
-    residual_tol: float = 1e-4,
-    seed: int = 0,
-) -> DirectionExtrema:
+def extremize_direction(R: np.ndarray, g: np.ndarray, seed: int = 0) -> DirectionExtrema:
     """Extrema of K over the unit sphere of one tangent space.
 
     The one-row stack of :func:`extremize_directions`, with float fields.
     """
-    ex = extremize_directions(np.asarray(R)[None], np.asarray(g)[None], residual_tol, seed)
+    ex = extremize_directions(np.asarray(R)[None], np.asarray(g)[None], seed)
     return DirectionExtrema(
         float(ex.min_K[0]),
         float(ex.max_K[0]),
@@ -643,74 +637,7 @@ class PinchingReport:
             yield (t, lo, hi)
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float):
-    """(x, func(x), evaluations) at a minimum of the scalar ``func`` on [lo, hi].
-
-    Bounded Brent (Brent, "Algorithms for Minimization without Derivatives",
-    1973, ch. 5): parabolic steps through the three best points where they
-    fall inside the bracket and shrink it fast enough, golden-section steps
-    otherwise, never closer than tol1 = sqrt(eps)|x| + xatol/3 to a point
-    already evaluated, until the bracket is within 2 tol1 of its best point.
-    This transcribes, step for step, the bounded method of SciPy's
-    ``minimize_scalar``, whose iteration count is its evaluation count, so it
-    visits the same points and reports the same count.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)  # the transcribed constant, not the exact machine epsilon
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    x = w = v = a + golden * (b - a)  # best, second best and previous second best
-    fx = fw = fv = func(x)
-    nfev, d, e = 1, 0.0, 0.0  # d: the last step, e: the step before it
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(x) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a):
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if not parabolic:
-            e = a - x if x >= xm else b - x
-            d = golden * e
-        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
-        fu = func(u)
-        nfev += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= _BRENT_MAX_EVAL:
-            break
-    return x, fx, nfev
-
-
-def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol):
+def _fiber_cells(model: Hitchin, t: np.ndarray):
     """Direction extrema at the fiber samples t of :meth:`Hitchin.fiber_jet`, one stacked solve.
 
     Returns arrays over t with a last axis (min, max): K (samples, 2), the
@@ -718,7 +645,7 @@ def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol):
     residuals (samples, 2), and the convergence flags (samples,).
     """
     jet = model.fiber_jet(t)
-    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, residual_tol)
+    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g)
     return (
         np.stack([ex.min_K, ex.max_K], axis=-1),
         np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),
@@ -727,13 +654,33 @@ def _fiber_cells(model: Hitchin, t: np.ndarray, residual_tol):
     )
 
 
-def sweep_fiber(
-    model: Hitchin,
-    grid: int = 512,
-    tol: float = 1e-9,
-    residual_tol: float = 1e-4,
-    seed: int = 0,
-) -> PinchingReport:
+def _zoom(model: Hitchin, j: int, sign: float, lo: float, hi: float, cell: tuple):
+    """(cell, samples solved) for the extremum j (sign +1 the minimum, -1 the maximum) on (lo, hi).
+
+    ``cell`` = (t, K, weights, residual, converged) is the best so far, inside
+    the bracket.  Each round solves ``_ZOOM`` interior samples of the bracket
+    in one :func:`_fiber_cells` call, and a sample replaces the cell only when
+    it beats it strictly.  The bracket then shrinks to the cell's nearest
+    neighbours among the round's points, whether or not a sample beat it, by
+    a factor (``_ZOOM`` + 1)/2 or more, until it is within twice
+    ``_REFINE_XTOL``; there is no early stop, so the bracket and the
+    tolerance bound the number of rounds.
+    """
+    solved = 0
+    while hi - lo > 2.0 * _REFINE_XTOL:
+        points = np.linspace(lo, hi, _ZOOM + 2)
+        t = points[1:-1]
+        K, weights, residual, converged = _fiber_cells(model, t)
+        solved += len(t)
+        k = int(np.argmin(sign * K[:, j]))
+        if sign * K[k, j] < sign * cell[1]:
+            cell = (t[k], K[k, j], weights[k, j], residual[k, j], converged[k])
+        lo = points[np.searchsorted(points, cell[0]) - 1]
+        hi = points[np.searchsorted(points, cell[0], side="right")]
+    return cell, solved
+
+
+def sweep_fiber(model: Hitchin, grid: int = 512, seed: int = 0) -> PinchingReport:
     """Extremize K over the compactified central fiber and all directions.
 
     Sweeps t = r/(1+r) over a uniform grid on [0, 1] in stacks of
@@ -742,20 +689,16 @@ def sweep_fiber(
     closed form is read, and the samples near t = 1 keep full precision.
     A grid extremum that ties with t = 1 (within 1e-9 relative) is reported
     there, where both extremal directions coexist.  Any other extreme cell
-    inside the grid is refined by a bounded search in t between its grid
-    neighbours, to the x-tolerance ``tol``, whose objective computes K alone;
-    the full cell is solved at the refined t only when it beats the grid
-    cell.  ``seed`` is recorded in the method data; the exact solve draws no
-    random numbers.
+    inside the grid is refined by :func:`_zoom` on the bracket of its grid
+    neighbours, to the t-tolerance ``_REFINE_XTOL``, through the same stacked
+    solve; the reported cell comes out of that solve.  ``seed`` is recorded
+    in the method data; the exact solve draws no random numbers.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     require_admissible(model.n, model.s_exact if model.s_exact is not None else model.s)
     ts = np.linspace(0.0, 1.0, grid)
-    blocks = (
-        _fiber_cells(model, ts[i : i + _FIBER_BLOCK], residual_tol)
-        for i in range(0, grid, _FIBER_BLOCK)
-    )
+    blocks = (_fiber_cells(model, ts[i : i + _FIBER_BLOCK]) for i in range(0, grid, _FIBER_BLOCK))
     K, weights, residual, converged = (np.concatenate(x) for x in zip(*blocks))
 
     extremes, refine_iters = [], 0
@@ -765,17 +708,8 @@ def sweep_fiber(
             i = grid - 1
         cell = (ts[i], K[i, j], weights[i, j], residual[i, j], converged[i])
         if 0 < i < grid - 1:
-            x, fx, nfev = _bounded_brent(
-                lambda x: sign * _surface_extrema(model.fiber_jet(np.array([x])))[j][0],
-                float(ts[i - 1]),
-                float(ts[i + 1]),
-                tol,
-            )
-            refine_iters += nfev
-            if fx < sign * K[i, j]:
-                t = np.array([x])
-                Kt, wt, rt, ct = _fiber_cells(model, t, residual_tol)
-                cell = (t[0], Kt[0, j], wt[0, j], rt[0, j], ct[0])
+            cell, solved = _zoom(model, j, sign, ts[i - 1], ts[i + 1], cell)
+            refine_iters += solved
         extremes.append(cell)
     (t_min, min_K, w_min, r_min, c_min), (t_max, max_K, w_max, r_max, c_max) = extremes
 
@@ -789,8 +723,8 @@ def sweep_fiber(
         converged=bool(c_min and c_max),
         method={
             "grid": grid,
-            "tol": tol,
-            "residual_tol": residual_tol,
+            "tol": _REFINE_XTOL,
+            "residual_tol": _RESIDUAL_TOL,
             "seed": seed,
             "refine_iterations": refine_iters,
             "unconverged_cells": int(np.count_nonzero(~converged)),

@@ -62,7 +62,7 @@ def test_stacked_jet_curvature_and_frame_match_rows(model, rng):
 def test_stacked_surface_extrema_match_rows(model, rng):
     z = _stack(model, rng)
     jet = model.metric_jet(z)
-    ex, _, _ = _extremize_surfaces(curvature_tensor(jet), jet.g, 1e-4)
+    ex, _, _ = _extremize_surfaces(curvature_tensor(jet), jet.g)
     for i, zi in enumerate(z):
         row = model.metric_jet(zi)
         one = extremize_direction(curvature_tensor(row), row.g)
@@ -84,7 +84,7 @@ def test_stacked_surface_extrema_match_rows(model, rng):
 def test_bloch_weights_match_direction_weights(model, rng):
     z = _stack(model, rng, rows=12)
     jet = model.metric_jet(z)
-    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, 1e-4)
+    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g)
     for i in range(len(z)):
         for v, xi in ((v_min[i], ex.argmin[i]), (v_max[i], ex.argmax[i])):
             bloch = np.array([(1.0 + v[2]) / 2.0, (1.0 - v[2]) / 2.0])

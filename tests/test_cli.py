@@ -275,6 +275,22 @@ def test_help_exits_zero(capsys):
         assert capsys.readouterr().out.startswith("usage: kahlerpinch")
 
 
+def test_parser_is_built_once_and_survives_errors(capsys):
+    from kahlerpinch.cli import build_parser
+
+    assert main(["pinch", "--n", "x"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    runs = [run_cli(capsys, "sweep-s", "--n", "2", "--points", "50") for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert build_parser() is build_parser()
+    # Importing the command line builds no parser; the first call does.
+    proc = _run_child(
+        "-c", "import kahlerpinch.cli as c; print(c.build_parser.cache_info().currsize)"
+    )
+    assert proc.returncode == 0 and proc.stdout.split() == ["0"], proc.stderr
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["pinch", "--n", "1", "--grid", "16", "--out", str(target)])
