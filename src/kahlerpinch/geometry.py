@@ -13,7 +13,9 @@ m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
 ``curvature_tensor``, ``orthonormal_frame``, ``norm_squared``,
 ``holomorphic_sectional_curvature`` and ``hsc_gradient`` act on the whole
 stack at once through ``...`` einsum subscripts and batched ``np.linalg``; a
-single point is the stack with no batch axis.
+single point is the stack with no batch axis.  A kernel may move the stack
+axes last inside, so that numpy's inner loops run over the stack; its inputs
+and results keep the convention above.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -164,11 +166,13 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
     Implements
         R[i,j,k,l] = -ddg[i,j,k,l]
                      + sum_{p,q} g^{p qbar} dg[i,p,k] conj(dg[j,q,l]),
-    with conj(dg[j,q,l]) = d g_{q jbar} / d zbar_l.
+    with conj(dg[j,q,l]) = d g_{q jbar} / d zbar_l.  The sum is the matrix
+    product D g^{-1} D^H with D[(i,k), p] = dg[i,p,k], an (m^2, m) matrix.
     """
     ginv = inverse_metric(jet.g)
-    quad = np.einsum("...pq,...ipk,...jql->...ijkl", ginv, jet.dg, jet.dg.conj())
-    return -jet.ddg + quad
+    D = jet.dg.swapaxes(-1, -2).reshape(jet.ddg.shape[:-4] + (-1, jet.dimension))
+    quad = np.einsum("...pq,...ap,...bq->...ab", ginv, D, D.conj()).reshape(jet.ddg.shape)
+    return -jet.ddg + quad.swapaxes(-3, -2)
 
 
 def norm_squared(g: np.ndarray, xi: np.ndarray):

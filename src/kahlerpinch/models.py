@@ -93,12 +93,13 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     stack of points gives a stacked jet; ``w`` broadcasts over the index axes.
     """
     w = np.asarray(kernel.w, dtype=float)
-    # Powers w**k per element as numpy scalars, through the C library's pow:
+    # Powers w**k (k >= 2) per element as Python floats, through the C library's pow:
     # numpy's vectorised power takes a SIMD path on some hosts (AVX-512) whose
     # last bit can differ from it, and the jets should not depend on the host.
-    flat = w.ravel()
+    flat = w.ravel().tolist()
     # wg[k], wdg[k], wddg[k] hold w**k shaped to broadcast over g, dg and ddg.
-    powers = [np.array([x**k for x in flat]).reshape(w.shape) for k in range(5)]
+    powers = [np.ones_like(w), w]
+    powers += [np.array([x**k for x in flat]).reshape(w.shape) for k in (2, 3, 4)]
     wg, wdg, wddg = ([p.reshape(w.shape + (1,) * rank) for p in powers] for rank in (2, 3, 4))
     dw, dwb = kernel.dw, kernel.dwb
     d2w, d2wb, dmix = kernel.d2w, kernel.d2wb, kernel.dmix

@@ -8,7 +8,10 @@ w = 0 of the chart (z1, w = 1/z2), an ordinary sample (``Hitchin.fiber_jet``).
 The extrema over the directions of a two-dimensional tangent space are exact:
 there the direction lines form the Bloch sphere S^2, on which K is a quadratic
 v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
-(Gander, Golub and von Matt, "A constrained eigenvalue problem", 1989).  The
+(Gander, Golub and von Matt, "A constrained eigenvalue problem", 1989): 15 unit
+candidates per tangent space, which hold the extremizers in the hard case too.
+A spurious candidate is a point of the sphere as well, so it can tie with an
+extremum but never beat it.  The
 weight quadratic of the Hirzebruch family is extremized exactly on its
 interval.  The two-dimensional solve is stacked: the fiber sweep and the 2-d
 grid check hand it all their tangent spaces at once, and a single tangent
@@ -68,9 +71,10 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # Compactified fiber samples per parameter value in sweep_s, t = 1 included.
 _SWEEP_T_POINTS = 65
-# Fiber samples per stacked solve in sweep_fiber: bounds the memory of the
-# stack's intermediates (54 KKT candidates per sample) at no cost in speed.
-_FIBER_BLOCK = 128
+# Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
+# buffers that grow with the block.  Grid-512 sweeps on a 2-core VM: 26.5, 19.6
+# and 22.6 ms at 128, 256 and 512; certify-fiber peak RSS 36.6, 36.6, 37.4 MB.
+_FIBER_BLOCK = 256
 # Directions per matrix product in batch_hsc: bounds its (rows, m^2) buffers.
 _HSC_BLOCK = 8192
 _EPS = float(np.finfo(float).eps)
@@ -96,6 +100,11 @@ _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
     dtype=complex,
 )
+# 1/2 sigma_m (x) sigma_n as a (16, 16) matrix, rows ab cd, columns mn: Rhat's
+# flattened contraction with it is M_mn = sum Rhat_abcd sigma_m,ab sigma_n,cd / 2.
+_BLOCH = 0.5 * np.einsum("mab,ncd->abcdmn", _PAULI, _PAULI).reshape(16, 16)
+# +e_j and -e_j for j = 0, 1, 2, shape (3, 2, 3): the hard-case completions.
+_COMPLETION = np.eye(3)[:, None, :] * np.array([1.0, -1.0])[:, None]
 
 
 def _hermitian_coordinates(xis: np.ndarray) -> np.ndarray:
@@ -204,23 +213,31 @@ def _frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Rhat = R(F., conj(F)., F., conj(F).), the curvature tensor in the frame F, stacked.
 
     In the frame the metric is the identity, so K(F c) = 2 sum Rhat_abcd c_a
-    conj(c_b) c_c conj(c_d) / |c|^4 for every nonzero c in C^m.
+    conj(c_b) c_c conj(c_d) / |c|^4 for every nonzero c in C^m.  R and F share
+    their leading axes, which the contractions flatten and move last, so that
+    numpy's inner loops run over the stack rather than over index axes of length m.
     """
-    Rhat = np.einsum("...ijkl,...ld->...ijkd", R, F.conj())
-    Rhat = np.einsum("...ijkd,...kc->...ijcd", Rhat, F)
-    Rhat = np.einsum("...ijcd,...jb->...ibcd", Rhat, F.conj())
-    return np.einsum("...ibcd,...ia->...abcd", Rhat, F)
+    shape, m = R.shape, R.shape[-1]
+    R = np.ascontiguousarray(R.reshape(-1, m**4).T).reshape((m,) * 4 + (-1,))
+    F = np.ascontiguousarray(F.reshape(-1, m * m).T).reshape(m, m, -1)
+    Rhat = np.einsum("ijkl...,ld...->ijkd...", R, F.conj())
+    Rhat = np.einsum("ijkd...,kc...->ijcd...", Rhat, F)
+    Rhat = np.einsum("ijcd...,jb...->ibcd...", Rhat, F.conj())
+    Rhat = np.einsum("ibcd...,ia...->abcd...", Rhat, F)
+    return np.moveaxis(Rhat, -1, 0).reshape(shape)
 
 
 def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     """(A, b, c0) with K(F c) = v.A v + b.v + c0 for unit c, c c* = (I + v.sigma)/2.
 
     In the frame, K(F c) = 2 sum Rhat_abcd P_ab P_cd with P = c c* =
-    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v).  Stacked
-    over the leading axes of R and F.
+    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v), here
+    one contraction of the flattened Rhat with ``_BLOCH``.  Stacked over the
+    leading axes of R and F.
     """
-    Rhat = _frame_tensor(R, F)
-    M = 0.5 * np.einsum("...abcd,mab,ncd->...mn", Rhat, _PAULI, _PAULI).real
+    batch = R.shape[:-4]
+    M = np.einsum("...p,pq->...q", _frame_tensor(R, F).reshape(batch + (16,)), _BLOCH).real
+    M = M.reshape(batch + (4, 4))
     M = 0.5 * (M + M.swapaxes(-1, -2))
     return M[..., 1:, 1:], 2.0 * M[..., 0, 1:], M[..., 0, 0]
 
@@ -228,14 +245,17 @@ def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
 def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
     """Unit vectors (rows) among which lie all KKT points of v.A v + b.v on S^2.
 
-    A KKT point solves (A - mu) v = -b/2 with |v| = 1.  Its multiplier mu is a
-    real eigenvalue of [[A, -I], [-b b^T/4, A]], or, in the hard case, an
-    eigenvalue of A, where v is completed to unit length along an eigenvector
-    of that eigenvalue.  Every multiplier of both spectra is tried: a spurious
-    one still yields a point of the sphere, which is harmless as a candidate.
+    A KKT point solves (A - mu) v = -b/2 with |v| = 1: in the eigenbasis Q of
+    A, w_j = -beta_j/(lam_j - mu) with beta = Q^T b/2.  Its multiplier mu is a
+    real eigenvalue of [[A, -I], [-b b^T/4, A]], or, in the hard case, within
+    1e-12 of an eigenvalue lam_j of A, where w_j is free.  So the 15
+    candidates are w(mu) for the 9 multipliers of both spectra, with w_j = 0
+    where mu is that close to lam_j, and the completions w(lam_j) +- fill e_j
+    to unit length.  Each is normalised onto the sphere, so a spurious one
+    can tie with the extremum but never beat it.
 
     Stacked over the leading axes of A (..., 3, 3) and b (..., 3): returns the
-    candidates (..., C, 3) and a mask (..., C) of those that exist, which is
+    candidates (..., 15, 3) and a mask (..., 15) of those that exist, which is
     every candidate but a zero vector.
     """
     lam, Q = np.linalg.eigh(A)
@@ -249,15 +269,9 @@ def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
     scale = np.maximum(1.0, np.maximum(np.abs(lam).max(axis=-1), np.abs(beta).max(axis=-1)))
     singular = np.abs(gap) <= 1e-12 * scale[..., None, None]
     w = -beta[..., None, :] / np.where(singular, np.inf, gap)
-    fill = np.sqrt(np.maximum(0.0, 1.0 - np.sum(w * w, axis=-1)))
-    W = np.concatenate(
-        [
-            w + sign * np.where(singular[..., j], fill, 0.0)[..., None] * np.eye(3)[j]
-            for j in range(3)
-            for sign in (1.0, -1.0)
-        ],
-        axis=-2,
-    )
+    fill = np.sqrt(np.maximum(0.0, 1.0 - np.sum(w[..., 6:, :] ** 2, axis=-1)))
+    hard = w[..., 6:, None, :] + fill[..., None, None] * _COMPLETION
+    W = np.concatenate([w, hard.reshape(w.shape[:-2] + (6, 3))], axis=-2)
     norm = np.linalg.norm(W, axis=-1)
     valid = norm > 0.0
     W /= np.where(valid, norm, 1.0)[..., None]
@@ -344,12 +358,6 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     xi_min, xi_max = _bloch_direction(F, v_min), _bloch_direction(F, v_max)
     ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor)
     return ex, v_min, v_max
-
-
-def _surface_extrema(jet):
-    """Exact (min_K, max_K) over the stacked two-dimensional tangent spaces of ``jet``, K only."""
-    _, min_K, _, max_K, _ = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
-    return min_K, max_K
 
 
 def _start_candidates(m: int, seed: int) -> np.ndarray:
@@ -773,7 +781,8 @@ def grid_2d_verify(
     circles = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * angs)
     z1 = np.concatenate([[0.0], circles.ravel()])
     z = np.stack(np.broadcast_arrays(z1[:, None], np.sqrt(tvals / (1.0 - tvals))), axis=-1)
-    lo, hi = _surface_extrema(model.metric_jet(z))
+    jet = model.metric_jet(z)
+    _, lo, _, hi, _ = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
     fiber_min, fiber_max = float(lo[0].min()), float(hi[0].max())
     off_min = float(lo[1:].min(initial=math.inf))
     off_max = float(hi[1:].max(initial=-math.inf))
