@@ -88,62 +88,76 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     """Metric jet of the potential log(w) from the kernel jet of w.
 
     The three returned arrays are the mixed Wirtinger derivatives of log(w) of
-    orders (1,1), (2,1) and (2,2), expanded by the chain and product rules.
-    Every einsum carries the leading ``...`` batch axes of the kernel, so a
-    stack of points gives a stacked jet; ``w`` broadcasts over the index axes.
+    orders (1,1), (2,1) and (2,2), expanded by the chain and product rules,
+    with the leading batch axes of the kernel, C-contiguous.
+
+    The batch axes are flattened into one stack axis, and each kernel field is
+    copied once to a contiguous layout with that axis last, so that numpy's
+    inner loops run over the stack rather than over index axes of length m;
+    g, dg and ddg are copied back to the stack-first layout at the end.  Every
+    product is an einsum: it multiplies each element's factors in the same
+    order whatever the layout or the stack size, so a point gets the same bits
+    alone as in a stack, which ``@`` and broadcast multiplication do not promise.
     """
     w = np.asarray(kernel.w, dtype=float)
+    m = kernel.dw.shape[-1]
+
+    def stack_last(field, rank):
+        return field.reshape(-1, m**rank).T.copy().reshape((m,) * rank + (-1,))
+
+    def stack_first(part):
+        return part.reshape(-1, part.shape[-1]).T.copy().reshape(w.shape + part.shape[:-1])
+
     # Powers w**k (k >= 2) per element as Python floats, through the C library's pow:
     # numpy's vectorised power takes a SIMD path on some hosts (AVX-512) whose
     # last bit can differ from it, and the jets should not depend on the host.
     flat = w.ravel().tolist()
-    # wg[k], wdg[k], wddg[k] hold w**k shaped to broadcast over g, dg and ddg.
-    powers = [np.ones_like(w), w]
-    powers += [np.array([x**k for x in flat]).reshape(w.shape) for k in (2, 3, 4)]
-    wg, wdg, wddg = ([p.reshape(w.shape + (1,) * rank) for p in powers] for rank in (2, 3, 4))
-    dw, dwb = kernel.dw, kernel.dwb
-    d2w, d2wb, dmix = kernel.d2w, kernel.d2wb, kernel.dmix
-    d3w, d3wb, d4w = kernel.d3w, kernel.d3wb, kernel.d4w
+    w1 = w.reshape(-1)
+    w2, w3, w4 = (np.array([x**k for x in flat]) for k in (2, 3, 4))
+    dw, dwb = stack_last(kernel.dw, 1), stack_last(kernel.dwb, 1)
+    d2w, d2wb, dmix = (stack_last(f, 2) for f in (kernel.d2w, kernel.d2wb, kernel.dmix))
+    d3w, d3wb = stack_last(kernel.d3w, 3), stack_last(kernel.d3wb, 3)
+    d4w = stack_last(kernel.d4w, 4)
 
-    g = dmix / wg[1] - np.einsum("...i,...j->...ij", dw, dwb) / wg[2]
+    g = dmix / w1 - np.einsum("i...,j...->ij...", dw, dwb) / w2
 
     dg = (
-        np.einsum("...ikj->...ijk", d3w) / wdg[1]
+        np.einsum("ikj...->ijk...", d3w) / w1
         - (
-            np.einsum("...kj,...i->...ijk", dmix, dw)
-            + np.einsum("...ij,...k->...ijk", dmix, dw)
-            + np.einsum("...ik,...j->...ijk", d2w, dwb)
+            np.einsum("kj...,i...->ijk...", dmix, dw)
+            + np.einsum("ij...,k...->ijk...", dmix, dw)
+            + np.einsum("ik...,j...->ijk...", d2w, dwb)
         )
-        / wdg[2]
-        + 2.0 * np.einsum("...i,...k,...j->...ijk", dw, dw, dwb) / wdg[3]
+        / w2
+        + 2.0 * np.einsum("i...,k...,j...->ijk...", dw, dw, dwb) / w3
     )
 
     ddg = (
-        np.einsum("...ikjl->...ijkl", d4w) / wddg[1]
+        np.einsum("ikjl...->ijkl...", d4w) / w1
         - (
-            np.einsum("...ikj,...l->...ijkl", d3w, dwb)
-            + np.einsum("...ikl,...j->...ijkl", d3w, dwb)
-            + np.einsum("...kjl,...i->...ijkl", d3wb, dw)
-            + np.einsum("...ijl,...k->...ijkl", d3wb, dw)
-            + np.einsum("...ij,...kl->...ijkl", dmix, dmix)
-            + np.einsum("...kj,...il->...ijkl", dmix, dmix)
-            + np.einsum("...ik,...jl->...ijkl", d2w, d2wb)
+            np.einsum("ikj...,l...->ijkl...", d3w, dwb)
+            + np.einsum("ikl...,j...->ijkl...", d3w, dwb)
+            + np.einsum("kjl...,i...->ijkl...", d3wb, dw)
+            + np.einsum("ijl...,k...->ijkl...", d3wb, dw)
+            + np.einsum("ij...,kl...->ijkl...", dmix, dmix)
+            + np.einsum("kj...,il...->ijkl...", dmix, dmix)
+            + np.einsum("ik...,jl...->ijkl...", d2w, d2wb)
         )
-        / wddg[2]
+        / w2
         + 2.0
         * (
-            np.einsum("...ij,...k,...l->...ijkl", dmix, dw, dwb)
-            + np.einsum("...kj,...i,...l->...ijkl", dmix, dw, dwb)
-            + np.einsum("...il,...k,...j->...ijkl", dmix, dw, dwb)
-            + np.einsum("...kl,...i,...j->...ijkl", dmix, dw, dwb)
-            + np.einsum("...jl,...i,...k->...ijkl", d2wb, dw, dw)
-            + np.einsum("...ik,...j,...l->...ijkl", d2w, dwb, dwb)
+            np.einsum("ij...,k...,l...->ijkl...", dmix, dw, dwb)
+            + np.einsum("kj...,i...,l...->ijkl...", dmix, dw, dwb)
+            + np.einsum("il...,k...,j...->ijkl...", dmix, dw, dwb)
+            + np.einsum("kl...,i...,j...->ijkl...", dmix, dw, dwb)
+            + np.einsum("jl...,i...,k...->ijkl...", d2wb, dw, dw)
+            + np.einsum("ik...,j...,l...->ijkl...", d2w, dwb, dwb)
         )
-        / wddg[3]
-        - 6.0 * np.einsum("...i,...k,...j,...l->...ijkl", dw, dw, dwb, dwb) / wddg[4]
+        / w3
+        - 6.0 * np.einsum("i...,k...,j...,l...->ijkl...", dw, dw, dwb, dwb) / w4
     )
 
-    return MetricJet(g, dg, ddg)
+    return MetricJet(stack_first(g), stack_first(dg), stack_first(ddg))
 
 
 def _as_point(z, m: int) -> np.ndarray:
@@ -322,12 +336,17 @@ class Hitchin:
             self.fiber_kernel(z).w
         )
 
-    def _jet(self, fiber_kernel, z) -> MetricJet:
-        """Jet of log(base kernel) + s log(fiber_kernel) at the points z of its chart."""
+    def _jet(self, fiber_kernel, z, base: MetricJet | None = None) -> MetricJet:
+        """Jet of log(base kernel) + s log(fiber_kernel) at the points z of its chart.
+
+        ``base``, if given, is the jet of log(base kernel) already evaluated,
+        one row that broadcasts over the rows of z.
+        """
 
         def jet_of(rows):
-            base, fiber, s = log_jet(self.base_kernel(rows)), log_jet(fiber_kernel(rows)), self.s
-            return MetricJet(base.g + s * fiber.g, base.dg + s * fiber.dg, base.ddg + s * fiber.ddg)
+            b = log_jet(self.base_kernel(rows)) if base is None else base
+            fiber, s = log_jet(fiber_kernel(rows)), self.s
+            return MetricJet(b.g + s * fiber.g, b.dg + s * fiber.dg, b.ddg + s * fiber.ddg)
 
         return _jet_on_rows(jet_of, z, 2)
 
@@ -354,14 +373,22 @@ class Hitchin:
         t = 1 is w = 0.  Both metrics and the Jacobian diag(1, -1/z2^2) of the
         chart change are diagonal on z1 = 0, so frame weights agree.  A t
         outside [0, 1] gives a negative radius, a ValueError.
+
+        The base kernel 1 + |z1|^2 depends on z1 alone, and every sample of
+        both charts has z1 = 0 exactly, so the jet of its logarithm is taken
+        once, on a one-row stack at z1 = 0, and broadcast into the sum of
+        both charts.  :func:`log_jet` gives a row the same bits alone as in a
+        stack, and the broadcast sum adds element by element, so every row
+        gets the bits of evaluating the base at that row.
         """
         t = np.asarray(t, dtype=float)
         far = t > 0.5
         radius = np.where(far, 1.0 - t, t) / np.where(far, t, 1.0 - t)
+        base = log_jet(self.base_kernel(np.zeros((1, 2))))
         arrays = [np.empty(t.shape + (2,) * rank, dtype=complex) for rank in (2, 3, 4)]
         for rows, kernel in ((~far, self.fiber_kernel), (far, self.far_kernel)):
             if rows.any():
-                jet = self._jet(kernel, self.fiber_point(radius[rows]))
+                jet = self._jet(kernel, self.fiber_point(radius[rows]), base)
                 for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
                     out[rows] = part
         return MetricJet(*arrays)

@@ -72,8 +72,9 @@ _TWO_PI = 2.0 * math.pi
 # Compactified fiber samples per parameter value in sweep_s, t = 1 included.
 _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
-# buffers that grow with the block.  Grid-512 sweeps on a 2-core VM: 26.5, 19.6
-# and 22.6 ms at 128, 256 and 512; certify-fiber peak RSS 36.6, 36.6, 37.4 MB.
+# buffers that grow with the block.  Grid-512 sweeps (n = 1, 3, 6 at s*, lower
+# quartiles on a 2-core VM): 20.8, 16.4 and 15.5 ms at 128, 256 and 512;
+# certify-fiber peak RSS 36.6, 36.7 and 37.6 MB, so 512 buys 5 % for 0.9 MB.
 _FIBER_BLOCK = 256
 # Directions per matrix product in batch_hsc: bounds its (rows, m^2) buffers.
 _HSC_BLOCK = 8192

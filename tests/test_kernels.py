@@ -66,15 +66,29 @@ def test_curvature_and_frame_tensor_are_stack_invariant(model, kind):
         _assert_stack_invariant(_bloch_quadratic, (R, F))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_log_jet_is_stack_invariant(m):
-    model = FubiniStudy(m)
-    kernel = model.kernel(_points(model))
+def _log_jet_cases():
+    fs = [pytest.param(FubiniStudy(m), "kernel", "off", id=str(m)) for m in (1, 2, 3, 4)]
+    hitchin = Hitchin.make(3, "1/21")
+    return fs + [
+        pytest.param(hitchin, kernel, where, id=f"hitchin-{kernel.split('_')[0]}-{where}")
+        for kernel in ("base_kernel", "fiber_kernel", "far_kernel")
+        for where in ("fiber", "off")
+    ]
+
+
+@pytest.mark.parametrize("model, kernel, where", _log_jet_cases())
+def test_log_jet_is_stack_invariant(model, kernel, where):
+    """Rows of z1 = 0 ("fiber", the points of both charts of fiber_jet) or random points."""
+    points = model.fiber_point(np.linspace(0.0, 3.0, ROWS)) if where == "fiber" else _points(model)
+    kernel = getattr(model, kernel)(points)
     names = [f.name for f in fields(KernelJet)]
 
     def jet(*parts):
         out = log_jet(KernelJet(**dict(zip(names, parts))))
-        return out.g, out.dg, out.ddg
+        arrays = out.g, out.dg, out.ddg
+        # The layout the downstream kernels are pinned on.
+        assert all(a.flags.c_contiguous for a in arrays)
+        return arrays
 
     _assert_stack_invariant(jet, tuple(np.asarray(getattr(kernel, name)) for name in names))
 
