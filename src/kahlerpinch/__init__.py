@@ -29,11 +29,9 @@ from .models import (
 )
 from .optimize import (
     DirectionExtrema,
-    Grid2DReport,
     PinchingReport,
     SweepSResult,
     extremize_direction,
-    grid_2d_verify,
     sweep_fiber,
     sweep_s,
 )

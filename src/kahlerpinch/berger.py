@@ -29,6 +29,7 @@ __all__ = [
     "BergerComparison",
     "berger_scalar",
     "berger_vs_trace",
+    "default_points",
 ]
 
 
@@ -75,10 +76,9 @@ class BergerComparison:
         tol = 1e-9 * max(1.0, abs(self.trace_tau))
         return abs(self.estimate - self.trace_tau) < tol
 
-    @property
-    def consistent(self) -> bool:
-        """Within 3 standard errors, or exact up to numerical residue."""
-        return abs(self.zscore) < 3.0 or self.near_exact
+    def consistent(self, zmax: float) -> bool:
+        """Within ``zmax`` standard errors, or exact up to numerical residue."""
+        return abs(self.zscore) < zmax or self.near_exact
 
 
 def _gaussian_rows(m: int, count: int, rng: np.random.Generator, antithetic: bool) -> np.ndarray:

@@ -230,11 +230,7 @@ def cmd_berger(args):
         s = model.s_exact if model.s_exact is not None else model.s
         bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(model.n, s))
     rows = berger_vs_trace(model, points, cfg, bracket=bracket)
-    passed = all(
-        (abs(r.zscore) < args.zmax or r.near_exact)
-        and (r.within_bracket is not False)
-        for r in rows
-    )
+    passed = all(r.consistent(args.zmax) and r.within_bracket is not False for r in rows)
     results = {
         "bracket": list(bracket) if bracket else None,
         "rows": [
@@ -348,7 +344,7 @@ def _verify_row(n: int, args) -> dict:
     cfg = SphereSampleConfig(sample_count=args.samples, seed=args.seed)
     rows = berger_vs_trace(model, default_points(model), cfg, bracket=bracket)
     max_z = max(abs(r.zscore) for r in rows)
-    berger_ok = all(abs(r.zscore) < args.zmax or r.near_exact for r in rows)
+    berger_ok = all(r.consistent(args.zmax) for r in rows)
     bracket_ok = all(r.within_bracket for r in rows)
 
     a_inf, b_inf = (float(w) for w in hirzebruch.stationary_weights(n, s_star, math.inf))

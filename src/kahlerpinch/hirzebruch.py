@@ -28,10 +28,7 @@ __all__ = [
     "require_admissible",
     "curvature_components",
     "hsc_coefficients",
-    "hsc_value",
     "stationary_weights",
-    "lagrange_multiplier",
-    "stationarity_residual",
     "stationary_branch",
     "horizontal_branch",
     "vertical_value",
@@ -120,16 +117,6 @@ def hsc_coefficients(n: int, s, r):
     return 2 * P, 8 * Q, 2 * T
 
 
-def hsc_value(n: int, s, r, a, b=None):
-    """Direction quadratic evaluated at weights (a, b) with a + b = 1."""
-    if b is None:
-        b = 1 - a
-    if abs(a + b - 1) > 1e-12:
-        raise ValueError("direction weights must satisfy a + b = 1")
-    alpha, beta, gamma = hsc_coefficients(n, s, r)
-    return alpha * a * a + beta * a * b + gamma * b * b
-
-
 def stationary_weights(n: int, s, r):
     """Unique stationary weights (a0, b0) of the constrained quadratic.
 
@@ -140,19 +127,6 @@ def stationary_weights(n: int, s, r):
     P, Q, T = _frame_components(n, s, r)
     den = P - 4 * Q + T
     return (T - 2 * Q) / den, (P - 2 * Q) / den
-
-
-def lagrange_multiplier(n: int, s, r):
-    """Common directional derivative of the quadratic at the stationary weights."""
-    alpha, beta, _ = hsc_coefficients(n, s, r)
-    a0, b0 = stationary_weights(n, s, r)
-    return 2 * alpha * a0 + beta * b0
-
-
-def stationarity_residual(n: int, s, r, a, b):
-    """|dK/da - dK/db| at (a, b); zero exactly at the stationary weights."""
-    alpha, beta, gamma = hsc_coefficients(n, s, r)
-    return abs((2 * alpha * a + beta * b) - (beta * a + 2 * gamma * b))
 
 
 def stationary_branch(n: int, s, r):

@@ -11,18 +11,18 @@ v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
 (Gander, Golub and von Matt, "A constrained eigenvalue problem", 1989): 15 unit
 candidates per tangent space, which hold the extremizers in the hard case too.
 A spurious candidate is a point of the sphere as well, so it can tie with an
-extremum but never beat it.  The
-weight quadratic of the Hirzebruch family is extremized exactly on its
-interval.  The two-dimensional solve is stacked: the fiber sweep and the 2-d
-grid check hand it all their tangent spaces at once, and a single tangent
-space is the one-row stack of the same code.  Higher dimensions are stacked
-the same way: every curvature tensor of the stack is contracted into its
-orthonormal frame, one seeded set of start directions is scored on all of
-them at once, and from each row's best start a trust-region Newton search
-(More and Sorensen 1983) with the analytic gradient and Hessian runs, in an
-affine chart of the direction space: a local search with no global
-guarantee, which converges quadratically to residuals at rounding, and the
-one part that runs row by row.  Curvature at many directions is one real
+extremum but never beat it; tied candidates are told apart by stationarity,
+then by K, never by their order.  The weight quadratic of the Hirzebruch
+family is extremized exactly on its interval.  The two-dimensional solve is
+stacked: the fiber sweep hands it all its tangent spaces at once, and a
+single tangent space is the one-row stack of the same code.  Higher
+dimensions are stacked the same way: every curvature tensor of the stack is
+contracted into its orthonormal frame, one seeded set of start directions is
+scored on all of them at once, and from each row's best start a trust-region
+Newton search (More and Sorensen 1983) with the analytic gradient and Hessian
+runs, in an affine chart of the direction space: a local search with no
+global guarantee, which converges quadratically to residuals at rounding, and
+the one part that runs row by row.  Curvature at many directions is one real
 quadratic form per tensor in the m^2 real coordinates of xi xi*
 (``batch_hsc``), evaluated as a matrix product over blocks of directions and
 over a stack of tensors.
@@ -48,14 +48,13 @@ from .geometry import (
     orthonormal_frame,
 )
 from .hirzebruch import hsc_coefficients, require_admissible
-from .models import Hitchin, MetricModel
+from .models import Hitchin
 
 __all__ = [
     "DirectionExtrema",
     "NewtonResult",
     "QuadraticExtrema",
     "PinchingReport",
-    "Grid2DReport",
     "SweepSResult",
     "batch_hsc",
     "extremize_direction",
@@ -64,11 +63,9 @@ __all__ = [
     "direction_weights",
     "minimize",
     "sweep_fiber",
-    "grid_2d_verify",
     "sweep_s",
 ]
 
-_TWO_PI = 2.0 * math.pi
 # Compactified fiber samples per parameter value in sweep_s, t = 1 included.
 _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
@@ -299,41 +296,6 @@ def _bloch_weights(v: np.ndarray) -> np.ndarray:
     return np.stack([(1.0 + v[..., 2]) / 2.0, (1.0 - v[..., 2]) / 2.0], axis=-1)
 
 
-def _extremize_sphere(R: np.ndarray, F: np.ndarray):
-    """Exact (v_min, min_K, v_max, max_K, floor) of K over two-dimensional tangent spaces.
-
-    Stacked over the leading axes of R and F; the extremizers are returned as
-    Bloch vectors v in the frame F.  ``floor`` is the rounding floor of the
-    extrema, a few ulps of the largest value the quadratic's terms can take:
-    K is a sum of terms of that size, so its absolute error is no smaller.
-    """
-    A, b, c0 = _bloch_quadratic(R, F)
-    floor = _ROUNDING_ULPS * _EPS * (
-        np.abs(A).sum(axis=(-1, -2)) + np.abs(b).sum(axis=-1) + np.abs(c0)
-    )
-    V, valid = _sphere_kkt_points(A, b)
-    VA = V @ A
-    quad = np.sum(VA * V, axis=-1)
-    Vb = np.einsum("...ki,...i->...k", V, b)
-    K = quad + Vb + c0[..., None]
-    kkt = np.linalg.norm(VA + b[..., None, :] / 2.0 - (quad + Vb / 2.0)[..., None] * V, axis=-1)
-    tie = 1e-12 * np.maximum(1.0, np.abs(np.where(valid, K, 0.0)).max(axis=-1))
-
-    def pick(x):
-        # Spurious multipliers next to a multiple eigenvalue of A give points
-        # within rounding of a true KKT point; the exact one is the most
-        # stationary of the tied candidates.
-        x = np.where(valid, x, np.inf)
-        near = x <= (x.min(axis=-1) + tie)[..., None]
-        i = np.argmin(np.where(near, kkt, np.inf), axis=-1)[..., None]
-        v = np.take_along_axis(V, i[..., None], axis=-2)[..., 0, :]
-        return v, np.take_along_axis(K, i, axis=-1)[..., 0]
-
-    v_min, min_K = pick(K)
-    v_max, max_K = pick(-K)
-    return v_min, min_K, v_max, max_K, floor
-
-
 def _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor=0.0) -> DirectionExtrema:
     """Residuals and convergence flags at given extremizers, stacked.
 
@@ -351,14 +313,46 @@ def _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor=0.0) -> Directi
 def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     """Exact extrema of K over stacked two-dimensional tangent spaces.
 
-    Returns the stacked DirectionExtrema and the Bloch vectors of its
-    extremizers, whose third component gives the frame weights.
+    In the orthonormal frame F of g, K is the Bloch quadratic of
+    :func:`_bloch_quadratic`, and its extremizers are among the candidates of
+    :func:`_sphere_kkt_points`.  The rounding floor of the extrema, passed to
+    :func:`_direction_extrema`, is a few ulps of the largest value the
+    quadratic's terms can take: K is a sum of terms of that size, so its
+    absolute error is no smaller.  Returns the stacked DirectionExtrema and
+    the Bloch vectors of its extremizers, whose third component gives the
+    frame weights.
     """
     F = orthonormal_frame(g)
-    v_min, min_K, v_max, max_K, floor = _extremize_sphere(R, F)
+    A, b, c0 = _bloch_quadratic(R, F)
+    floor = _ROUNDING_ULPS * _EPS * (
+        np.abs(A).sum(axis=(-1, -2)) + np.abs(b).sum(axis=-1) + np.abs(c0)
+    )
+    V, valid = _sphere_kkt_points(A, b)
+    VA = V @ A
+    quad = np.sum(VA * V, axis=-1)
+    Vb = np.einsum("...ki,...i->...k", V, b)
+    K = quad + Vb + c0[..., None]
+    kkt = np.linalg.norm(VA + b[..., None, :] / 2.0 - (quad + Vb / 2.0)[..., None] * V, axis=-1)
+    tie = 1e-12 * np.maximum(1.0, np.abs(np.where(valid, K, 0.0)).max(axis=-1))
+
+    def pick(x):
+        # Spurious multipliers next to a multiple eigenvalue of A give points
+        # within rounding of a true KKT point; the exact one is the most
+        # stationary of the tied candidates.  Equally stationary ones, such as
+        # both poles of a rounding-sized b, are told apart by K itself (the
+        # lower for the minimum, the higher for the maximum), so the order of
+        # the candidates never picks the value.
+        x = np.where(valid, x, np.inf)
+        residual = np.where(x <= (x.min(axis=-1) + tie)[..., None], kkt, np.inf)
+        x[residual > residual.min(axis=-1)[..., None]] = np.inf
+        i = np.argmin(x, axis=-1)[..., None]
+        v = np.take_along_axis(V, i[..., None], axis=-2)[..., 0, :]
+        return v, np.take_along_axis(K, i, axis=-1)[..., 0]
+
+    v_min, min_K = pick(K)
+    v_max, max_K = pick(-K)
     xi_min, xi_max = _bloch_direction(F, v_min), _bloch_direction(F, v_max)
-    ex = _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor)
-    return ex, v_min, v_max
+    return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor), v_min, v_max
 
 
 def _start_candidates(m: int, seed: int) -> np.ndarray:
@@ -625,8 +619,8 @@ class PinchingReport:
     method: dict
     profile: list
 
-    def to_json_dict(self, include_profile: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "min_K": self.min_K,
             "max_K": self.max_K,
             "pinching": self.pinching,
@@ -636,9 +630,6 @@ class PinchingReport:
             "converged": self.converged,
             "method": dict(self.method),
         }
-        if include_profile:
-            out["profile"] = [list(row) for row in self.profile]
-        return out
 
     def csv_rows(self):
         yield ("t", "min_K_at_t", "max_K_at_t")
@@ -739,70 +730,6 @@ def sweep_fiber(model: Hitchin, grid: int = 512, seed: int = 0) -> PinchingRepor
             "unconverged_cells": int(np.count_nonzero(~converged)),
         },
         profile=list(zip(ts.tolist(), K[:, 0].tolist(), K[:, 1].tolist())),
-    )
-
-
-@dataclass(frozen=True)
-class Grid2DReport:
-    """Fiber-vs-full-grid comparison of curvature extrema on matched samples.
-
-    Both sides sample the same compactified fiber grid on [0, 1) in the
-    chart (z1, z2); t = 1, the point w = 0 of the far chart, is left out, and
-    no closed form is read.
-    """
-
-    fiber_min: float
-    fiber_max: float
-    grid_min: float
-    grid_max: float
-    off_fiber_min: float
-    off_fiber_max: float
-    rel_min_diff: float
-    rel_max_diff: float
-    tol: float
-    agree: bool
-
-
-def grid_2d_verify(
-    model: MetricModel,
-    radii=(0.5, 1.0, 1.5, 2.0),
-    angles: int = 4,
-    t_points: int = 9,
-    tol: float = 1e-3,
-) -> Grid2DReport:
-    """Check that extrema off the central fiber never beat the fiber extrema.
-
-    Every sample point, on the fiber and off it, is solved in one stacked call.
-    """
-    if model.dimension != 2:
-        raise ValueError("the 2-d grid check needs a 2-dimensional model")
-    tvals = np.linspace(0.0, 1.0, t_points, endpoint=False)
-    angs = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
-    # Row 0 is the central fiber z1 = 0, the other rows the off-fiber circles.
-    circles = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * angs)
-    z1 = np.concatenate([[0.0], circles.ravel()])
-    z = np.stack(np.broadcast_arrays(z1[:, None], np.sqrt(tvals / (1.0 - tvals))), axis=-1)
-    jet = model.metric_jet(z)
-    _, lo, _, hi, _ = _extremize_sphere(curvature_tensor(jet), orthonormal_frame(jet.g))
-    fiber_min, fiber_max = float(lo[0].min()), float(hi[0].max())
-    off_min = float(lo[1:].min(initial=math.inf))
-    off_max = float(hi[1:].max(initial=-math.inf))
-
-    grid_min = min(fiber_min, off_min)
-    grid_max = max(fiber_max, off_max)
-    rel_min = abs(grid_min - fiber_min) / abs(fiber_min)
-    rel_max = abs(grid_max - fiber_max) / abs(fiber_max)
-    return Grid2DReport(
-        fiber_min,
-        fiber_max,
-        grid_min,
-        grid_max,
-        off_min,
-        off_max,
-        rel_min,
-        rel_max,
-        tol,
-        rel_min <= tol and rel_max <= tol,
     )
 
 

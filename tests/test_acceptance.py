@@ -164,7 +164,7 @@ def test_criterion_5_berger_formula():
             model, [model.fiber_point(r) for r in radii], cfg, bracket=bracket
         )
         for row in rows:
-            checks.append(row.consistent and row.within_bracket)
+            checks.append(row.consistent(3.0) and row.within_bracket)
 
     exact = all(
         hz.scalar_bounds(n, Fraction(1, 2 * n * n + n))

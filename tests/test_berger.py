@@ -5,6 +5,7 @@ import pytest
 
 from kahlerpinch import hirzebruch as hz
 from kahlerpinch.berger import (
+    BergerComparison,
     SphereSampleConfig,
     _gaussian_rows,
     berger_scalar,
@@ -18,6 +19,18 @@ from conftest import MASTER_SEED
 def test_config_validation():
     with pytest.raises(ValueError):
         SphereSampleConfig(sample_count=0)
+
+
+def test_consistent_reads_its_zmax():
+    row = BergerComparison(point=[0j], estimate=10.4, stderr=0.1, trace_tau=10.0, zscore=4.0)
+    assert not row.consistent(3.0)
+    assert not row.consistent(4.0)
+    assert row.consistent(5.0)
+    # an estimate exact up to residue passes at any zmax, however small its error bar
+    exact = BergerComparison(
+        point=[0j], estimate=10.0 + 1e-12, stderr=1e-16, trace_tau=10.0, zscore=1e4
+    )
+    assert exact.consistent(3.0)
 
 
 def test_fs_p1_scalar_estimate():
@@ -50,7 +63,7 @@ def test_hitchin_comparison_rows():
     )
     assert bracket == (2.0, 18.0)
     for row in rows:
-        assert row.consistent
+        assert row.consistent(3.0)
         assert row.within_bracket
 
 
@@ -64,7 +77,7 @@ def test_hitchin_n2_bracket():
         SphereSampleConfig(40000, MASTER_SEED),
         bracket=bracket,
     )
-    assert all(r.within_bracket and r.consistent for r in rows)
+    assert all(r.within_bracket and r.consistent(3.0) for r in rows)
 
 
 def test_random_points_agree_with_trace_for_all_models():
@@ -75,7 +88,7 @@ def test_random_points_agree_with_trace_for_all_models():
     for model in builtin_models():
         points = [random_point(model, rng) for _ in range(10)]
         rows = berger_vs_trace(model, points, cfg)
-        assert all(row.consistent for row in rows)
+        assert all(row.consistent(3.0) for row in rows)
 
 
 def test_seeded_reproducibility():

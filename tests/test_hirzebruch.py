@@ -31,13 +31,19 @@ def test_components_match_curvature_tensor_on_jets(rng):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+def _quadratic(n, s, r, a, b):
+    """The direction quadratic alpha a^2 + beta ab + gamma b^2 at weights (a, b)."""
+    alpha, beta, gamma = hz.hsc_coefficients(n, s, r)
+    return alpha * a * a + beta * a * b + gamma * b * b
+
+
 def test_coefficients_frozen_values():
     alpha, beta, gamma = hz.hsc_coefficients(1, 1.0 / 3.0, 0.0)
     assert np.allclose((alpha, beta, gamma), (3.0, 6.0, 12.0))
-    # vertical value is r-independent
+    # vertical value (a, b) = (0, 1) is r-independent
     for r in (0.0, 1.0, 7.5, math.inf):
-        assert abs(hz.hsc_value(1, 1.0 / 3.0, r, 0.0, 1.0) - 12.0) < 1e-12
-    assert abs(hz.hsc_value(2, 0.1, 0.0, 1.0, 0.0) - 4.0 / 1.2) < 1e-12
+        assert abs(_quadratic(1, 1.0 / 3.0, r, 0.0, 1.0) - 12.0) < 1e-12
+    assert abs(_quadratic(2, 0.1, 0.0, 1.0, 0.0) - 4.0 / 1.2) < 1e-12
 
 
 def test_coefficients_broadcast_and_stay_exact():
@@ -74,7 +80,7 @@ def test_quadratic_matches_geometry_hsc(rng):
                 math.sqrt(b) * np.exp(1j * th2) * (1 + r) / math.sqrt(s),
             ]
         )
-        want = hz.hsc_value(n, s, r, a, b)
+        want = _quadratic(n, s, r, a, b)
         got = holomorphic_sectional_curvature(R, jet.g, xi)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -99,16 +105,21 @@ def test_weights_sum_exactly_to_one():
 
 
 def test_stationarity_residual_and_multiplier(rng):
+    # At the vertex dK/da = dK/db, their common value the Lagrange multiplier.
+    def residual(n, s, r):
+        alpha, beta, gamma = hz.hsc_coefficients(n, s, r)
+        a0, b0 = hz.stationary_weights(n, s, r)
+        return (2 * alpha * a0 + beta * b0) - (beta * a0 + 2 * gamma * b0)
+
     for _ in range(20):
         n = int(rng.integers(1, 7))
         s = float(rng.uniform(0.05, 0.95)) / (n * n)
         r = float(rng.uniform(0.0, 20.0))
-        a0, b0 = hz.stationary_weights(n, s, r)
-        assert hz.stationarity_residual(n, s, r, a0, b0) < 1e-10
-        alpha, beta, gamma = hz.hsc_coefficients(n, s, r)
-        lam = hz.lagrange_multiplier(n, s, r)
-        assert abs(lam - (2 * alpha * a0 + beta * b0)) < 1e-12
-        assert abs(lam - (beta * a0 + 2 * gamma * b0)) < 1e-9
+        assert abs(residual(n, s, r)) < 1e-10
+    for n, s, r in ((1, Fraction(1, 3), 0), (3, Fraction(1, 21), Fraction(5, 2))):
+        assert residual(n, s, r) == 0
+    for n, s, r in ((2, Fraction(3, 40), math.inf), (6, Fraction(1, 78), math.inf)):
+        assert residual(n, s, r) == 0
 
 
 def test_branch_values():

@@ -1,12 +1,18 @@
-"""Stacked kernels: stack invariance to the bit, and the candidate set of the S^2 solve."""
+"""Stacked kernels: stack invariance to the bit, and the candidates and pick of the S^2 solve."""
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from kahlerpinch import optimize
 from kahlerpinch.geometry import MetricJet, curvature_tensor, orthonormal_frame
 from kahlerpinch.models import FubiniStudy, Hitchin, KernelJet, Product, log_jet
-from kahlerpinch.optimize import _bloch_quadratic, _frame_tensor, _sphere_kkt_points
+from kahlerpinch.optimize import (
+    _bloch_quadratic,
+    _frame_tensor,
+    _sphere_kkt_points,
+    extremize_directions,
+)
 
 from conftest import MASTER_SEED, random_point
 
@@ -171,3 +177,26 @@ def test_sphere_candidates_hold_the_extrema(kind):
         scale = max(1.0, float(np.abs(K).max()))
         assert K.min() >= lo[p] - 1e-12 * scale
         assert K.max() <= hi[p] + 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Product(FubiniStudy(1), FubiniStudy(1)), Hitchin.make(1, "1/3")],
+    ids=["fs1xfs1", "hitchin-1"],
+)
+def test_sphere_extrema_do_not_depend_on_candidate_order(model, monkeypatch):
+    # Both poles of a rounding-sized b are exact KKT points with K a few ulps
+    # apart; the pick must not leave the choice to the candidates' order.
+    rng = np.random.default_rng(MASTER_SEED)
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(4000)]))
+    R = curvature_tensor(jet)
+    want = extremize_directions(R, jet.g)
+
+    def reversed_candidates(A, b):
+        V, valid = _sphere_kkt_points(A, b)
+        return V[..., ::-1, :], valid[..., ::-1]
+
+    monkeypatch.setattr(optimize, "_sphere_kkt_points", reversed_candidates)
+    got = extremize_directions(R, jet.g)
+    assert np.array_equal(got.min_K, want.min_K)
+    assert np.array_equal(got.max_K, want.max_K)
