@@ -81,7 +81,7 @@ def _parse_model(text: str) -> MetricModel:
         if text.startswith("hitchin:"):
             _, n, s = text.split(":")
             return Hitchin.make(int(n), _parse_s(s))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         raise UsageError(f"cannot parse model {text!r}: {exc}") from exc
     raise UsageError(f"unknown model {text!r}")
 
@@ -139,8 +139,11 @@ def _emit(payload: dict, rows, args) -> None:
                 writer.writerow(row)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -161,10 +164,9 @@ def cmd_pinch(args):
     model = _hitchin_from_args(args)
     if args.grid < 2:
         raise UsageError("grid must be >= 2")
-    s = model.s_exact if model.s_exact is not None else model.s
     report = sweep_fiber(model, grid=args.grid, seed=args.seed)
-    ana_min, ana_max = (float(x) for x in hirzebruch.min_max_hsc(model.n, s))
-    ana_pinch = float(hirzebruch.pinching(model.n, s))
+    ana_min, ana_max = (float(x) for x in hirzebruch.min_max_hsc(model.n, model.s))
+    ana_pinch = float(hirzebruch.pinching(model.n, model.s))
     rel = {
         "min_K": _rel_err(report.min_K, ana_min),
         "max_K": _rel_err(report.max_K, ana_max),
@@ -184,7 +186,7 @@ def cmd_pinch(args):
     )
     params = {
         "n": model.n,
-        "s": str(model.s_exact) if model.s_exact is not None else model.s,
+        "s": model_to_json(model)["s"],
         "grid": args.grid,
         "tol": args.tol,
         "seed": args.seed,
@@ -227,8 +229,7 @@ def cmd_berger(args):
         points = default_points(model)
     bracket = None
     if isinstance(model, Hitchin):
-        s = model.s_exact if model.s_exact is not None else model.s
-        bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(model.n, s))
+        bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(model.n, model.s))
     rows = berger_vs_trace(model, points, cfg, bracket=bracket)
     passed = all(r.consistent(args.zmax) and r.within_bracket is not False for r in rows)
     results = {
@@ -497,10 +498,10 @@ def main(argv=None) -> int:
         # Overflow in a degenerate input surfaces as the error below, not as warnings.
         with np.errstate(all="ignore"):
             payload, rows, passed = _DISPATCH[args.command](args)
+        _emit(payload, rows if args.format == "csv" else None, args)
     except (UsageError, hirzebruch.AdmissibilityError, ProductHypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, rows if args.format == "csv" else None, args)
     return 0 if passed else 1
 
 

@@ -4,7 +4,9 @@ Every model is defined by a global potential Phi that is a sum of logarithms
 of real polynomial kernels in (z, zbar).  The metric jet (g, dg, ddg) is
 assembled from closed-form Wirtinger derivatives of those kernels through the
 hand-expanded chain/product rule for log-compositions; no numerical
-differentiation is involved.  An independent finite-difference oracle
+differentiation is involved.  A kernel jet carries only the unbarred
+derivatives of its real kernel; :func:`log_jet` takes the barred ones as
+their conjugates.  An independent finite-difference oracle
 (:func:`fd_metric_jet`) cross-checks the analytic jets.
 
 Models:
@@ -13,6 +15,8 @@ Models:
 * ``Hitchin(n, s)``    -- the Kahler family on the n-th Hirzebruch surface with
   potential log(1+|z1|^2) + s log((1+|z1|^2)^n + |z2|^2), and in the chart
   (z1, w = 1/z2) of the curve at infinity log(1+|z1|^2) + s log(1 + |w|^2 (1+|z1|^2)^n).
+  All three kernels are U^a + |x|^2 U^b with U = 1+|z1|^2: (a, b) = (1, none),
+  (n, 0) and (0, n), built by one function.
 * ``Product(a, b)``    -- block product metric of two factor models.
 """
 from __future__ import annotations
@@ -49,39 +53,23 @@ class KernelJet:
     Array index conventions (i, k unbarred; j, l barred):
 
         dw[i]          = dw/dz_i
-        dwb[j]         = dw/dzbar_j
         d2w[i, k]      = d2w/(dz_i dz_k)
-        d2wb[j, l]     = d2w/(dzbar_j dzbar_l)
         dmix[i, j]     = d2w/(dz_i dzbar_j)
         d3w[i, k, j]   = d3w/(dz_i dz_k dzbar_j)
-        d3wb[i, j, l]  = d3w/(dz_i dzbar_j dzbar_l)
         d4w[i, k, j, l] = d4w/(dz_i dz_k dzbar_j dzbar_l)
 
-    At a stack of points every field carries the stack's leading batch axes,
+    The kernel is real, so its derivatives with more barred than unbarred
+    indices are conjugates of these; :func:`log_jet` derives them.  At a
+    stack of points every field carries the stack's leading batch axes,
     ``w`` of shape (...) and ``dw`` of shape (..., m) and so on.
     """
 
     w: float | np.ndarray
     dw: np.ndarray
-    dwb: np.ndarray
     d2w: np.ndarray
-    d2wb: np.ndarray
     dmix: np.ndarray
     d3w: np.ndarray
-    d3wb: np.ndarray
     d4w: np.ndarray
-
-
-def _empty_kernel(batch: tuple, m: int, w) -> dict:
-    parts = {
-        name: np.zeros(batch + (m,) * rank, dtype=complex)
-        for name, rank in (
-            ("dw", 1), ("dwb", 1), ("d2w", 2), ("d2wb", 2), ("dmix", 2),
-            ("d3w", 3), ("d3wb", 3), ("d4w", 4),
-        )
-    }
-    parts["w"] = w
-    return parts
 
 
 def log_jet(kernel: KernelJet) -> MetricJet:
@@ -114,10 +102,10 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     flat = w.ravel().tolist()
     w1 = w.reshape(-1)
     w2, w3, w4 = (np.array([x**k for x in flat]) for k in (2, 3, 4))
-    dw, dwb = stack_last(kernel.dw, 1), stack_last(kernel.dwb, 1)
-    d2w, d2wb, dmix = (stack_last(f, 2) for f in (kernel.d2w, kernel.d2wb, kernel.dmix))
-    d3w, d3wb = stack_last(kernel.d3w, 3), stack_last(kernel.d3wb, 3)
-    d4w = stack_last(kernel.d4w, 4)
+    dw, d2w, dmix = stack_last(kernel.dw, 1), stack_last(kernel.d2w, 2), stack_last(kernel.dmix, 2)
+    d3w, d4w = stack_last(kernel.d3w, 3), stack_last(kernel.d4w, 4)
+    # The barred derivatives of a real kernel; d3wb[i, j, l] = conj(d3w[j, l, i]).
+    dwb, d2wb, d3wb = dw.conj(), d2w.conj(), np.moveaxis(d3w.conj(), 2, 0)
 
     g = dmix / w1 - np.einsum("i...,j...->ij...", dw, dwb) / w2
 
@@ -188,6 +176,45 @@ def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
     return MetricJet(*(a.reshape(batch + a.shape[1:]) for a in (jet.g, jet.dg, jet.ddg)))
 
 
+def _power_kernel(z, a: int, b: int | None) -> KernelJet:
+    """Kernel jet of U^a + |x|^2 U^b, U = 1 + |z1|^2, at the chart points z = (z1, x).
+
+    b = None drops the second term.  A function f of q = |z1|^2, with fk its
+    k-th derivative in q (perm(e, k) U^(e-k) for U^e), has the derivatives
+    (1, d/dz1, d2/dz1^2, d2/dz1 dzbar1, d3/dz1^2 dzbar1, d4/dz1^2 dzbar1^2) f =
+    (f, f1 z1bar, f2 z1bar^2, f1 + f2 q, z1bar (f3 q + 2 f2), 2 f2 + 4 f3 q + f4 q^2).
+    In the terms with x indices |x|^2 contributes its derivatives xbar, x and 1.
+    """
+    z = _as_point(z, 2)
+    z1, x = z[..., 0], z[..., 1]
+    z1c, xc = z1.conjugate(), x.conjugate()
+    q = (z1 * z1c).real
+
+    def z1_jet(e):
+        V0, V1, V2, V3, V4 = (math.perm(e, k) * (1.0 + q) ** (e - k) for k in range(5))
+        V21 = z1c * (V3 * q + 2.0 * V2)
+        return V0, V1 * z1c, V2 * z1c**2, V1 + V2 * q, V21, 2.0 * V2 + 4.0 * V3 * q + V4 * q * q
+
+    dw, d2w, dmix, d3w, d4w = (np.zeros(z.shape[:-1] + (2,) * r, complex) for r in (1, 2, 2, 3, 4))
+    parts = z1_jet(a)
+    if b is not None:
+        p, B = (x * xc).real, z1_jet(b)
+        parts = tuple(Ak + p * Bk for Ak, Bk in zip(parts, B))
+        B0, B1, B2, B11, B21, _ = B
+        dw[..., 1] = xc * B0
+        d2w[..., 0, 1] = d2w[..., 1, 0] = xc * B1
+        dmix[..., 0, 1], dmix[..., 1, 0], dmix[..., 1, 1] = x * B1, xc * B1.conjugate(), B0
+        d3w[..., 0, 0, 1] = x * B2
+        d3w[..., 0, 1, 0] = d3w[..., 1, 0, 0] = xc * B11
+        d3w[..., 0, 1, 1] = d3w[..., 1, 0, 1] = B1
+        d4w[..., 0, 0, 0, 1] = d4w[..., 0, 0, 1, 0] = x * B21
+        d4w[..., 0, 1, 0, 0] = d4w[..., 1, 0, 0, 0] = xc * B21.conjugate()
+        for index in ((0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)):
+            d4w[(...,) + index] = B11
+    w, dw[..., 0], d2w[..., 0, 0], dmix[..., 0, 0], d3w[..., 0, 0, 0], d4w[..., 0, 0, 0, 0] = parts
+    return KernelJet(w, dw, d2w, dmix, d3w, d4w)
+
+
 @dataclass(frozen=True)
 class FubiniStudy:
     """Fubini-Study metric on P^m in an affine chart."""
@@ -204,11 +231,9 @@ class FubiniStudy:
 
     def kernel(self, z) -> KernelJet:
         z = _as_point(z, self.m)
-        parts = _empty_kernel(z.shape[:-1], self.m, 1.0 + (z.conj() * z).real.sum(axis=-1))
-        parts["dw"] = z.conj()
-        parts["dwb"] = z.copy()
-        parts["dmix"][...] = np.eye(self.m)
-        return KernelJet(**parts)
+        d2w, dmix, d3w, d4w = (np.zeros(z.shape[:-1] + (self.m,) * r, complex) for r in (2, 2, 3, 4))
+        w = 1.0 + (z.conj() * z).real.sum(axis=-1)
+        return KernelJet(w, z.conj(), d2w, dmix + np.eye(self.m), d3w, d4w)
 
     def potential(self, z) -> float:
         return math.log(self.kernel(z).w)
@@ -222,19 +247,18 @@ class Hitchin:
     """Hitchin's Kahler family on the n-th Hirzebruch surface.
 
     Potential:  log(u) + s log(v)  with  u = 1 + |z1|^2,  v = u^n + |z2|^2.
-    The metric is Kahler for every s > 0 and Hodge when s is rational
-    (``s_exact`` records an exact rational parameter when available).
+    The metric is Kahler for every s > 0 and Hodge when s is rational: ``s``
+    is kept as a Fraction when it is given exactly, and as a float otherwise.
     """
 
     n: int
-    s: float
-    s_exact: Fraction | None = None
+    s: float | Fraction
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("Hirzebruch index n must be >= 1")
-        if self.s_exact is not None:
-            object.__setattr__(self, "s", float(self.s_exact))
+        if not isinstance(self.s, Fraction):
+            object.__setattr__(self, "s", float(self.s))
         if not self.s > 0.0:
             raise ValueError("family parameter s must be positive")
         if not _S_RANGE[0] <= self.s <= _S_RANGE[1]:
@@ -245,11 +269,10 @@ class Hitchin:
     @classmethod
     def make(cls, n: int, s) -> "Hitchin":
         """Build from ``s`` given as float, Fraction, or a 'p/q' string."""
-        if isinstance(s, str):
-            s = Fraction(s)
-        if isinstance(s, Fraction):
-            return cls(n, float(s), s)
-        return cls(n, float(s))
+        try:
+            return cls(n, Fraction(s) if isinstance(s, str) else s)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"family parameter {s!r} has a zero denominator") from exc
 
     @property
     def dimension(self) -> int:
@@ -257,84 +280,27 @@ class Hitchin:
 
     @property
     def is_hodge(self) -> bool:
-        return self.s_exact is not None
+        return isinstance(self.s, Fraction)
 
     def base_kernel(self, z) -> KernelJet:
-        z = _as_point(z, 2)
-        z1 = z[..., 0]
-        parts = _empty_kernel(z.shape[:-1], 2, 1.0 + (z1 * z1.conjugate()).real)
-        parts["dw"][..., 0] = z1.conjugate()
-        parts["dwb"][..., 0] = z1
-        parts["dmix"][..., 0, 0] = 1.0
-        return KernelJet(**parts)
+        """Base kernel 1 + |z1|^2."""
+        return _power_kernel(z, 1, None)
 
     def fiber_kernel(self, z) -> KernelJet:
-        z = _as_point(z, 2)
-        n = self.n
-        z1, z2 = z[..., 0], z[..., 1]
-        q = (z1 * z1.conjugate()).real
-        U = 1.0 + q
-        parts = _empty_kernel(z.shape[:-1], 2, U**n + (z2 * z2.conjugate()).real)
-        parts["dw"][..., 0] = n * U ** (n - 1) * z1.conjugate()
-        parts["dw"][..., 1] = z2.conjugate()
-        parts["dwb"][:] = parts["dw"].conj()
-        parts["d2w"][..., 0, 0] = n * (n - 1) * U ** (n - 2) * z1.conjugate() ** 2
-        parts["d2wb"][:] = parts["d2w"].conj()
-        parts["dmix"][..., 0, 0] = n * U ** (n - 1) + n * (n - 1) * U ** (n - 2) * q
-        parts["dmix"][..., 1, 1] = 1.0
-        parts["d3w"][..., 0, 0, 0] = (
-            n * (n - 1) * U ** (n - 3) * z1.conjugate() * (2.0 * U + (n - 2) * q)
-        )
-        parts["d3wb"][..., 0, 0, 0] = parts["d3w"][..., 0, 0, 0].conjugate()
-        parts["d4w"][..., 0, 0, 0, 0] = (
-            n
-            * (n - 1)
-            * (
-                2.0 * U ** (n - 2)
-                + 4.0 * (n - 2) * U ** (n - 3) * q
-                + (n - 2) * (n - 3) * U ** (n - 4) * q * q
-            )
-        )
-        return KernelJet(**parts)
+        """Fiber kernel (1+|z1|^2)^n + |z2|^2."""
+        return _power_kernel(z, self.n, 0)
 
     def far_kernel(self, z) -> KernelJet:
-        """Fiber kernel 1 + |w|^2 V, V = (1+|z1|^2)^n, in the chart (z1, w = 1/z2).
+        """Fiber kernel 1 + |w|^2 (1+|z1|^2)^n in the chart (z1, w = 1/z2).
 
         It is |w|^2 times :meth:`fiber_kernel`, so its potential differs by the
         pluriharmonic s log|w|^2 and gives the same metric, and it stays well
-        conditioned at w = 0, the curve at infinity.  Each derivative is one
-        of V (Vk: the k-th in |z1|^2) times one of |w|^2.
+        conditioned at w = 0, the curve at infinity.
         """
-        z = _as_point(z, 2)
-        z1, w = z[..., 0], z[..., 1]
-        z1c, wc = z1.conjugate(), w.conjugate()
-        q, p = (z1 * z1c).real, (w * wc).real
-        V0, V1, V2, V3, V4 = (math.perm(self.n, k) * (1.0 + q) ** (self.n - k) for k in range(5))
-        V11, V21 = V1 + V2 * q, z1c * (V3 * q + 2.0 * V2)  # d2V/dz1 dzbar1, d3V/dz1^2 dzbar1
-        parts = _empty_kernel(z.shape[:-1], 2, 1.0 + p * V0)
-        dw, d2w, dmix, d3w, d4w = (parts[k] for k in ("dw", "d2w", "dmix", "d3w", "d4w"))
-        dw[..., 0], dw[..., 1] = p * V1 * z1c, wc * V0
-        d2w[..., 0, 0] = p * V2 * z1c**2
-        d2w[..., 0, 1] = d2w[..., 1, 0] = wc * V1 * z1c
-        dmix[..., 0, 0], dmix[..., 1, 1] = p * V11, V0
-        dmix[..., 0, 1], dmix[..., 1, 0] = w * V1 * z1c, wc * V1 * z1
-        d3w[..., 0, 0, 0], d3w[..., 0, 0, 1] = p * V21, w * V2 * z1c**2
-        d3w[..., 0, 1, 0] = d3w[..., 1, 0, 0] = wc * V11
-        d3w[..., 0, 1, 1] = d3w[..., 1, 0, 1] = V1 * z1c
-        d4w[..., 0, 0, 0, 0] = p * (2.0 * V2 + 4.0 * V3 * q + V4 * q * q)
-        d4w[..., 0, 0, 0, 1] = d4w[..., 0, 0, 1, 0] = w * V21
-        d4w[..., 0, 1, 0, 0] = d4w[..., 1, 0, 0, 0] = wc * V21.conjugate()
-        for index in ((0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)):
-            d4w[(...,) + index] = V11
-        parts["dwb"][:], parts["d2wb"][:] = dw.conj(), d2w.conj()
-        # d3wb[i, j, l] = conj(d3w[j, l, i]) for a real kernel.
-        parts["d3wb"][:] = np.moveaxis(d3w.conj(), -1, -3)
-        return KernelJet(**parts)
+        return _power_kernel(z, 0, self.n)
 
     def potential(self, z) -> float:
-        return math.log(self.base_kernel(z).w) + self.s * math.log(
-            self.fiber_kernel(z).w
-        )
+        return math.log(self.base_kernel(z).w) + float(self.s) * math.log(self.fiber_kernel(z).w)
 
     def _jet(self, fiber_kernel, z, base: MetricJet | None = None) -> MetricJet:
         """Jet of log(base kernel) + s log(fiber_kernel) at the points z of its chart.
@@ -345,7 +311,7 @@ class Hitchin:
 
         def jet_of(rows):
             b = log_jet(self.base_kernel(rows)) if base is None else base
-            fiber, s = log_jet(fiber_kernel(rows)), self.s
+            fiber, s = log_jet(fiber_kernel(rows)), float(self.s)
             return MetricJet(b.g + s * fiber.g, b.dg + s * fiber.dg, b.ddg + s * fiber.ddg)
 
         return _jet_on_rows(jet_of, z, 2)
@@ -481,8 +447,7 @@ def model_to_json(model: MetricModel) -> dict:
     if isinstance(model, FubiniStudy):
         return {"kind": "fubini_study", "m": model.m}
     if isinstance(model, Hitchin):
-        s = str(model.s_exact) if model.s_exact is not None else model.s
-        return {"kind": "hitchin", "n": model.n, "s": s}
+        return {"kind": "hitchin", "n": model.n, "s": str(model.s) if model.is_hodge else model.s}
     if isinstance(model, Product):
         return {
             "kind": "product",
@@ -492,12 +457,23 @@ def model_to_json(model: MetricModel) -> dict:
     raise TypeError(f"not a metric model: {model!r}")
 
 
-def model_from_json(obj: dict) -> MetricModel:
+def _field(obj: dict, name: str, types, what: str):
+    value = obj.get(name)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"model field {name!r} must be {what}, got {value!r}")
+    return value
+
+
+def model_from_json(obj) -> MetricModel:
+    """Model of a :func:`model_to_json` descriptor; a malformed one raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model descriptor must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "fubini_study":
-        return FubiniStudy(int(obj["m"]))
+        return FubiniStudy(_field(obj, "m", int, "an integer"))
     if kind == "hitchin":
-        return Hitchin.make(int(obj["n"]), obj["s"])
+        s = _field(obj, "s", (int, float, str), "a number or a 'p/q' string")
+        return Hitchin.make(_field(obj, "n", int, "an integer"), s)
     if kind == "product":
-        return Product(model_from_json(obj["left"]), model_from_json(obj["right"]))
+        return Product(model_from_json(obj.get("left")), model_from_json(obj.get("right")))
     raise ValueError(f"unknown model kind: {kind!r}")

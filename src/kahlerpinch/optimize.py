@@ -696,7 +696,7 @@ def sweep_fiber(model: Hitchin, grid: int = 512, seed: int = 0) -> PinchingRepor
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    require_admissible(model.n, model.s_exact if model.s_exact is not None else model.s)
+    require_admissible(model.n, model.s)
     ts = np.linspace(0.0, 1.0, grid)
     blocks = (_fiber_cells(model, ts[i : i + _FIBER_BLOCK]) for i in range(0, grid, _FIBER_BLOCK))
     K, weights, residual, converged = (np.concatenate(x) for x in zip(*blocks))

@@ -158,8 +158,7 @@ def test_criterion_5_berger_formula():
         (Hitchin.make(2, Fraction(1, 10)), (0.0, 4.0)),
     ]
     for model, radii in hitchin_samples:
-        s = model.s_exact
-        bracket = tuple(float(x) for x in hz.scalar_bounds(model.n, s))
+        bracket = tuple(float(x) for x in hz.scalar_bounds(model.n, model.s))
         rows = berger_vs_trace(
             model, [model.fiber_point(r) for r in radii], cfg, bracket=bracket
         )

@@ -300,6 +300,15 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    assert main(["sweep-s", "--n", "1", "--points", "3", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_json_model_descriptor(capsys):
     code, doc = run_json(
         capsys,

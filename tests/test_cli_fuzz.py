@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,17 @@ MODELS = [
     '{"kind": "fubini_study", "m": 2}', '{"kind": "hitchin", "n": 1, "s": "1/3"}',
     '{"kind": "torus"}', "{}", "{not json", "[1]", "", "torus9",
 ]
+# Descriptors with a field of the wrong type, or a value no parameter has.
+BAD_DESCRIPTORS = [
+    '{"kind":"hitchin","n":2,"s":null}',
+    '{"kind":"fubini_study","m":null}',
+    '{"kind":"hitchin","n":2,"s":[1]}',
+    '{"kind":"product","left":[1],"right":{"kind":"fubini_study","m":1}}',
+    '{"kind":"product","left":"fs1","right":"fs1"}',
+    '{"kind":"hitchin","n":1,"s":"1/0"}',
+    '{"kind":"hitchin","n":1,"s":"1e999"}',
+]
+MODELS += BAD_DESCRIPTORS
 POINTS = [
     "0", "0,0", "0,0,0", "0.3+0.1j,0.5", "0.2-0.7j,-0.4j", "1+2j", "1e5", "1e4,1e4",
     "nan,0", "0,inf", "1e200,0", "0,1e200", "1e300,1e300", "x", "", ",", "0,,0", "1j j",
@@ -109,3 +121,10 @@ def test_cli_never_crashes(argv):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     elif "csv" not in argv:
         json.loads(out)
+
+
+@pytest.mark.parametrize("descriptor", BAD_DESCRIPTORS)
+def test_malformed_descriptor_is_usage_error(descriptor):
+    code, out, err = _run(["curvature", "--model", descriptor])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err

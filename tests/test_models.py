@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -176,6 +177,18 @@ def test_json_round_trip():
     assert plain.s == 0.1 and not plain.is_hodge
 
 
+def test_hitchin_fraction_parameter_is_exact():
+    model = Hitchin(2, Fraction(1, 10))
+    assert model.is_hodge and model == Hitchin.make(2, "1/10")
+    assert json.loads(json.dumps(model_to_json(model))) == {"kind": "hitchin", "n": 2, "s": "1/10"}
+    exact, z, t = Hitchin.make(2, "1/10"), [[0.3 - 0.4j, 0.5 + 0.2j], [0.0, 0.9j]], [0.2, 0.9]
+    for got, want in ((model.metric_jet(z), exact.metric_jet(z)), (model.fiber_jet(t), exact.fiber_jet(t))):
+        for name in ("g", "dg", "ddg"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(TypeError):  # one parameter field: no second, overriding s
+        Hitchin(2, 0.3, Fraction(1, 10))
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         Hitchin(0, 0.1)
@@ -183,8 +196,20 @@ def test_model_validation():
         Hitchin(1, -0.5)
     with pytest.raises(ValueError):
         FubiniStudy(0)
-    with pytest.raises(ValueError):
-        model_from_json({"kind": "nope"})
+    for bad in (
+        {"kind": "nope"},
+        [1],
+        "fs1",
+        {"kind": "fubini_study", "m": None},
+        {"kind": "fubini_study", "m": "2"},
+        {"kind": "hitchin", "n": True, "s": "1/3"},
+        {"kind": "hitchin", "n": 2, "s": [1]},
+        {"kind": "hitchin", "n": 2},
+        {"kind": "hitchin", "n": 1, "s": "1/0"},
+        {"kind": "product", "left": "fs1", "right": {"kind": "fubini_study", "m": 1}},
+    ):
+        with pytest.raises(ValueError):
+            model_from_json(bad)
 
 
 def test_chart_point_validation():
