@@ -142,8 +142,9 @@ def metric_eigenvalues(g: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(np.asarray(g, dtype=complex)))
 
 
-def _require_positive_definite(g: np.ndarray) -> None:
-    """Raise unless every metric of the stack ``g`` is finite and positive definite."""
+def _require_positive_definite(g: np.ndarray) -> np.ndarray:
+    """``g`` as a complex stack; raises unless every metric is finite and positive definite."""
+    g = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(g)):
         raise DegenerateMetricError(math.nan, "degenerate metric: non-finite entries")
     ev = metric_eigenvalues(g)
@@ -151,13 +152,12 @@ def _require_positive_definite(g: np.ndarray) -> None:
     bad = ~np.all(np.isfinite(ev), axis=-1) | (low <= 0.0)
     if np.any(bad):
         raise DegenerateMetricError(float(low[bad][0]))
+    return g
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """Inverse metric g^{i jbar}, computed by a direct linear solve."""
-    g = np.asarray(g, dtype=complex)
-    _require_positive_definite(g)
-    return np.linalg.solve(g, np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape))
+    return np.linalg.inv(_require_positive_definite(g))
 
 
 def curvature_tensor(jet: MetricJet) -> np.ndarray:
@@ -169,7 +169,13 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
     with conj(dg[j,q,l]) = d g_{q jbar} / d zbar_l.  The sum is the matrix
     product D g^{-1} D^H with D[(i,k), p] = dg[i,p,k], an (m^2, m) matrix.
     """
-    ginv = inverse_metric(jet.g)
+    _require_positive_definite(jet.g)
+    return _curvature(jet)
+
+
+def _curvature(jet: MetricJet) -> np.ndarray:
+    """:func:`curvature_tensor` of a jet whose metric is known definite, unchecked."""
+    ginv = np.linalg.inv(jet.g)
     D = jet.dg.swapaxes(-1, -2).reshape(jet.ddg.shape[:-4] + (-1, jet.dimension))
     quad = np.einsum("...pq,...ap,...bq->...ab", ginv, D, D.conj()).reshape(jet.ddg.shape)
     return -jet.ddg + quad.swapaxes(-3, -2)
@@ -241,8 +247,11 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     Note the pairing conjugates the second slot, matching
     :func:`norm_squared`; as a matrix identity this reads F^T g conj(F) = I.
     """
-    g = np.asarray(g, dtype=complex)
-    _require_positive_definite(g)
+    return _frame(_require_positive_definite(g))
+
+
+def _frame(g: np.ndarray) -> np.ndarray:
+    """:func:`orthonormal_frame` of a complex stack known to be definite, unchecked."""
     L = np.linalg.cholesky(_hermitian_part(g).conj())
     return np.linalg.inv(L).conj().swapaxes(-1, -2)
 

@@ -41,8 +41,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import (
+    _curvature,
+    _frame,
     _real_part,
-    curvature_tensor,
+    _require_positive_definite,
     holomorphic_sectional_curvature,
     hsc_gradient,
     orthonormal_frame,
@@ -320,9 +322,9 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     quadratic's terms can take: K is a sum of terms of that size, so its
     absolute error is no smaller.  Returns the stacked DirectionExtrema and
     the Bloch vectors of its extremizers, whose third component gives the
-    frame weights.
+    frame weights.  g must be known definite: the frame is not checked.
     """
-    F = orthonormal_frame(g)
+    F = _frame(g)
     A, b, c0 = _bloch_quadratic(R, F)
     floor = _ROUNDING_ULPS * _EPS * (
         np.abs(A).sum(axis=(-1, -2)) + np.abs(b).sum(axis=-1) + np.abs(c0)
@@ -542,12 +544,12 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     Newton search reach residuals near rounding, about 1e-12 relative, so
     that tolerance leaves a wide margin.
     """
-    R, g = np.asarray(R, dtype=complex), np.asarray(g, dtype=complex)
+    R, g = np.asarray(R, dtype=complex), _require_positive_definite(g)
     m = g.shape[-1]
     if m == 2:
         ex, _, _ = _extremize_surfaces(R, g)
         return ex
-    F = orthonormal_frame(g)
+    F = _frame(g)
     if m == 1:
         xi_min = xi_max = F[..., 0]
     else:
@@ -586,16 +588,15 @@ def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
 
     With b = 1 - a the quadratic is (alpha - beta + gamma) a^2 + (beta - 2
     gamma) a + gamma, so its extrema lie at a = 0, a = 1 or its vertex clipped
-    to [0, 1].
+    to [0, 1].  For finite coefficients it is exactly gamma at a = 0 and alpha
+    at a = 1 (up to the sign of a zero), so only the vertex is evaluated.
     """
-    alpha, beta, gamma = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (alpha, beta, gamma))
-    )
+    alpha, beta, gamma = (np.asarray(x, dtype=float) for x in (alpha, beta, gamma))
     curv, slope0 = alpha - beta + gamma, beta - 2.0 * gamma
-    vertex = np.divide(-slope0, 2.0 * curv, out=np.zeros_like(curv), where=curv != 0.0)
-    a = np.stack([np.zeros_like(curv), np.ones_like(curv), np.clip(vertex, 0.0, 1.0)])
+    a = np.clip(np.divide(-slope0, 2.0 * curv, out=np.zeros_like(curv), where=curv != 0), 0.0, 1.0)
     K = alpha * a * a + beta * a * (1.0 - a) + gamma * (1.0 - a) ** 2
-    return QuadraticExtrema(*(x if x.ndim else float(x) for x in (K.min(axis=0), K.max(axis=0))))
+    extrema = np.minimum(np.minimum(gamma, alpha), K), np.maximum(np.maximum(gamma, alpha), K)
+    return QuadraticExtrema(*(x if x.ndim else float(x) for x in extrema))
 
 
 def direction_weights(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -620,16 +621,7 @@ class PinchingReport:
     profile: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_K": self.min_K,
-            "max_K": self.max_K,
-            "pinching": self.pinching,
-            "argmin": dict(self.argmin),
-            "argmax": dict(self.argmax),
-            "lagrange_residual": self.lagrange_residual,
-            "converged": self.converged,
-            "method": dict(self.method),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "profile"}
 
     def csv_rows(self):
         yield ("t", "min_K_at_t", "max_K_at_t")
@@ -645,7 +637,7 @@ def _fiber_cells(model: Hitchin, t: np.ndarray):
     residuals (samples, 2), and the convergence flags (samples,).
     """
     jet = model.fiber_jet(t)
-    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g)
+    ex, v_min, v_max = _extremize_surfaces(_curvature(jet), jet.g)
     return (
         np.stack([ex.min_K, ex.max_K], axis=-1),
         np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),
@@ -767,10 +759,8 @@ def sweep_s(n: int, points: int = 999) -> SweepSResult:
     with np.errstate(divide="ignore"):
         radii = tvals / (1.0 - tvals)  # inf at t = 1
     fiber = extremize_quadratic(*hsc_coefficients(n, svals[:, None], radii))
-    k_min, k_max = fiber.min_K.min(axis=1), fiber.max_K.max(axis=1)
-    rows = [(float(s), float(p)) for s, p in zip(svals, k_min / k_max)]
-
-    ps = np.array([p for _, p in rows])
+    ps = fiber.min_K.min(axis=1) / fiber.max_K.max(axis=1)
+    rows = list(zip(svals.tolist(), ps.tolist()))
     k = int(np.argmax(ps))
     diffs = np.diff(ps)
     unimodal = bool(np.all(diffs[:k] > -1e-12) and np.all(diffs[k:] < 1e-12))

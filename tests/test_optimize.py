@@ -122,6 +122,51 @@ def test_extremize_quadratic_is_elementwise(rng):
         assert (one.min_K, one.max_K) == (q.min_K[idx], q.max_K[idx])
 
 
+def _three_point_extrema(alpha, beta, gamma):
+    """Reference: the quadratic evaluated at a = 0, a = 1 and the clipped vertex, then reduced."""
+    alpha, beta, gamma = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, beta, gamma)))
+    curv, slope0 = alpha - beta + gamma, beta - 2.0 * gamma
+    vertex = np.divide(-slope0, 2.0 * curv, out=np.zeros_like(curv), where=curv != 0.0)
+    a = np.stack([np.zeros_like(curv), np.ones_like(curv), np.clip(vertex, 0.0, 1.0)])
+    K = alpha * a * a + beta * a * (1.0 - a) + gamma * (1.0 - a) ** 2
+    return K.min(axis=0), K.max(axis=0), vertex
+
+
+def _assert_same_bits(q, ref):
+    for got, want in zip((q.min_K, q.max_K), ref):
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def test_extremize_quadratic_endpoint_identity(rng):
+    """Evaluating only the vertex gives the bits of evaluating a = 0, a = 1 and the vertex."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 4000))
+    coeffs = rng.standard_normal((3, 4000)) * scale
+    ref = _three_point_extrema(*coeffs)
+    vertex = ref[2]
+    for region in (vertex < 0.0, (vertex >= 0.0) & (vertex <= 1.0), vertex > 1.0):
+        assert np.count_nonzero(region) >= 100
+    _assert_same_bits(extremize_quadratic(*coeffs), ref[:2])
+
+    # curv == 0 exactly: integer coefficients with alpha = beta - gamma, zeros included
+    beta, gamma = rng.integers(-5, 6, size=(2, 200)).astype(float)
+    alpha = beta - gamma
+    assert np.all(alpha - beta + gamma == 0.0)
+    _assert_same_bits(extremize_quadratic(alpha, beta, gamma), _three_point_extrema(alpha, beta, gamma)[:2])
+
+    # the sweep's own coefficients, t = 1 (r = inf) included
+    t = np.linspace(0.0, 1.0, 65)
+    with np.errstate(divide="ignore"):
+        radii = t / (1.0 - t)
+    for n in range(1, 5):
+        coeffs = hz.hsc_coefficients(n, np.linspace(0.01, 0.99, 50)[:, None] / (n * n), radii)
+        _assert_same_bits(extremize_quadratic(*coeffs), _three_point_extrema(*coeffs)[:2])
+
+    for alpha, beta, gamma in ((1.0, 3.0, 2.0), (2.0, -1.0, 5.0), (12.0, 8.0, 4.0), (1.0, 0.0, 1.0)):
+        q = extremize_quadratic(alpha, beta, gamma)
+        assert type(q.min_K) is float and type(q.max_K) is float
+        _assert_same_bits(q, _three_point_extrema(alpha, beta, gamma)[:2])
+
+
 @pytest.mark.parametrize(
     "n,s,expected_pinch",
     [(1, Fraction(1, 3), 1.0 / 9.0), (2, Fraction(1, 10), 1.0 / 25.0)],
