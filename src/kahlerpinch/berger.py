@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import curvature_tensor, orthonormal_frame, scalar_curvature
+from .geometry import _curvature, _frame, scalar_curvature
 from .models import Hitchin, MetricModel
 from .optimize import _frame_tensor, batch_hsc
 
@@ -106,10 +106,11 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> li
     a Euclidean-uniform direction of c is a metric-uniform one of xi.  With
     ``antithetic`` every draw is averaged with its own mirror; the last draw
     of an odd count, whose mirror falls outside the sample, counts alone.
+    g must be known definite: the frame is not checked.
     """
     m = g.shape[-1]
     count = cfg.sample_count
-    Rhat = _frame_tensor(R, orthonormal_frame(g))
+    Rhat = _frame_tensor(R, _frame(g))
     rng = np.random.default_rng(cfg.seed)
     values = batch_hsc(Rhat, np.eye(m), _gaussian_rows(m, count, rng, cfg.antithetic))
     values *= 0.25 * m * (m + 1)
@@ -125,9 +126,12 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> li
 
 
 def _curvature_at(model: MetricModel, points):
-    """One stacked jet and curvature tensor for a list of chart points."""
+    """One stacked jet and curvature tensor for a list of chart points.
+
+    ``metric_jet`` checks the metrics definite, so the tensor is not checked again.
+    """
     jet = model.metric_jet(np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]))
-    return curvature_tensor(jet), jet.g
+    return _curvature(jet), jet.g
 
 
 def berger_scalar(model: MetricModel, z, cfg: SphereSampleConfig) -> BergerEstimate:

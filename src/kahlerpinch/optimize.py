@@ -18,13 +18,13 @@ stacked: the fiber sweep hands it all its tangent spaces at once, and a
 single tangent space is the one-row stack of the same code.  Higher
 dimensions are stacked the same way: every curvature tensor of the stack is
 contracted into its orthonormal frame, one seeded set of start directions is
-scored on all of them at once, and from each row's best start a trust-region
-Newton search (More and Sorensen 1983) with the analytic gradient and Hessian
-runs, in an affine chart of the direction space: a local search with no
-global guarantee, which converges quadratically to residuals at rounding, and
-the one part that runs row by row.  Curvature at many directions is one real
-quadratic form per tensor in the m^2 real coordinates of xi xi*
-(``batch_hsc``), evaluated as a matrix product over blocks of directions and
+scored on all of them at once, and one trust-region Newton search (More and
+Sorensen 1983) with the analytic gradient and Hessian runs from every row's
+best starts, each in an affine chart of the direction space: a stacked local
+search with no global guarantee, which converges quadratically to residuals
+at rounding, in which no row depends on another.  Curvature at many
+directions is one real quadratic form per tensor in the m^2 real coordinates
+of xi xi* (``batch_hsc``), a matrix product over blocks of directions and
 over a stack of tensors.
 The fiber sweep solves its grid, t = 1 included, through one stacked cell
 function, and refines an extreme cell inside the grid by zooming on the
@@ -374,17 +374,19 @@ def _start_candidates(m: int, seed: int) -> np.ndarray:
 
 
 def _chart_vector(x: np.ndarray) -> np.ndarray:
-    """c = (1, z) in C^m for the chart point x = (Re z_1, Im z_1, Re z_2, ...)."""
-    return np.concatenate([[1.0 + 0j], x.view(complex)])
+    """Rows c = (1, z) in C^m for the chart points x = (Re z_1, Im z_1, Re z_2, ...), stacked."""
+    return np.concatenate([np.ones((len(x), 1), dtype=complex), x.view(complex)], axis=1)
 
 
-def _chart_objective(Rhat: np.ndarray, sign: float):
+def _chart_objective(Rhat: np.ndarray, sign: np.ndarray):
     """sign * K, with its gradient and Hessian, in the affine chart c_0 = 1 of the frame.
 
-    A real chart point x holds the other coordinates of c, interleaved as
-    (Re, Im).  With S = |c|^2, N = conj(c).v, v_b = sum Rhat_abcd c_a c_c
-    conj(c_d), W_ba = sum Rhat_abcd c_c conj(c_d) and U_bd = sum Rhat_abcd
-    c_a c_c, K = 2N/S^2 has the Wirtinger derivatives
+    Stacked over the rows of Rhat (B, m, m, m, m) and sign (B,): ``fun(x,
+    rows)`` evaluates the rows ``rows`` at the chart points x (len(rows),
+    2(m - 1)).  A real chart point x holds the other coordinates of c,
+    interleaved as (Re, Im).  With S = |c|^2, N = conj(c).v, v_b = sum
+    Rhat_abcd c_a c_c conj(c_d), W_ba = sum Rhat_abcd c_c conj(c_d) and U_bd
+    = sum Rhat_abcd c_a c_c, K = 2N/S^2 has the Wirtinger derivatives
 
         dK/dconj(c)            = 4v/S^2 - 4Nc/S^3,
         d2K/dconj(c) dc        = 8W/S^2 - 8(v c* + c v*)/S^3 - 4N I/S^3 + 12N c c*/S^4,
@@ -392,137 +394,133 @@ def _chart_objective(Rhat: np.ndarray, sign: float):
 
     from which the real gradient and Hessian in x follow.
     """
-    m = Rhat.shape[0]
-    M_ab_cd = Rhat.reshape(m * m, m * m)
-    M_ac_bd = Rhat.transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    n = 2 * (m - 1)
-    diagonal = np.diag_indices(m)
+    m = Rhat.shape[-1]
+    M_ba_cd = Rhat.transpose(0, 2, 1, 3, 4).reshape(-1, m * m, m * m)
+    M_ac_bd = Rhat.transpose(0, 1, 3, 2, 4).reshape(-1, m * m, m * m)
 
-    def fun(x):
+    def fun(x, rows):
         c = _chart_vector(x)
         cc = c.conj()
-        P, Q = np.outer(c, cc), np.outer(c, c)
-        W = (M_ab_cd @ P.ravel()).reshape(m, m).T
-        U = (Q.ravel() @ M_ac_bd).reshape(m, m)
-        v = W @ c
-        S = float((cc @ c).real)
-        N = float((cc @ v).real)
-        G = (4.0 / S**2) * v - (4.0 * N / S**3) * c
-        vc, vq = np.outer(v, cc), np.outer(v, c)
-        H1 = (8.0 / S**2) * W - (8.0 / S**3) * (vc + vc.conj().T) + (12.0 * N / S**4) * P
-        H1[diagonal] -= 4.0 * N / S**3
-        H2 = (4.0 / S**2) * U - (8.0 / S**3) * (vq + vq.T) + (12.0 * N / S**4) * Q
+        P, Q = np.einsum("ka,kb->kab", c, cc), np.einsum("ka,kb->kab", c, c)
+        W = np.einsum("kpq,kq->kp", M_ba_cd[rows], P.reshape(-1, m * m)).reshape(-1, m, m)
+        U = np.einsum("kp,kpq->kq", Q.reshape(-1, m * m), M_ac_bd[rows]).reshape(-1, m, m)
+        v = np.einsum("kba,ka->kb", W, c)
+        S = np.einsum("ka,ka->k", cc, c).real[:, None, None]
+        N = np.einsum("ka,ka->k", cc, v).real[:, None, None]
+        G = (4.0 / S[:, 0] ** 2) * v - (4.0 * N[:, 0] / S[:, 0] ** 3) * c
+        vc, vq = np.einsum("ka,kb->kab", v, cc), np.einsum("ka,kb->kab", v, c)
+        H1 = (8.0 / S**2) * W - (8.0 / S**3) * (vc + vc.conj().swapaxes(1, 2))
+        H1 += (12.0 * N / S**4) * P
+        H1[:, range(m), range(m)] -= 4.0 * N[:, 0] / S[:, 0] ** 3
+        H2 = (4.0 / S**2) * U - (8.0 / S**3) * (vq + vq.swapaxes(1, 2)) + (12.0 * N / S**4) * Q
         # d/dx = d/dz + d/dconj(z) and d/dy = i (d/dz - d/dconj(z)) on each coordinate z = x + iy.
-        A, B = sign * (H1 + H2)[1:, 1:], sign * (H1 - H2)[1:, 1:]
-        hess = np.empty((n, n))
-        hess[0::2, 0::2], hess[1::2, 0::2] = 2.0 * A.real, 2.0 * A.imag
-        hess[0::2, 1::2], hess[1::2, 1::2] = -2.0 * B.imag, 2.0 * B.real
-        grad = (2.0 * sign) * G[1:].view(float)
-        return sign * 2.0 * N / S**2, grad, 0.5 * (hess + hess.T)
+        s = sign[rows, None, None]
+        A, B = s * (H1 + H2)[:, 1:, 1:], s * (H1 - H2)[:, 1:, 1:]
+        hess = np.empty((len(x), 2 * m - 2, 2 * m - 2))
+        hess[:, 0::2, 0::2], hess[:, 1::2, 0::2] = 2.0 * A.real, 2.0 * A.imag
+        hess[:, 0::2, 1::2], hess[:, 1::2, 1::2] = -2.0 * B.imag, 2.0 * B.real
+        grad = (2.0 * s[:, 0]) * G[:, 1:].view(float)
+        return (s * 2.0 * N / S**2)[:, 0, 0], grad, 0.5 * (hess + hess.swapaxes(1, 2))
 
     return fun
 
 
-def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> np.ndarray:
-    """Minimiser p of g.p + p.Hp/2 over |p| <= radius (More and Sorensen 1983).
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two stacks of vectors; a row's value never depends on the others."""
+    return np.einsum("ki,ki->k", a, b)
 
-    In the eigenbasis of H, p = -(H + mu I)^-1 g for the least mu >= max(0,
-    -lambda_min) that puts p in the region.  On the boundary, mu = max(0,
-    -lambda_min) + shift solves |p| = radius, by Newton steps on 1/|p| kept
-    inside a bracket by geometric bisection.  Shifts below the rounding of
-    the eigenvalues are zero: if p stays inside the region there (the hard
-    case), it is completed to the boundary along the eigenvector of lambda_min.
+
+def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Minimisers p of g.p + p.Hp/2 over |p| <= radius (More and Sorensen 1983), stacked.
+
+    For each row of g (B, n), H (B, n, n) and radius (B,), in the eigenbasis
+    of H, p = -(H + mu I)^-1 g for the least mu >= max(0, -lambda_min) that
+    puts p in the region.  On the boundary, mu = max(0, -lambda_min) + shift
+    solves |p| = radius, by Newton steps on 1/|p| kept inside a bracket by
+    geometric bisection, taken together by the boundary rows until each one
+    meets its test.  Shifts below the rounding of the eigenvalues are zero:
+    if p stays inside the region there (the hard case), it is completed to
+    the boundary along the eigenvector of lambda_min.
     """
     lam, Q = np.linalg.eigh(H)
-    a = Q.T @ g
-    if lam[0] > 0.0:
-        p = -a / lam
-        if p @ p <= radius**2:
-            return Q @ p
-    gap = lam - min(0.0, lam[0])
-    hi = math.sqrt(a @ a) / radius  # |p| <= radius at this shift
-    lo = _EPS * (np.abs(lam).max() + hi)
-    p = -a / (gap + lo)
-    short = radius**2 - p @ p
-    if short >= 0.0:
-        p[0] -= math.copysign(math.sqrt(short), a[0])
-        return Q @ p
+    a = np.einsum("kji,kj->ki", Q, g)
+    p = np.zeros_like(a)
+    inside = lam[:, 0] > 0.0
+    p[inside] = -a[inside] / lam[inside]
+    rows = np.flatnonzero(~inside | (_dot(p, p) > radius**2))
+    a, lam, r = a[rows], lam[rows], radius[rows]
+    gap = lam - np.minimum(0.0, lam[:, :1])
+    hi = np.sqrt(_dot(a, a)) / r  # |p| <= radius at this shift
+    lo = _EPS * (np.abs(lam).max(axis=1) + hi)
+    q = -a / (gap + lo[:, None])
+    short = r**2 - _dot(q, q)
+    hard = short >= 0.0
+    q[hard, 0] = -np.copysign(np.sqrt(q[hard, 0] ** 2 + short[hard]), a[hard, 0])
+    p[rows[hard]] = q[hard]
+    rows, a, gap, r, lo, hi = (y[~hard] for y in (rows, a, gap, r, lo, hi))
     shift = hi
     for _ in range(_TRUST_REGION_ITER):
-        p = -a / (gap + shift)
-        norm = math.sqrt(p @ p)
-        if abs(norm - radius) <= 1e-12 * radius:
-            return Q @ p
-        if norm > radius:
-            lo = shift
-        else:
-            hi = shift
-        shift += (norm / radius - 1.0) * norm**2 / ((p * p) @ (1.0 / (gap + shift)))
-        if not lo < shift < hi:
-            shift = math.sqrt(lo * hi)
-    return Q @ (-a / (gap + hi))
+        q = -a / (gap + shift[:, None])
+        norm = np.sqrt(_dot(q, q))
+        lo, hi = np.where(norm > r, shift, lo), np.where(norm > r, hi, shift)
+        shift = shift + (norm / r - 1.0) * norm**2 / _dot(q * q, 1.0 / (gap + shift[:, None]))
+        shift = np.where((lo < shift) & (shift < hi), shift, np.sqrt(lo * hi))
+        # Rows that meet the test keep this q and leave the loop.
+        open_ = np.abs(norm - r) > 1e-12 * r
+        p[rows[~open_]] = q[~open_]
+        rows, a, gap, r, lo, hi, shift = (y[open_] for y in (rows, a, gap, r, lo, hi, shift))
+        if not len(rows):
+            break
+    p[rows] = -a / (gap + hi[:, None])
+    return np.einsum("kij,kj->ki", Q, p)
 
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """Last iterate of :func:`minimize`, its value and the evaluations spent."""
+    """Last iterates of :func:`minimize`, their values and the evaluations spent on all rows."""
 
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
     nfev: int
 
 
-def minimize(fun, x0: np.ndarray, gtol: float) -> NewtonResult:
-    """Local minimum of ``fun`` by trust-region Newton (More and Sorensen 1983).
+def minimize(fun, x0: np.ndarray, gtol: np.ndarray) -> NewtonResult:
+    """Local minima of ``fun`` by trust-region Newton (More and Sorensen 1983), one per row of x0.
 
-    ``fun(x)`` returns the value, gradient and Hessian at x.  Each step
-    minimises the quadratic model exactly in the trust region, which grows
-    when the model predicts the decrease well and shrinks when it does not.
-    Near a minimum the decreases fall below the rounding of the value, where
-    the ratio of actual to predicted decrease is noise; there a step is taken
-    when it lowers the gradient norm.  Stops once the largest gradient entry
-    is within ``gtol``, the region has shrunk below the rounding of x, or
-    after ``_MAX_ITER`` evaluations.
+    ``fun(x, rows)`` returns the values, gradients and Hessians of the rows
+    ``rows`` of the stack at the points x.  Each step minimises the quadratic
+    model exactly in the trust region, which grows when the model predicts
+    the decrease well and shrinks when it does not.  Near a minimum the
+    decreases fall below the rounding of the value, where the ratio of
+    actual to predicted decrease is noise; there a step is taken when it
+    lowers the gradient norm.  A row stops once its largest gradient entry
+    is within its ``gtol``, its region has shrunk below the rounding of x,
+    or after ``_MAX_ITER`` evaluations.  Every row keeps its own region and
+    stop rule, and each step evaluates only the rows still running, so a
+    row's result does not depend on the others.
     """
-    x = np.asarray(x0, dtype=float)
-    f, g, H = fun(x)
-    nfev, radius = 1, 1.0
-    while np.abs(g).max() > gtol and nfev < _MAX_ITER:
-        p = _trust_region_step(g, H, radius)
-        predicted = -(g @ p + 0.5 * p @ H @ p)
-        f_new, g_new, H_new = fun(x + p)
-        nfev += 1
-        step = math.sqrt(p @ p)
-        if predicted <= _ROUNDING_ULPS * _EPS * abs(f):
-            accept = g_new @ g_new < g @ g
-            ratio = 1.0 if accept else 0.0
-        else:
-            ratio = (f - f_new) / predicted
-            accept = ratio > 0.1
-        if ratio < 0.25:
-            radius = 0.25 * step
-        elif ratio > 0.75 and step >= 0.99 * radius:
-            radius = 2.0 * radius
-        if accept:
-            x, f, g, H = x + p, f_new, g_new, H_new
-        if radius <= _EPS * (1.0 + math.sqrt(x @ x)):
-            break
-    return NewtonResult(x, f, nfev)
-
-
-def _local_search(Rhat, F, c0, sign: float, gtol: float) -> np.ndarray:
-    """Unit direction F c at a local minimum of sign * K, by :func:`minimize` from the frame vector c0.
-
-    The search runs in the affine chart of the largest coordinate of c0:
-    the frame is rotated to put that coordinate first, where
-    :func:`_chart_objective` sets it to 1.  It stops when the gradient's
-    largest entry is within ``gtol``.
-    """
-    order = np.roll(np.arange(len(c0)), -int(np.argmax(np.abs(c0))))
-    x0 = (c0[order[1:]] / c0[order[0]]).view(float)
-    res = minimize(_chart_objective(Rhat[np.ix_(order, order, order, order)], sign), x0, gtol)
-    xi = F[:, order] @ _chart_vector(res.x)
-    return xi / np.linalg.norm(xi)
+    x = np.array(x0, dtype=float)
+    rows = np.arange(len(x))
+    f, g, H = fun(x, rows)
+    nfev, radius = np.ones(len(x), dtype=int), np.ones(len(x))
+    while len(rows := rows[(np.abs(g[rows]).max(axis=1) > gtol[rows]) & (nfev[rows] < _MAX_ITER)]):
+        f0, g0, H0, r = f[rows], g[rows], H[rows], radius[rows]
+        p = _trust_region_step(g0, H0, r)
+        predicted = -(_dot(g0, p) + _dot(np.einsum("ki,kij->kj", 0.5 * p, H0), p))
+        x_new = x[rows] + p
+        f_new, g_new, H_new = fun(x_new, rows)
+        nfev[rows] += 1
+        step = np.sqrt(_dot(p, p))
+        flat = predicted <= _ROUNDING_ULPS * _EPS * np.abs(f0)
+        ratio = np.divide(f0 - f_new, predicted, out=np.zeros_like(f0), where=~flat)
+        accept = np.where(flat, _dot(g_new, g_new) < _dot(g0, g0), ratio > 0.1)
+        ratio[flat] = accept[flat]
+        grow = (ratio > 0.75) & (step >= 0.99 * r)
+        radius[rows] = np.where(ratio < 0.25, 0.25 * step, np.where(grow, 2.0 * r, r))
+        i = rows[accept]
+        x[i], f[i], g[i], H[i] = x_new[accept], f_new[accept], g_new[accept], H_new[accept]
+        rows = rows[radius[rows] > _EPS * (1.0 + np.sqrt(_dot(x[rows], x[rows])))]
+    return NewtonResult(x, f, int(nfev.sum()))
 
 
 def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> DirectionExtrema:
@@ -532,17 +530,18 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     fields of the result are arrays over it.  Two-dimensional tangent spaces
     are solved exactly on the Bloch sphere.  Higher dimensions contract every
     curvature tensor into its orthonormal frame, score one seeded set of
-    frame directions on the whole stack with one :func:`batch_hsc`, and start
-    a trust-region Newton search (:func:`minimize`) from each row's best, for
-    the minimum and for the maximum; this is a local search with no global
-    guarantee, and the one part that runs row by row.  The returned values
-    are K, and the residuals the analytic K-gradient norms, at the returned
-    extremizers, the numerical counterpart of the constrained stationarity
-    conditions.  A row is flagged unconverged when either residual exceeds
-    ``_RESIDUAL_TOL`` scaled by the curvature magnitude (for surfaces, also
-    when the solve's rounding floor does).  Both the exact solve and the
-    Newton search reach residuals near rounding, about 1e-12 relative, so
-    that tolerance leaves a wide margin.
+    frame directions on the whole stack with one :func:`batch_hsc`, and run
+    one stacked trust-region Newton search (:func:`minimize`) of 2P rows,
+    from each point's best start for the minimum and for the maximum, in the
+    affine chart of the start's largest frame coordinate; this is a local
+    search with no global guarantee.  The returned values are K, and the
+    residuals the analytic K-gradient norms, at the returned extremizers, the
+    numerical counterpart of the constrained stationarity conditions.  A row
+    is flagged unconverged when either residual exceeds ``_RESIDUAL_TOL``
+    scaled by the curvature magnitude (for surfaces, also when the solve's
+    rounding floor does).  Both the exact solve and the Newton search reach
+    residuals near rounding, about 1e-12 relative, so that tolerance leaves a
+    wide margin.
     """
     R, g = np.asarray(R, dtype=complex), _require_positive_definite(g)
     m = g.shape[-1]
@@ -553,14 +552,22 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     if m == 1:
         xi_min = xi_max = F[..., 0]
     else:
-        Rhat = _frame_tensor(R, F)
-        cands = _start_candidates(m, seed)
+        Rhat, cands = _frame_tensor(R, F), _start_candidates(m, seed)
         values = batch_hsc(Rhat, np.eye(m), cands)
-        xi_min, xi_max = np.empty_like(F[..., 0]), np.empty_like(F[..., 0])
-        for p, row in enumerate(values):
-            for xi, i, sign in ((xi_min, np.argmin(row), 1.0), (xi_max, np.argmax(row), -1.0)):
-                gtol = _GRADIENT_TOL * max(1.0, abs(row[i]))
-                xi[p] = _local_search(Rhat[p], F[p], cands[i], sign, gtol)
+        # Rows k < P of the search seek the minima, rows k >= P the maxima.
+        point, sign = np.tile(np.arange(len(g)), 2), np.repeat([1.0, -1.0], len(g))
+        best = np.concatenate([values.argmin(axis=1), values.argmax(axis=1)])
+        order = (np.arange(m) + np.argmax(np.abs(cands[best]), axis=1)[:, None]) % m
+        c0 = cands[best[:, None], order]
+        x0 = (c0[:, 1:] / c0[:, :1]).view(float)
+        i = order[:, :, None, None, None]
+        Rhat = Rhat[(point[:, None, None, None, None], *(i.swapaxes(1, j) for j in range(1, 5)))]
+        gtol = _GRADIENT_TOL * np.maximum(1.0, np.abs(values[point, best]))
+        res = minimize(_chart_objective(Rhat, sign), x0, gtol)
+        Fo = np.take_along_axis(F[point], order[:, None, :], axis=2)
+        xi = np.einsum("kij,kj->ki", Fo, _chart_vector(res.x))
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        xi_min, xi_max = xi[: len(g)], xi[len(g) :]
     min_K = holomorphic_sectional_curvature(R, g, xi_min)
     max_K = holomorphic_sectional_curvature(R, g, xi_max)
     return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K)
@@ -572,15 +579,8 @@ def extremize_direction(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directio
     The one-row stack of :func:`extremize_directions`, with float fields.
     """
     ex = extremize_directions(np.asarray(R)[None], np.asarray(g)[None], seed)
-    return DirectionExtrema(
-        float(ex.min_K[0]),
-        float(ex.max_K[0]),
-        ex.argmin[0],
-        ex.argmax[0],
-        float(ex.min_residual[0]),
-        float(ex.max_residual[0]),
-        bool(ex.converged[0]),
-    )
+    rows = (getattr(ex, f.name)[0] for f in fields(ex))
+    return DirectionExtrema(*(y if y.ndim else y.item() for y in rows))
 
 
 def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:

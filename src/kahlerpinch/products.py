@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import curvature_tensor
+from .geometry import _curvature
 from .models import Hitchin, MetricModel, Product
 from .optimize import DirectionExtrema, extremize_directions
 
@@ -104,9 +104,12 @@ def _sample_points(model: MetricModel, rng: np.random.Generator, count: int):
 
 
 def _extrema_at_points(model: MetricModel, points, seed: int) -> DirectionExtrema:
-    """Direction extrema at every point, stacked: one jet, one tensor and one search."""
+    """Direction extrema at every point, stacked: one jet, one tensor and one search.
+
+    ``metric_jet`` checks the metrics definite, so the tensor is not checked again.
+    """
     jet = model.metric_jet(np.stack(points))
-    return extremize_directions(curvature_tensor(jet), jet.g, seed=seed)
+    return extremize_directions(_curvature(jet), jet.g, seed=seed)
 
 
 def factor_curvature_stats(

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import kahlerpinch
+from kahlerpinch import geometry, models, optimize
 from kahlerpinch.cli import main
 
 
@@ -389,3 +390,26 @@ def test_commands_run_without_scipy():
     report = json.loads(proc.stdout)
     assert [code for code, _ in report] == [0] * len(argvs)
     assert not any(scipy for _, scipy in report), list(zip(argvs, report))
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        # one jet of two points, then one trace per point
+        (["berger", "--model", "fs3", "--samples", "2000"], 3),
+        # each factor's jet, the product jet and the two factor jets inside it, one per search
+        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 8),
+    ],
+    ids=["berger", "product"],
+)
+def test_metric_stacks_are_checked_definite_once(argv, checks, monkeypatch, capsys):
+    calls, check = [], geometry._require_positive_definite
+
+    def counting(g):
+        calls.append(g.shape)
+        return check(g)
+
+    for module in (geometry, models, optimize):
+        monkeypatch.setattr(module, "_require_positive_definite", counting)
+    assert main(argv) == 0
+    assert len(calls) == checks, calls

@@ -452,6 +452,15 @@ def test_general_extrema_bracket_dense_sample(name):
 _STACKED_MODELS = {**_GENERAL_MODELS, "fs2": FubiniStudy(2), "fs1": FubiniStudy(1)}
 
 
+def _assert_rows_alone_match(R, g, seed):
+    """Each row of the stacked direction search gives the same bits solved alone."""
+    ex = optimize.extremize_directions(R, g, seed=seed)
+    for p in range(len(R)):
+        one = extremize_direction(R[p], g[p], seed=seed)
+        for f in fields(one):
+            assert np.array_equal(getattr(ex, f.name)[p], getattr(one, f.name)), (p, f.name)
+
+
 @pytest.mark.parametrize("name", list(_STACKED_MODELS))
 def test_stacked_search_matches_row_by_row(name, monkeypatch):
     model = _STACKED_MODELS[name]
@@ -460,16 +469,30 @@ def test_stacked_search_matches_row_by_row(name, monkeypatch):
     R = curvature_tensor(jet)
     scored = []
     monkeypatch.setattr(optimize, "batch_hsc", lambda *a: scored.append(a) or batch_hsc(*a))
-    ex = optimize.extremize_directions(R, jet.g, seed=3)
+    optimize.extremize_directions(R, jet.g, seed=3)
     assert len(scored) == (1 if model.dimension >= 3 else 0)  # one scoring of all starts
     monkeypatch.undo()
-    for p in range(len(R)):
-        one = extremize_direction(R[p], jet.g[p], seed=3)
-        for value, residual in (("min_K", "min_residual"), ("max_K", "max_residual")):
-            scale = max(1.0, abs(getattr(one, value)))
-            assert abs(getattr(ex, value)[p] - getattr(one, value)) <= 1e-14 * scale
-            assert abs(getattr(ex, residual)[p] - getattr(one, residual)) <= 1e-14 * scale
-        assert ex.converged[p] == one.converged
+    _assert_rows_alone_match(R, jet.g, seed=3)
+
+
+def test_stacked_search_rows_stop_independently(monkeypatch):
+    # Hitchin product rows whose searches take different numbers of evaluations.
+    model = Product(Hitchin.make(1, "1/3"), Hitchin.make(1, "1/3"))
+    rng = np.random.default_rng(MASTER_SEED)
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(8)]))
+    R = curvature_tensor(jet)
+    evaluated, objective = [], optimize._chart_objective
+
+    def counting(Rhat, sign):
+        fun = objective(Rhat, sign)
+        return lambda x, rows: evaluated.extend(rows) or fun(x, rows)
+
+    monkeypatch.setattr(optimize, "_chart_objective", counting)
+    optimize.extremize_directions(R, jet.g, seed=1)
+    monkeypatch.undo()
+    nfev = np.bincount(evaluated)
+    assert len(nfev) == 2 * len(R) and len(set(nfev)) >= 4
+    _assert_rows_alone_match(R, jet.g, seed=1)
 
 
 @pytest.mark.parametrize("name", list(_GENERAL_MODELS))
@@ -481,32 +504,101 @@ def test_chart_hessian_matches_gradient_differences(name):
     for k in range(4):
         R, g = _random_tangent_space(model, rng)
         F = np.roll(orthonormal_frame(g), -k, axis=1)  # chart c_k = 1 of the frame
-        fun = optimize._chart_objective(optimize._frame_tensor(R, F), 1.0 if k % 2 else -1.0)
+        Rhat = optimize._frame_tensor(R, F)[None]
+        fun = optimize._chart_objective(Rhat, np.array([1.0 if k % 2 else -1.0]))
         x = rng.uniform(-1.0, 1.0, 2 * (m - 1))
-        K, _, H = fun(x)
+        K, _, H = (y[0] for y in fun(x[None], [0]))
         fd = np.empty_like(H)
         for i in range(len(x)):
             e = np.zeros_like(x)
             e[i] = h
-            grad = [fun(x + j * e)[1] for j in (-2, -1, 1, 2)]
+            grad = [fun((x + j * e)[None], [0])[1][0] for j in (-2, -1, 1, 2)]
             # fourth-order central difference of the gradient
             fd[:, i] = (8.0 * (grad[2] - grad[1]) - (grad[3] - grad[0])) / (12.0 * h)
         # fs3 has constant K, so its Hessian is rounding noise; K sets the scale there.
         assert np.abs(H - fd).max() <= 1e-9 * max(abs(K), np.abs(H).max())
 
 
-def test_newton_minimize_rosenbrock():
-    def rosenbrock(x):
-        a, b = x
+def _rosenbrock(evaluated):
+    """Stacked Rosenbrock value, gradient and Hessian that records the rows it evaluates."""
+
+    def fun(x, rows):
+        evaluated.extend(rows)
+        a, b = x[:, 0], x[:, 1]
         f = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
-        g = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
-        H = np.array([[2.0 - 400.0 * b + 1200.0 * a * a, -400.0 * a], [-400.0 * a, 200.0]])
+        g = np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
+        H = np.empty((len(x), 2, 2))
+        H[:, 0, 0], H[:, 1, 1] = 2.0 - 400.0 * b + 1200.0 * a * a, 200.0
+        H[:, 0, 1] = H[:, 1, 0] = -400.0 * a
         return f, g, H
 
-    res = optimize.minimize(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-12)
+    return fun
+
+
+def test_newton_minimize_rosenbrock():
+    # the classic start, the minimum itself, and a start across the valley
+    x0 = np.array([[-1.2, 1.0], [1.0, 1.0], [2.0, -1.0]])
+    evaluated = []
+    res = optimize.minimize(_rosenbrock(evaluated), x0, gtol=np.full(3, 1e-12))
+    nfev = np.bincount(evaluated, minlength=3)
     assert np.abs(res.x - 1.0).max() <= 1e-10
-    assert res.fun <= 1e-20
-    assert 1 < res.nfev < optimize._MAX_ITER
+    assert res.fun.max() <= 1e-20
+    assert nfev[1] == 1
+    assert 1 < nfev[0] < optimize._MAX_ITER and 1 < nfev[2] < optimize._MAX_ITER
+    assert res.nfev == nfev.sum() and type(res.nfev) is int
+    assert len(set(nfev)) == 3  # the rows stop at different iterations
+    for k in range(3):
+        alone = optimize.minimize(_rosenbrock([]), x0[k : k + 1], gtol=np.full(1, 1e-12))
+        assert alone.nfev == nfev[k]
+        assert np.array_equal(alone.x[0], res.x[k]) and alone.fun[0] == res.fun[k]
+
+
+def _trust_region_rows(rng, n, count):
+    """Seeded (g, H, radius) stacks with ``count`` rows of each More-Sorensen case.
+
+    Built in an eigenbasis Q with eigenvalues lam and a = Q^T g: interior rows
+    have lam > 0 and the Newton step well inside the region; boundary rows
+    have an indefinite H, or the Newton step outside the region; hard-case
+    rows have lam_min < 0, a_min = 0 and the step (H - lam_min)^+ g inside.
+    """
+    cases = []
+    for case in ("interior", "boundary", "hard") * count:
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = rng.standard_normal(n)
+        if case == "interior":
+            lam = rng.uniform(0.5, 3.0, n)
+            radius = np.linalg.norm(a / lam) * rng.uniform(1.5, 3.0)
+        elif case == "boundary":
+            lam = np.sort(rng.uniform(-3.0, 3.0, n))
+            a[0] = math.copysign(abs(a[0]) + 0.1, a[0])
+            radius = rng.uniform(0.1, 0.9) * (np.linalg.norm(a / lam) if lam[0] > 0 else 2.0)
+        else:
+            lam = -rng.uniform(0.5, 2.0) + np.concatenate([[0.0], rng.uniform(0.5, 3.0, n - 1)])
+            a[0] = 0.0
+            radius = np.linalg.norm(a[1:] / (lam[1:] - lam[0])) * rng.uniform(1.2, 3.0)
+        cases.append((case, Q @ a, (Q * lam) @ Q.T, radius))
+    order = rng.permutation(len(cases))
+    case, g, H, radius = (np.array([cases[i][j] for i in order]) for j in range(4))
+    return case, g, 0.5 * (H + H.swapaxes(1, 2)), radius
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_trust_region_step_meets_more_sorensen_conditions(n):
+    case, g, H, radius = _trust_region_rows(np.random.default_rng(MASTER_SEED + n), n, 25)
+    p = optimize._trust_region_step(g, H, radius)
+    for k in range(len(g)):
+        norm = np.linalg.norm(p[k])
+        Hp = H[k] @ p[k]
+        # the multiplier of the step, zero inside the region
+        mu = 0.0 if norm < radius[k] * (1.0 - 1e-10) else -(p[k] @ (Hp + g[k])) / (p[k] @ p[k])
+        lam_max = np.abs(np.linalg.eigvalsh(H[k])).max()
+        scale = np.linalg.norm(g[k]) + lam_max * radius[k]
+        assert np.linalg.norm(Hp + mu * p[k] + g[k]) <= 1e-10 * scale, case[k]
+        assert mu >= 0.0, case[k]
+        assert abs(mu * (norm - radius[k])) <= 1e-10 * scale, case[k]
+        assert norm <= radius[k] * (1.0 + 1e-10), case[k]
+        assert np.linalg.eigvalsh(H[k] + mu * np.eye(n))[0] >= -1e-10 * lam_max, case[k]
+        assert (mu == 0.0) == (case[k] == "interior"), case[k]
 
 
 def test_general_extrema_repeat_for_a_seed(rng):
