@@ -2,7 +2,7 @@
 and two-route certification of the pinching constants of built-in metric
 models (Fubini-Study, the Hirzebruch family, products)."""
 
-from .berger import BergerComparison, BergerEstimate, SphereSampleConfig, berger_scalar, berger_vs_trace
+from .berger import BergerComparison, SphereSampleConfig, berger_vs_trace
 from .geometry import (
     DegenerateMetricError,
     MetricJet,
@@ -23,7 +23,6 @@ from .models import (
     Hitchin,
     MetricModel,
     Product,
-    fd_metric_jet,
     model_from_json,
     model_to_json,
 )

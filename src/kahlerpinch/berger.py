@@ -11,7 +11,8 @@ the metric-uniform measure on the unit sphere is the push of the Euclidean one
 through an orthonormal frame, so raw complex Gaussian rows scored on each
 point's frame tensor give the average without a normalising or frame product.
 Every point reseeds from the configured seed, so one draw per call serves all
-points, scored as one stacked :func:`~kahlerpinch.optimize.batch_hsc`.
+points, scored as one stacked :func:`~kahlerpinch.optimize.batch_hsc`, and a
+point's row is the same alone as in a stack.
 """
 from __future__ import annotations
 
@@ -25,9 +26,7 @@ from .optimize import _frame_tensor, batch_hsc
 
 __all__ = [
     "SphereSampleConfig",
-    "BergerEstimate",
     "BergerComparison",
-    "berger_scalar",
     "berger_vs_trace",
     "default_points",
 ]
@@ -50,13 +49,6 @@ class SphereSampleConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-
-
-@dataclass(frozen=True)
-class BergerEstimate:
-    estimate: float
-    stderr: float
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ def _gaussian_rows(m: int, count: int, rng: np.random.Generator, antithetic: boo
     return raw
 
 
-def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> list[BergerEstimate]:
+def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     """Monte Carlo estimates of m(m+1)/4 times the mean of K over the unit spheres of (R, g).
 
     Stacked over a leading point axis, with one draw for the whole stack: in
@@ -106,7 +98,9 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> li
     a Euclidean-uniform direction of c is a metric-uniform one of xi.  With
     ``antithetic`` every draw is averaged with its own mirror; the last draw
     of an odd count, whose mirror falls outside the sample, counts alone.
-    g must be known definite: the frame is not checked.
+    Returns the estimates and their standard errors, one per point; pairs are
+    averaged before the error estimate, keeping it unbiased.  g must be known
+    definite: the frame is not checked.
     """
     m = g.shape[-1]
     count = cfg.sample_count
@@ -122,27 +116,7 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig) -> li
     n = values.shape[1]
     est = np.mean(values, axis=1)
     sem = np.std(values, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(values))
-    return [BergerEstimate(float(e), float(s), count) for e, s in zip(est, sem)]
-
-
-def _curvature_at(model: MetricModel, points):
-    """One stacked jet and curvature tensor for a list of chart points.
-
-    ``metric_jet`` checks the metrics definite, so the tensor is not checked again.
-    """
-    jet = model.metric_jet(np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]))
-    return _curvature(jet), jet.g
-
-
-def berger_scalar(model: MetricModel, z, cfg: SphereSampleConfig) -> BergerEstimate:
-    """Monte Carlo estimate of the scalar curvature at a chart point.
-
-    Returns m(m+1)/4 times the sample mean of K over the metric unit sphere
-    together with the standard error of that mean (antithetic pairs are
-    averaged before the error estimate, keeping it unbiased).  This is the
-    one-point stack of :func:`berger_vs_trace`'s sphere average.
-    """
-    return _sphere_average(*_curvature_at(model, [z]), cfg)[0]
+    return est, sem
 
 
 def _zscore(diff: float, stderr: float) -> float:
@@ -156,20 +130,23 @@ def berger_vs_trace(
 ) -> list[BergerComparison]:
     """Compare the Monte Carlo estimate with the trace scalar curvature.
 
-    The jets and curvature tensors of all points come from one stacked
-    evaluation, and every point's sphere average from the one draw of
-    ``cfg.seed`` that :func:`berger_scalar` makes for a single point, so each
-    row equals it.  ``bracket`` optionally carries the (lower,
-    upper) scalar-curvature bounds; for Hitchin models every trace value is
-    checked against it.
+    The jets, curvature tensors and traces of all points come from one
+    stacked evaluation each (``metric_jet`` checks the metrics definite), and
+    every point's sphere average from the one draw of ``cfg.seed``, so a
+    point's row is the same alone as in a stack.  ``bracket`` optionally
+    carries the (lower, upper) scalar-curvature bounds; for Hitchin models
+    every trace value is checked against it.
     """
     points = list(points)
     if not points:
         return []
-    R, g = _curvature_at(model, points)
+    zs = np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points])
+    jet = model.metric_jet(zs)
+    R = _curvature(jet)
+    ests, sems = _sphere_average(R, jet.g, cfg)
+    taus = scalar_curvature(R, jet.g)
     rows = []
-    for i, (z, est) in enumerate(zip(points, _sphere_average(R, g, cfg))):
-        tau = scalar_curvature(R[i], g[i])
+    for z, est, sem, tau in zip(zs.tolist(), ests.tolist(), sems.tolist(), taus.tolist()):
         within = None
         if bracket is not None:
             lo, hi = bracket
@@ -177,11 +154,11 @@ def berger_vs_trace(
             within = (lo - pad) <= tau <= (hi + pad)
         rows.append(
             BergerComparison(
-                point=[complex(c) for c in np.asarray(z, dtype=complex)],
-                estimate=est.estimate,
-                stderr=est.stderr,
+                point=z,
+                estimate=est,
+                stderr=sem,
                 trace_tau=tau,
-                zscore=_zscore(est.estimate - tau, est.stderr),
+                zscore=_zscore(est - tau, sem),
                 within_bracket=within,
             )
         )

@@ -11,11 +11,11 @@ Every array may carry leading batch axes ahead of these indices: a stack of
 points has g of shape (..., m, m), dg (..., m, m, m), ddg and R (..., m, m, m,
 m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
 ``curvature_tensor``, ``orthonormal_frame``, ``norm_squared``,
-``holomorphic_sectional_curvature`` and ``hsc_gradient`` act on the whole
-stack at once through ``...`` einsum subscripts and batched ``np.linalg``; a
-single point is the stack with no batch axis.  A kernel may move the stack
-axes last inside, so that numpy's inner loops run over the stack; its inputs
-and results keep the convention above.
+``holomorphic_sectional_curvature``, ``hsc_gradient`` and ``scalar_curvature``
+act on the whole stack at once through ``...`` einsum subscripts and batched
+``np.linalg``; a single point is the stack with no batch axis.  A kernel may
+move the stack axes last inside, so that numpy's inner loops run over the
+stack; its inputs and results keep the convention above.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -231,11 +231,14 @@ def ricci(R: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("lk,ijkl->ij", ginv, R)
 
 
-def scalar_curvature(R: np.ndarray, g: np.ndarray) -> float:
-    """Scalar curvature, the double metric trace of the curvature tensor."""
+def scalar_curvature(R: np.ndarray, g: np.ndarray):
+    """Scalar curvature, the double metric trace of the curvature tensor.
+
+    A float, or an array over the leading axes of a stack.
+    """
     ginv = inverse_metric(g)
-    value = np.einsum("ji,lk,ijkl->", ginv, ginv, R)
-    return _real_part(complex(value), "scalar curvature")
+    value = np.einsum("...ji,...lk,...ijkl->...", ginv, ginv, R)
+    return _real_part(value, "scalar curvature")
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:

@@ -6,8 +6,7 @@ assembled from closed-form Wirtinger derivatives of those kernels through the
 hand-expanded chain/product rule for log-compositions; no numerical
 differentiation is involved.  A kernel jet carries only the unbarred
 derivatives of its real kernel; :func:`log_jet` takes the barred ones as
-their conjugates.  An independent finite-difference oracle
-(:func:`fd_metric_jet`) cross-checks the analytic jets.
+their conjugates.
 
 Models:
 
@@ -40,7 +39,6 @@ __all__ = [
     "Product",
     "MetricModel",
     "log_jet",
-    "fd_metric_jet",
     "model_to_json",
     "model_from_json",
 ]
@@ -397,49 +395,6 @@ class Product:
 
 
 MetricModel = FubiniStudy | Hitchin | Product
-
-
-def _wirtinger(f, z: np.ndarray, k: int, h: float, barred: bool):
-    e = np.zeros(z.size, dtype=complex)
-    e[k] = 1.0
-    fr = (f(z + h * e) - f(z - h * e)) / (2.0 * h)
-    fi = (f(z + 1j * h * e) - f(z - 1j * h * e)) / (2.0 * h)
-    return 0.5 * (fr + 1j * fi) if barred else 0.5 * (fr - 1j * fi)
-
-
-def fd_metric_jet(model: MetricModel, z, h: float = 1e-4) -> MetricJet:
-    """Finite-difference oracle for :meth:`metric_jet`.
-
-    The metric itself is rebuilt from central Wirtinger differences of the
-    potential; dg and ddg are central differences of the analytic metric, so
-    the oracle is independent of the hand-expanded third and fourth derivative
-    formulas it checks.
-    """
-    if h < 1e-12:
-        raise ValueError("finite-difference step underflow (h < 1e-12)")
-    m = model.dimension
-    z = _as_point(z, m)
-
-    def g_of(p):
-        return model.metric_jet(p).g
-
-    g = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            inner = lambda p, jj=j: _wirtinger(model.potential, p, jj, h, barred=True)
-            g[i, j] = _wirtinger(inner, z, i, h, barred=False)
-
-    dg = np.empty((m, m, m), dtype=complex)
-    for k in range(m):
-        dg[:, :, k] = _wirtinger(g_of, z, k, h, barred=False)
-
-    ddg = np.empty((m, m, m, m), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            inner = lambda p, ll=l: _wirtinger(g_of, p, ll, h, barred=True)
-            ddg[:, :, k, l] = _wirtinger(inner, z, k, h, barred=False)
-
-    return MetricJet(g, dg, ddg)
 
 
 def model_to_json(model: MetricModel) -> dict:

@@ -11,18 +11,19 @@ from fractions import Fraction
 import numpy as np
 
 from kahlerpinch import hirzebruch as hz
-from kahlerpinch.berger import SphereSampleConfig, berger_scalar, berger_vs_trace
+from kahlerpinch.berger import SphereSampleConfig, berger_vs_trace
 from kahlerpinch.cli import main
 from kahlerpinch.geometry import (
     check_symmetries,
     curvature_tensor,
     holomorphic_sectional_curvature,
 )
-from kahlerpinch.models import FubiniStudy, Hitchin, Product, fd_metric_jet
+from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import extremize_quadratic, sweep_fiber, sweep_s
 from kahlerpinch.products import product_bounds, verify_product_numeric
 
 from conftest import MASTER_SEED, builtin_models, random_direction, random_point
+from fd_oracle import fd_metric_jet
 
 _PASSED = {}
 
@@ -150,7 +151,7 @@ def test_criterion_5_berger_formula():
         (Product(FubiniStudy(1), FubiniStudy(1)), [0.3, -0.2], 4.0),
     ]
     for model, z, tau in targets:
-        est = berger_scalar(model, np.asarray(z, dtype=complex), cfg)
+        est = berger_vs_trace(model, [np.asarray(z, dtype=complex)], cfg)[0]
         checks.append(abs(est.estimate - tau) <= max(3.0 * est.stderr, 1e-9))
 
     hitchin_samples = [
@@ -267,8 +268,8 @@ def test_criterion_8_property_suite():
 
     model = Hitchin.make(1, "1/3")
     cfg = SphereSampleConfig(sample_count=20_000, seed=MASTER_SEED)
-    a = berger_scalar(model, model.fiber_point(1.0), cfg)
-    b = berger_scalar(model, model.fiber_point(1.0), cfg)
+    a = berger_vs_trace(model, [model.fiber_point(1.0)], cfg)[0]
+    b = berger_vs_trace(model, [model.fiber_point(1.0)], cfg)[0]
     if a != b:
         violations += 1
 

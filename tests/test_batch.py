@@ -7,6 +7,7 @@ from kahlerpinch.geometry import (
     MetricJet,
     curvature_tensor,
     orthonormal_frame,
+    scalar_curvature,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import _extremize_surfaces, direction_weights, extremize_direction
@@ -49,6 +50,7 @@ def test_stacked_jet_curvature_and_frame_match_rows(model, rng):
     jet = model.metric_jet(z)
     R = curvature_tensor(jet)
     F = orthonormal_frame(jet.g)
+    tau = scalar_curvature(R, jet.g)
     assert jet.g.shape == z.shape[:1] + (model.dimension,) * 2
     for i, zi in enumerate(z):
         row = model.metric_jet(zi)
@@ -56,6 +58,9 @@ def test_stacked_jet_curvature_and_frame_match_rows(model, rng):
             _assert_close(stacked[i], single)
         _assert_close(R[i], curvature_tensor(row))
         _assert_close(F[i], orthonormal_frame(row.g))
+        _assert_close(tau[i], scalar_curvature(curvature_tensor(row), row.g))
+        # the stacked trace is the per-point trace of the same tensor, to the bit
+        assert tau[i] == scalar_curvature(R[i], jet.g[i])
 
 
 @pytest.mark.parametrize("model", [m for m in _stack_models() if m.values[0].dimension == 2])

@@ -8,7 +8,6 @@ from kahlerpinch.berger import (
     BergerComparison,
     SphereSampleConfig,
     _gaussian_rows,
-    berger_scalar,
     berger_vs_trace,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
@@ -34,20 +33,20 @@ def test_consistent_reads_its_zmax():
 
 
 def test_fs_p1_scalar_estimate():
-    est = berger_scalar(FubiniStudy(1), [0.7], SphereSampleConfig(20000, MASTER_SEED))
+    est = berger_vs_trace(FubiniStudy(1), [[0.7]], SphereSampleConfig(20000, MASTER_SEED))[0]
     assert abs(est.estimate - 2.0) <= max(3.0 * est.stderr, 1e-9)
 
 
 def test_fs_p2_scalar_estimate():
-    est = berger_scalar(
-        FubiniStudy(2), [0.2, -0.4j], SphereSampleConfig(50000, MASTER_SEED)
-    )
+    est = berger_vs_trace(
+        FubiniStudy(2), [[0.2, -0.4j]], SphereSampleConfig(50000, MASTER_SEED)
+    )[0]
     assert abs(est.estimate - 6.0) <= max(3.0 * est.stderr, 1e-8)
 
 
 def test_product_scalar_estimate():
     model = Product(FubiniStudy(1), FubiniStudy(1))
-    est = berger_scalar(model, [0.3, -0.2j], SphereSampleConfig(50000, MASTER_SEED))
+    est = berger_vs_trace(model, [[0.3, -0.2j]], SphereSampleConfig(50000, MASTER_SEED))[0]
     assert abs(est.estimate - 4.0) <= 3.0 * est.stderr
     assert est.stderr > 0.0
 
@@ -94,18 +93,18 @@ def test_random_points_agree_with_trace_for_all_models():
 def test_seeded_reproducibility():
     model = Hitchin.make(1, "1/3")
     cfg = SphereSampleConfig(5000, 1234)
-    a = berger_scalar(model, model.fiber_point(1.0), cfg)
-    b = berger_scalar(model, model.fiber_point(1.0), cfg)
+    a = berger_vs_trace(model, [model.fiber_point(1.0)], cfg)[0]
+    b = berger_vs_trace(model, [model.fiber_point(1.0)], cfg)[0]
     assert a == b
-    c = berger_scalar(model, model.fiber_point(1.0), SphereSampleConfig(5000, 1235))
+    c = berger_vs_trace(model, [model.fiber_point(1.0)], SphereSampleConfig(5000, 1235))[0]
     assert a.estimate != c.estimate
 
 
 def test_antithetic_variant_unbiased_and_deterministic():
     model = Hitchin.make(1, "1/3")
     cfg = SphereSampleConfig(40000, MASTER_SEED, antithetic=True)
-    a = berger_scalar(model, model.fiber_point(1.0), cfg)
-    b = berger_scalar(model, model.fiber_point(1.0), cfg)
+    a = berger_vs_trace(model, [model.fiber_point(1.0)], cfg)[0]
+    b = berger_vs_trace(model, [model.fiber_point(1.0)], cfg)[0]
     assert a == b
     from kahlerpinch.geometry import curvature_tensor, scalar_curvature
 
@@ -118,7 +117,7 @@ def test_comparison_evaluates_all_jets_once_and_matches_pointwise(monkeypatch):
     model = Hitchin.make(2, Fraction(1, 10))
     points = [model.fiber_point(r) for r in (0.0, 2.0)] + [np.array([0.3 - 0.2j, 0.5j])]
     cfg = SphereSampleConfig(4000, MASTER_SEED)
-    single = [berger_scalar(model, z, cfg) for z in points]
+    single = [berger_vs_trace(model, [z], cfg)[0] for z in points]
     jet_calls = []
     metric_jet = Hitchin.metric_jet
     monkeypatch.setattr(
@@ -155,8 +154,7 @@ def test_antithetic_pairs_each_draw_with_its_mirror(count):
     ]
     if count % 2:
         units.append(scale * _hsc_at(R, jet.g, draws[-1]))  # its mirror is not in the sample
-    est = berger_scalar(model, z, SphereSampleConfig(count, seed, antithetic=True))
-    assert est.sample_count == count
+    est = berger_vs_trace(model, [z], SphereSampleConfig(count, seed, antithetic=True))[0]
     assert est.estimate == pytest.approx(np.mean(units), rel=1e-13)
     assert est.stderr == pytest.approx(np.std(units, ddof=1) / np.sqrt(len(units)), rel=1e-12)
     # the mirrors really are the returned draws, reversed, after the draws
@@ -192,10 +190,9 @@ def test_monte_carlo_stream_is_pinned(name):
     rows = berger_vs_trace(model, points, cfg)
     for row, want in zip(rows, _GOLDEN_ESTIMATES[name]):
         assert row.estimate == pytest.approx(want, rel=1e-14)
-    # one shared draw: every row is bit for bit the one-point estimate
+    # one shared draw and a stacked trace: every row is bit for bit the one-point row
     for row, z in zip(rows, points):
-        one = berger_scalar(model, z, cfg)
-        assert (row.estimate, row.stderr) == (one.estimate, one.stderr)
+        assert row == berger_vs_trace(model, [z], cfg)[0]
 
 
 def _old_sphere_values(R, g, rows):

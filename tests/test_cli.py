@@ -395,12 +395,15 @@ def test_commands_run_without_scipy():
 @pytest.mark.parametrize(
     "argv, checks",
     [
-        # one jet of two points, then one trace per point
-        (["berger", "--model", "fs3", "--samples", "2000"], 3),
+        # one jet of all points, then one trace of the stack
+        (["berger", "--model", "fs3", "--samples", "2000"], 2),
+        (["berger", "--model", "hitchin:2:1/10", "--samples", "2000"], 2),
+        # the fiber sweep checks two jet stacks, then the Berger jet and trace
+        (["verify", "--n-max", "1", "--grid", "16"], 4),
         # each factor's jet, the product jet and the two factor jets inside it, one per search
         (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 8),
     ],
-    ids=["berger", "product"],
+    ids=["berger", "berger-hitchin", "verify", "product"],
 )
 def test_metric_stacks_are_checked_definite_once(argv, checks, monkeypatch, capsys):
     calls, check = [], geometry._require_positive_definite

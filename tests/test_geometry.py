@@ -216,7 +216,7 @@ def test_hitchin_large_fiber_ricci_not_positive():
 
 
 def test_curvature_tensor_matches_fd_jet_route(rng, models):
-    from kahlerpinch.models import fd_metric_jet
+    from fd_oracle import fd_metric_jet
 
     for model in models:
         for _ in range(3):

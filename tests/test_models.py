@@ -16,13 +16,13 @@ from kahlerpinch.models import (
     FubiniStudy,
     Hitchin,
     Product,
-    fd_metric_jet,
     model_from_json,
     model_to_json,
 )
 from kahlerpinch.optimize import extremize_direction
 
 from conftest import builtin_models, random_point
+from fd_oracle import fd_metric_jet
 
 
 def test_far_chart_is_the_same_metric(rng):
