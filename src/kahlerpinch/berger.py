@@ -11,25 +11,35 @@ the metric-uniform measure on the unit sphere is the push of the Euclidean one
 through an orthonormal frame, so raw complex Gaussian rows scored on each
 point's frame tensor give the average without a normalising or frame product.
 Every point reseeds from the configured seed, so one draw per call serves all
-points, scored as one stacked :func:`~kahlerpinch.optimize.batch_hsc`, and a
-point's row is the same alone as in a stack.
+points, and a point's row is the same alone as in a stack.  The draw runs on
+one short-lived thread per call: all real parts, then the imaginary parts
+block by block, the order of the seeded stream.  The calling thread scores
+each block of the stack as it arrives, in the blocks and with the arithmetic
+of :func:`~kahlerpinch.optimize.batch_hsc`, so the estimates are bit for bit
+those of one thread.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _curvature, _frame, scalar_curvature
+from .geometry import _curvature, _frame, _scalar_curvature
 from .models import Hitchin, MetricModel
-from .optimize import _frame_tensor, batch_hsc
+from .optimize import _HSC_BLOCK, _frame_tensor, _hermitian_form, _hsc_columns
 
 __all__ = [
+    "SampleCountError",
     "SphereSampleConfig",
     "BergerComparison",
     "berger_vs_trace",
     "default_points",
 ]
+
+
+class SampleCountError(ValueError):
+    """Raised when the buffers of a sphere average cannot hold its sample count."""
 
 
 @dataclass(frozen=True)
@@ -73,19 +83,18 @@ class BergerComparison:
         return abs(self.zscore) < zmax or self.near_exact
 
 
-def _gaussian_rows(m: int, count: int, rng: np.random.Generator, antithetic: bool) -> np.ndarray:
-    """``count`` complex standard normal rows in C^m, drawn as real then imaginary parts.
+def _columns(parts: np.ndarray, start: int, stop: int, half: int) -> np.ndarray:
+    """Samples ``start`` to ``stop`` of one coordinate part, as contiguous columns (m, stop - start).
 
-    With ``antithetic`` the first ceil(count/2) rows are draws and the rest
-    their coordinate-reversed mirrors, in draw order.  Each real draw goes
-    into the complex rows as it is made, so the two are never held together.
+    ``parts`` holds the real or the imaginary parts of the draws, shape
+    (half, m); sample half + i is the mirror of draw i, its coordinates
+    reversed.
     """
-    half = (count + 1) // 2 if antithetic else count
-    raw = np.empty((count, m), dtype=complex)
-    raw.real[:half] = rng.standard_normal((half, m))
-    raw.imag[:half] = rng.standard_normal((half, m))
-    raw[half:] = raw[: count - half, ::-1]
-    return raw
+    draws = max(min(stop, half) - start, 0)
+    cols = np.empty((parts.shape[1], stop - start))
+    cols[:, :draws] = parts[start : start + draws].T
+    cols[:, draws:] = parts[start + draws - half : stop - half, ::-1].T
+    return cols
 
 
 def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
@@ -94,19 +103,73 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     Stacked over a leading point axis, with one draw for the whole stack: in
     the frame coordinates c of each point, xi = F c, K is
     2 Rhat(c, c, c, c)/|c|^4 with the frame tensor Rhat (metric I), so the raw
-    Gaussian rows need neither normalising nor pushing through the frame, and
-    a Euclidean-uniform direction of c is a metric-uniform one of xi.  With
-    ``antithetic`` every draw is averaged with its own mirror; the last draw
-    of an odd count, whose mirror falls outside the sample, counts alone.
-    Returns the estimates and their standard errors, one per point; pairs are
-    averaged before the error estimate, keeping it unbiased.  g must be known
-    definite: the frame is not checked.
+    complex Gaussian rows need neither normalising nor pushing through the
+    frame, and a Euclidean-uniform direction of c is a metric-uniform one of
+    xi.  With ``antithetic`` the first ceil(count/2) rows are draws and the
+    rest their coordinate-reversed mirrors, and every draw is averaged with
+    its own mirror; the last draw of an odd count, whose mirror falls outside
+    the sample, counts alone.  Returns the estimates and their standard
+    errors, one per point; pairs are averaged before the error estimate,
+    keeping it unbiased.  g must be known definite: the frame is not checked.
+
+    One draw thread per call fills the buffers the caller allocated: the real
+    parts of all draws in one ``standard_normal`` call, then the imaginary
+    parts in blocks of ``_HSC_BLOCK`` rows, the stream order of a single
+    (draws, m) real draw followed by an imaginary one.  The caller builds the
+    Hermitian form meanwhile and scores each block of draws as its imaginary
+    part arrives, in the blocks of :func:`~kahlerpinch.optimize.batch_hsc`
+    over all rows; blocks that hold mirrors are scored after the join.  So
+    every value is bit for bit that of :func:`batch_hsc` on the complex rows.
+    A failure of the draw is raised here; a failure of the caller stops the
+    draw at its next block, and the thread is joined before this returns.
     """
-    m = g.shape[-1]
-    count = cfg.sample_count
-    Rhat = _frame_tensor(R, _frame(g))
+    m, count = g.shape[-1], cfg.sample_count
+    half = (count + 1) // 2 if cfg.antithetic else count
+    try:
+        re, im = np.empty((half, m)), np.empty((half, m))
+        values = np.empty(R.shape[:-4] + (count,))
+    except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
+        raise SampleCountError(f"its sample buffers do not fit in memory ({exc})") from exc
     rng = np.random.default_rng(cfg.seed)
-    values = batch_hsc(Rhat, np.eye(m), _gaussian_rows(m, count, rng, cfg.antithetic))
+    drawn, stop, failed = threading.Semaphore(0), threading.Event(), []
+
+    def draw():
+        # Only the Generator runs here, and it fills without the GIL; every
+        # package function stays on the caller's thread, where a span tracer
+        # such as perfbench's keeps its one call stack.
+        try:
+            rng.standard_normal(out=re)
+            for i in range(0, half, _HSC_BLOCK):
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=im[i : i + _HSC_BLOCK])
+                drawn.release()
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+            drawn.release()
+
+    thread = threading.Thread(target=draw, name="berger-draw")
+    thread.start()
+    try:
+        N, gamma = _hermitian_form(_frame_tensor(R, _frame(g)), np.eye(m))
+        gamma = gamma[..., None, :]
+        for start in range(0, count, _HSC_BLOCK):
+            end = min(start + _HSC_BLOCK, count)
+            if end <= half:
+                drawn.acquire()  # this block's imaginary parts
+            else:
+                thread.join()  # a block with mirrors needs every draw
+            if failed:
+                break
+            re_cols, im_cols = _columns(re, start, end, half), _columns(im, start, end, half)
+            values[..., start:end] = _hsc_columns(N, gamma, re_cols, im_cols)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
     values *= 0.25 * m * (m + 1)
     if cfg.antithetic:
         # draw i is column i and its mirror column count - pairs + i
@@ -144,7 +207,7 @@ def berger_vs_trace(
     jet = model.metric_jet(zs)
     R = _curvature(jet)
     ests, sems = _sphere_average(R, jet.g, cfg)
-    taus = scalar_curvature(R, jet.g)
+    taus = _scalar_curvature(R, jet.g)
     rows = []
     for z, est, sem, tau in zip(zs.tolist(), ests.tolist(), sems.tolist(), taus.tolist()):
         within = None

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hirzebruch
-from .berger import SphereSampleConfig, berger_vs_trace, default_points
+from .berger import SampleCountError, SphereSampleConfig, berger_vs_trace, default_points
 from .geometry import (
     DegenerateMetricError,
     check_symmetries,
@@ -112,6 +112,14 @@ def _c2j(z: complex) -> list:
 
 def _rel_err(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1e-300)
+
+
+def _berger_rows(model: MetricModel, points, cfg: SphereSampleConfig, bracket) -> list:
+    """:func:`berger_vs_trace`, with a sample count too large to hold as a usage error."""
+    try:
+        return berger_vs_trace(model, points, cfg, bracket=bracket)
+    except SampleCountError as exc:
+        raise UsageError(f"--samples {cfg.sample_count} is too large: {exc}") from exc
 
 
 def _envelope(command: str, params: dict, results: dict, passed: bool) -> dict:
@@ -230,7 +238,7 @@ def cmd_berger(args):
     bracket = None
     if isinstance(model, Hitchin):
         bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(model.n, model.s))
-    rows = berger_vs_trace(model, points, cfg, bracket=bracket)
+    rows = _berger_rows(model, points, cfg, bracket)
     passed = all(r.consistent(args.zmax) and r.within_bracket is not False for r in rows)
     results = {
         "bracket": list(bracket) if bracket else None,
@@ -343,7 +351,7 @@ def _verify_row(n: int, args) -> dict:
 
     bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(n, s_star))
     cfg = SphereSampleConfig(sample_count=args.samples, seed=args.seed)
-    rows = berger_vs_trace(model, default_points(model), cfg, bracket=bracket)
+    rows = _berger_rows(model, default_points(model), cfg, bracket)
     max_z = max(abs(r.zscore) for r in rows)
     berger_ok = all(r.consistent(args.zmax) for r in rows)
     bracket_ok = all(r.within_bracket for r in rows)

@@ -236,7 +236,12 @@ def scalar_curvature(R: np.ndarray, g: np.ndarray):
 
     A float, or an array over the leading axes of a stack.
     """
-    ginv = inverse_metric(g)
+    return _scalar_curvature(R, _require_positive_definite(g))
+
+
+def _scalar_curvature(R: np.ndarray, g: np.ndarray):
+    """:func:`scalar_curvature` of a complex stack known to be definite, unchecked."""
+    ginv = np.linalg.inv(g)
     value = np.einsum("...ji,...lk,...ijkl->...", ginv, ginv, R)
     return _real_part(value, "scalar curvature")
 

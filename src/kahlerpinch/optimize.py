@@ -75,7 +75,8 @@ _SWEEP_T_POINTS = 65
 # quartiles on a 2-core VM): 20.8, 16.4 and 15.5 ms at 128, 256 and 512;
 # certify-fiber peak RSS 36.6, 36.7 and 37.6 MB, so 512 buys 5 % for 0.9 MB.
 _FIBER_BLOCK = 256
-# Directions per matrix product in batch_hsc: bounds its (rows, m^2) buffers.
+# Directions per matrix product in batch_hsc and the Berger sphere average:
+# bounds their (m^2, rows) buffers.
 _HSC_BLOCK = 8192
 _EPS = float(np.finfo(float).eps)
 # Gradient tolerance of each general-dimension search, relative to max(1, |K|)
@@ -107,16 +108,15 @@ _BLOCH = 0.5 * np.einsum("mab,ncd->abcdmn", _PAULI, _PAULI).reshape(16, 16)
 _COMPLETION = np.eye(3)[:, None, :] * np.array([1.0, -1.0])[:, None]
 
 
-def _hermitian_coordinates(xis: np.ndarray) -> np.ndarray:
-    """Real coordinates q of xi xi* for the rows xi of ``xis``, as columns (m^2, B).
+def _hermitian_coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Real coordinates q of xi xi* for the column directions xi = re + i im, as (m^2, B).
 
-    q = (|xi_a|^2, Re xi_a conj(xi_b), Im xi_a conj(xi_b)) over a and the
-    pairs a < b in ``np.triu_indices`` order, written in place from
-    contiguous (m, B) real and imaginary parts.
+    re and im are the real and imaginary parts, shape (m, B), fastest with
+    contiguous rows.  q = (|xi_a|^2, Re xi_a conj(xi_b), Im xi_a conj(xi_b))
+    over a and the pairs a < b in ``np.triu_indices`` order, written in place.
     """
-    m = xis.shape[1]
-    re, im = xis.real.T.copy(), xis.imag.T.copy()
-    q = np.empty((m * m, len(xis)))
+    m = len(re)
+    q = np.empty((m * m, re.shape[1]))
     np.multiply(re, re, out=q[:m])
     q[:m] += im * im
     pairs, j = m * (m - 1) // 2, m
@@ -158,7 +158,7 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     the result is (..., B), every tensor of the stack at every direction.  In
     the real coordinates q of xi xi*, K(xi) = 2 q.N q / (gamma.q)^2 with the
     form of :func:`_hermitian_form`; the rows are evaluated as one real matrix
-    product per block of ``_HSC_BLOCK`` rows.
+    product per block of ``_HSC_BLOCK`` rows (:func:`_hsc_columns`).
     """
     xis = np.asarray(xis, dtype=complex)
     N, gamma = _hermitian_form(np.asarray(R, dtype=complex), np.asarray(g, dtype=complex))
@@ -167,11 +167,21 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     gamma = gamma[..., None, :]
     K = np.empty(np.broadcast_shapes(N.shape[:-2], gamma.shape[:-2]) + (len(xis),))
     for i in range(0, len(xis), _HSC_BLOCK):
-        q = _hermitian_coordinates(xis[i : i + _HSC_BLOCK])
-        Nq = N @ q
-        Nq *= q
-        K[..., i : i + q.shape[1]] = 2.0 * Nq.sum(axis=-2) / (gamma @ q)[..., 0, :] ** 2
+        block = xis[i : i + _HSC_BLOCK].T
+        K[..., i : i + block.shape[1]] = _hsc_columns(N, gamma, block.real, block.imag)
     return K
+
+
+def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """K of the column directions re + i im, (m, B) each, on the form (N, gamma[..., None, :]).
+
+    One block of :func:`batch_hsc`, (..., B): its bits depend on the block's
+    columns and width, not on where the parts are stored.
+    """
+    q = _hermitian_coordinates(re, im)
+    Nq = N @ q
+    Nq *= q
+    return 2.0 * Nq.sum(axis=-2) / (gamma @ q)[..., 0, :] ** 2
 
 
 @dataclass(frozen=True)

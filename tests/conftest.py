@@ -1,9 +1,20 @@
+import threading
+
 import numpy as np
 import pytest
 
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 
 MASTER_SEED = 20250811
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that ends with a thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left running: {leaked}"
 
 
 @pytest.fixture

@@ -1,16 +1,19 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kahlerpinch import berger
 from kahlerpinch import hirzebruch as hz
 from kahlerpinch.berger import (
     BergerComparison,
     SphereSampleConfig,
-    _gaussian_rows,
+    _columns,
     berger_vs_trace,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
+from kahlerpinch.optimize import _HSC_BLOCK, batch_hsc
 
 from conftest import MASTER_SEED
 
@@ -157,9 +160,9 @@ def test_antithetic_pairs_each_draw_with_its_mirror(count):
     est = berger_vs_trace(model, [z], SphereSampleConfig(count, seed, antithetic=True))[0]
     assert est.estimate == pytest.approx(np.mean(units), rel=1e-13)
     assert est.stderr == pytest.approx(np.std(units, ddof=1) / np.sqrt(len(units)), rel=1e-12)
-    # the mirrors really are the returned draws, reversed, after the draws
-    rows = _gaussian_rows(m, count, np.random.default_rng(seed), antithetic=True)
-    assert np.array_equal(rows[:half], draws)
+    # the mirrors really are the stored draws, reversed, after the draws
+    rows = _columns(np.ascontiguousarray(draws.real), 0, count, half).T
+    assert np.array_equal(rows[:half], draws.real)
     assert np.array_equal(rows[half:], rows[: count // 2, ::-1])
 
 
@@ -229,3 +232,110 @@ def test_frame_coordinates_match_normalise_and_push(model):
         assert row.estimate == pytest.approx(np.mean(values), rel=1e-13)
         want_sem = np.std(values, ddof=1) / np.sqrt(len(values))
         assert abs(row.stderr - want_sem) <= 1e-13 * abs(row.estimate)
+
+
+def _one_thread_rows(model, points, cfg):
+    """(estimate, stderr) per point on one thread: one complex row array, reals then imaginaries."""
+    from kahlerpinch.geometry import curvature_tensor, orthonormal_frame
+    from kahlerpinch.optimize import _frame_tensor
+
+    m, count = model.dimension, cfg.sample_count
+    half = (count + 1) // 2 if cfg.antithetic else count
+    rng = np.random.default_rng(cfg.seed)
+    rows = np.empty((count, m), dtype=complex)
+    rows.real[:half] = rng.standard_normal((half, m))
+    rows.imag[:half] = rng.standard_normal((half, m))
+    rows[half:] = rows[: count - half, ::-1]
+    jet = model.metric_jet(np.array(points))
+    Rhat = _frame_tensor(curvature_tensor(jet), orthonormal_frame(jet.g))
+    values = batch_hsc(Rhat, np.eye(m), rows)
+    values *= 0.25 * m * (m + 1)
+    if cfg.antithetic:
+        pairs = count // 2
+        mean_pairs = 0.5 * (values[:, :pairs] + values[:, count - pairs :])
+        values = np.concatenate([mean_pairs, values[:, pairs : count - pairs]], axis=1)
+    n = values.shape[1]
+    sems = np.std(values, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(values))
+    return list(zip(np.mean(values, axis=1).tolist(), sems.tolist()))
+
+
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+@pytest.mark.parametrize("name", ["fs1", "hitchin:2:1/10", "product:fs2:fs2"])
+def test_overlapped_draw_matches_one_thread_bit_for_bit(name, antithetic):
+    # counts on both sides of a block edge, and antithetic blocks that hold
+    # draws and mirrors together
+    from kahlerpinch.cli import _parse_model
+
+    model = _parse_model(name)
+    rng = np.random.default_rng(MASTER_SEED)
+    m = model.dimension
+    points = [rng.uniform(-0.8, 0.8, m) + 1j * rng.uniform(-0.8, 0.8, m) for _ in range(3)]
+    for count in (1, 2, _HSC_BLOCK - 1, _HSC_BLOCK, _HSC_BLOCK + 1, 20001, 3 * _HSC_BLOCK + 5):
+        cfg = SphereSampleConfig(count, 29, antithetic)
+        for k in (1, 2, 3):
+            rows = berger_vs_trace(model, points[:k], cfg)
+            got = [(row.estimate, row.stderr) for row in rows]
+            assert got == _one_thread_rows(model, points[:k], cfg), (count, k)
+
+
+class _HookedGenerator:
+    """A seeded Generator whose ``standard_normal`` runs ``hook`` before its call number ``at``."""
+
+    def __init__(self, seed, at, hook):
+        self.rng = np.random.Generator(np.random.PCG64(seed))  # default_rng is patched
+        self.calls, self.at, self.hook = 0, at, hook
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.at:
+            self.hook()
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+_BLOCKS_CFG = SphereSampleConfig(3 * _HSC_BLOCK + 5)
+
+
+@pytest.mark.parametrize("at", [1, 2, 3], ids=["real-parts", "first-block", "second-block"])
+def test_draw_failure_is_raised_in_the_caller(at, monkeypatch):
+    error = RuntimeError("draw failed")
+
+    def fail():
+        raise error
+
+    monkeypatch.setattr(berger.np.random, "default_rng", lambda s: _HookedGenerator(s, at, fail))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG)
+    assert info.value is error
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "patched, at", [("_frame_tensor", 1), ("_hsc_columns", 3)], ids=["before-scoring", "scoring"]
+)
+def test_caller_failure_stops_and_joins_the_draw(patched, at, monkeypatch):
+    # The draw waits at its call ``at`` until the caller has failed, so the
+    # caller fails while the draw thread is alive.
+    failed, alive = threading.Event(), []
+
+    def fail(*args):
+        alive.extend(t.name for t in threading.enumerate())
+        failed.set()
+        raise KeyError(patched)
+
+    monkeypatch.setattr(berger, patched, fail)
+    monkeypatch.setattr(
+        berger.np.random, "default_rng", lambda s: _HookedGenerator(s, at, lambda: failed.wait(60))
+    )
+    threads = threading.active_count()
+    with pytest.raises(KeyError):
+        berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG)
+    assert threading.active_count() == threads
+    assert "berger-draw" in alive
+
+
+def test_impossible_sample_count_is_a_sample_count_error():
+    threads = threading.active_count()
+    with pytest.raises(berger.SampleCountError):
+        berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], SphereSampleConfig(2**62))
+    assert threading.active_count() == threads

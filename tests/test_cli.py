@@ -395,11 +395,11 @@ def test_commands_run_without_scipy():
 @pytest.mark.parametrize(
     "argv, checks",
     [
-        # one jet of all points, then one trace of the stack
-        (["berger", "--model", "fs3", "--samples", "2000"], 2),
-        (["berger", "--model", "hitchin:2:1/10", "--samples", "2000"], 2),
-        # the fiber sweep checks two jet stacks, then the Berger jet and trace
-        (["verify", "--n-max", "1", "--grid", "16"], 4),
+        # one jet of all points; the trace reuses its check
+        (["berger", "--model", "fs3", "--samples", "2000"], 1),
+        (["berger", "--model", "hitchin:2:1/10", "--samples", "2000"], 1),
+        # the fiber sweep checks two jet stacks, then the Berger jet
+        (["verify", "--n-max", "1", "--grid", "16"], 3),
         # each factor's jet, the product jet and the two factor jets inside it, one per search
         (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 8),
     ],

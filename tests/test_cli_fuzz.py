@@ -123,6 +123,9 @@ def _run(argv):
 @given(argvs())
 # one sample has no standard error, so its z-scores are infinite
 @example(["verify", "--n-max", "1", "--grid", "16", "--samples", "1"])
+# sample buffers numpy refuses to allocate: a parameter error, not a traceback
+@example(["berger", "--model", "fs2", "--samples", str(2**62)])
+@example(["verify", "--n-max", "1", "--grid", "16", "--samples", str(2**62)])
 def test_cli_never_crashes(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
