@@ -30,16 +30,11 @@ from .models import Hitchin, MetricModel
 from .optimize import _HSC_BLOCK, _frame_tensor, _hermitian_form, _hsc_columns
 
 __all__ = [
-    "SampleCountError",
     "SphereSampleConfig",
     "BergerComparison",
     "berger_vs_trace",
     "default_points",
 ]
-
-
-class SampleCountError(ValueError):
-    """Raised when the buffers of a sphere average cannot hold its sample count."""
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,8 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     try:
         re, im = np.empty((half, m)), np.empty((half, m))
         values = np.empty(R.shape[:-4] + (count,))
-    except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
-        raise SampleCountError(f"its sample buffers do not fit in memory ({exc})") from exc
+    except ValueError as exc:  # numpy's "array is too big", past any address space
+        raise MemoryError(f"the sample buffers cannot be allocated: {exc}") from exc
     rng = np.random.default_rng(cfg.seed)
     drawn, stop, failed = threading.Semaphore(0), threading.Event(), []
 

@@ -7,6 +7,7 @@ downstream regression tooling can pin the layout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hirzebruch
-from .berger import SampleCountError, SphereSampleConfig, berger_vs_trace, default_points
+from .berger import SphereSampleConfig, berger_vs_trace, default_points
 from .geometry import (
     DegenerateMetricError,
     check_symmetries,
@@ -46,6 +47,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _at_least(low: int):
+    """argparse type of an integer option that must be >= ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # read by argparse for its "invalid int value" message
+    return parse
 
 
 def _parse_s(text: str):
@@ -87,7 +101,7 @@ def _parse_model(text: str) -> MetricModel:
 
 
 def _parse_point(text: str, model: MetricModel) -> np.ndarray:
-    """Chart point of ``model`` with finite coordinates and a definite metric."""
+    """Chart point of ``model`` with finite coordinates; :func:`_named_points` checks its metric."""
     try:
         coords = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
@@ -99,11 +113,25 @@ def _parse_point(text: str, model: MetricModel) -> np.ndarray:
     z = np.array(coords, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise UsageError(f"point {text!r} has a non-finite coordinate")
-    try:
-        model.metric_jet(z)
-    except DegenerateMetricError as exc:
-        raise UsageError(f"point {text!r} is out of numerical range: {exc}") from exc
     return z
+
+
+@contextlib.contextmanager
+def _named_points(texts):
+    """A degenerate metric at row i of a stack of command-line points as a usage error naming it."""
+    try:
+        yield
+    except DegenerateMetricError as exc:  # default points are in range for every model
+        raise UsageError(f"point {texts[exc.row]!r} is out of numerical range: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _sized(option: str, value: int):
+    """Arrays sized by ``option`` that cannot be allocated, as a usage error naming it."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise UsageError(f"{option} {value} is too large: {exc}") from exc
 
 
 def _c2j(z: complex) -> list:
@@ -112,14 +140,6 @@ def _c2j(z: complex) -> list:
 
 def _rel_err(value: float, target: float) -> float:
     return abs(value - target) / max(abs(target), 1e-300)
-
-
-def _berger_rows(model: MetricModel, points, cfg: SphereSampleConfig, bracket) -> list:
-    """:func:`berger_vs_trace`, with a sample count too large to hold as a usage error."""
-    try:
-        return berger_vs_trace(model, points, cfg, bracket=bracket)
-    except SampleCountError as exc:
-        raise UsageError(f"--samples {cfg.sample_count} is too large: {exc}") from exc
 
 
 def _envelope(command: str, params: dict, results: dict, passed: bool) -> dict:
@@ -139,12 +159,8 @@ def _emit(payload: dict, rows, args) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if rows is None:
-            writer.writerow(("key", "value"))
-            for key, value in payload["results"].items():
-                writer.writerow((key, value))
-        else:
-            for row in rows:
-                writer.writerow(row)
+            rows = [("key", "value"), *payload["results"].items()]
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         try:
@@ -157,8 +173,6 @@ def _emit(payload: dict, rows, args) -> None:
 
 
 def _hitchin_from_args(args) -> Hitchin:
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
     s = _parse_s(args.s) if args.s is not None else hirzebruch.optimal_s(args.n)[0]
     try:
         model = Hitchin.make(args.n, s)
@@ -170,9 +184,8 @@ def _hitchin_from_args(args) -> Hitchin:
 
 def cmd_pinch(args):
     model = _hitchin_from_args(args)
-    if args.grid < 2:
-        raise UsageError("grid must be >= 2")
-    report = sweep_fiber(model, grid=args.grid, seed=args.seed)
+    with _sized("--grid", args.grid):
+        report = sweep_fiber(model, grid=args.grid, seed=args.seed)
     ana_min, ana_max = (float(x) for x in hirzebruch.min_max_hsc(model.n, model.s))
     ana_pinch = float(hirzebruch.pinching(model.n, model.s))
     rel = {
@@ -204,11 +217,8 @@ def cmd_pinch(args):
 
 
 def cmd_sweep_s(args):
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
-    if args.points < 1:
-        raise UsageError("empty parameter grid")
-    result = sweep_s(args.n, points=args.points)
+    with _sized("--points", args.points):
+        result = sweep_s(args.n, points=args.points)
     s_star = float(hirzebruch.optimal_s(args.n)[0])
     within = abs(result.argmax_s - s_star) <= result.cell_width
     results = {
@@ -226,8 +236,6 @@ def cmd_sweep_s(args):
 
 def cmd_berger(args):
     model = _parse_model(args.model)
-    if args.samples < 1:
-        raise UsageError("samples must be >= 1")
     cfg = SphereSampleConfig(
         sample_count=args.samples, seed=args.seed, antithetic=args.antithetic
     )
@@ -238,7 +246,8 @@ def cmd_berger(args):
     bracket = None
     if isinstance(model, Hitchin):
         bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(model.n, model.s))
-    rows = _berger_rows(model, points, cfg, bracket)
+    with _sized("--samples", args.samples), _named_points(args.point):
+        rows = berger_vs_trace(model, points, cfg, bracket=bracket)
     passed = all(r.consistent(args.zmax) and r.within_bracket is not False for r in rows)
     results = {
         "bracket": list(bracket) if bracket else None,
@@ -274,12 +283,11 @@ def cmd_berger(args):
 def cmd_product(args):
     left = _parse_model(args.left)
     right = _parse_model(args.right)
-    if args.samples < 1:
-        raise UsageError("samples must be >= 1")
     try:
-        report = verify_product_numeric(
-            left, right, samples=args.samples, tol=args.tol, seed=args.seed
-        )
+        with _sized("--samples", args.samples):
+            report = verify_product_numeric(
+                left, right, samples=args.samples, tol=args.tol, seed=args.seed
+            )
     except DegenerateMetricError as exc:
         raise UsageError(f"a factor is out of numerical range at a sample point: {exc}") from exc
     results = report.to_json_dict()
@@ -297,7 +305,8 @@ def cmd_curvature(args):
     model = _parse_model(args.model)
     m = model.dimension
     z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
-    jet = model.metric_jet(z)
+    with _named_points([args.point]):
+        jet = model.metric_jet(z)
     R = curvature_tensor(jet)
     ric = ricci(R, jet.g)
     sym = check_symmetries(R, jet)
@@ -340,7 +349,8 @@ def cmd_curvature(args):
 def _verify_row(n: int, args) -> dict:
     s_star, p_star = hirzebruch.optimal_s(n)
     model = Hitchin.make(n, s_star)
-    report = sweep_fiber(model, grid=args.grid, seed=args.seed)
+    with _sized("--grid", args.grid):
+        report = sweep_fiber(model, grid=args.grid, seed=args.seed)
     rel_pinch = _rel_err(report.pinching, float(p_star))
 
     bounds = hirzebruch.case_bounds(n, s_star)
@@ -351,7 +361,8 @@ def _verify_row(n: int, args) -> dict:
 
     bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(n, s_star))
     cfg = SphereSampleConfig(sample_count=args.samples, seed=args.seed)
-    rows = _berger_rows(model, default_points(model), cfg, bracket)
+    with _sized("--samples", args.samples):
+        rows = berger_vs_trace(model, default_points(model), cfg, bracket=bracket)
     max_z = max(abs(r.zscore) for r in rows)
     berger_ok = all(r.consistent(args.zmax) for r in rows)
     bracket_ok = all(r.within_bracket for r in rows)
@@ -397,12 +408,6 @@ def _verify_row(n: int, args) -> dict:
 
 
 def cmd_verify(args):
-    if args.n_max < 1:
-        raise UsageError("n-max must be >= 1")
-    if args.grid < 2:
-        raise UsageError("grid must be >= 2")
-    if args.samples < 1:
-        raise UsageError("samples must be >= 1")
     rows = [_verify_row(n, args) for n in range(1, args.n_max + 1)]
     passed = all(row["pass"] for row in rows)
     params = {
@@ -413,14 +418,8 @@ def cmd_verify(args):
         "tol": args.tol,
         "zmax": args.zmax,
     }
-
-    def csv_rows():
-        header = list(rows[0].keys())
-        yield tuple(header)
-        for row in rows:
-            yield tuple(row[key] for key in header)
-
-    return _envelope("verify", params, {"rows": rows}, passed), csv_rows(), passed
+    csv_rows = [tuple(rows[0]), *(tuple(row.values()) for row in rows)]  # one key order
+    return _envelope("verify", params, {"rows": rows}, passed), csv_rows, passed
 
 
 @functools.cache
@@ -439,31 +438,31 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
 
     p = sub.add_parser("pinch", help="sweep one Hirzebruch family member and certify")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--s", default=None, help="family parameter, decimal or p/q (default optimal)")
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=_at_least(2), default=512)
     p.add_argument("--tol", type=float, default=1e-6)
     common(p)
 
     p = sub.add_parser("sweep-s", help="scan the family parameter for the best pinching")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--points", type=int, default=999)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--points", type=_at_least(1), default=999)
     common(p)
 
     p = sub.add_parser("verify", help="run the full verification table for n = 1..n_max")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--n-max", type=_at_least(1), default=3)
+    p.add_argument("--grid", type=_at_least(2), default=256)
+    p.add_argument("--samples", type=_at_least(1), default=20000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--zmax", type=float, default=3.0)
     common(p)
 
     p = sub.add_parser("berger", help="Monte Carlo scalar-curvature comparison")
     p.add_argument("--model", required=True, help="fs<m> | hitchin:<n>:<s> | product:a:b | JSON")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_at_least(1), default=100000)
     p.add_argument("--zmax", type=float, default=3.0)
     p.add_argument("--antithetic", action="store_true")
     p.add_argument("--point", action="append", default=None, help="chart point, e.g. '0.3+0.1j,0.5'")
@@ -472,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="verify the product pinching formula numerically")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_at_least(1), default=3)
     p.add_argument("--tol", type=float, default=1e-6)
     common(p)
 
@@ -497,8 +496,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.seed < 0:
-            raise UsageError("seed must be >= 0")
         for name in ("tol", "zmax"):
             value = getattr(args, name, None)
             if value is not None and not (math.isfinite(value) and value > 0.0):

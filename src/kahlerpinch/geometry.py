@@ -48,13 +48,14 @@ _IMAG_TOL = 1e-10
 
 
 class DegenerateMetricError(ValueError):
-    """Raised when a metric matrix is singular or not positive definite."""
+    """Raised when a metric is singular or not positive definite, first at stack row ``row``."""
 
-    def __init__(self, min_eigenvalue: float, reason: str | None = None):
+    def __init__(self, min_eigenvalue: float, reason: str | None = None, row: int = 0):
         super().__init__(
             reason or f"degenerate metric: smallest eigenvalue {min_eigenvalue:.6e}"
         )
         self.min_eigenvalue = min_eigenvalue
+        self.row = int(row)
 
 
 class ZeroDirectionError(ValueError):
@@ -73,21 +74,12 @@ class MetricJet:
     ddg: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=complex)
-        dg = np.asarray(self.dg, dtype=complex)
-        ddg = np.asarray(self.ddg, dtype=complex)
-        m = g.shape[-1] if g.ndim >= 2 else 0
-        batch = g.shape[:-2]
-        if (
-            m < 1
-            or g.shape != batch + (m,) * 2
-            or dg.shape != batch + (m,) * 3
-            or ddg.shape != batch + (m,) * 4
-        ):
+        for name in ("g", "dg", "ddg"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
+        m = self.g.shape[-1] if self.g.ndim >= 2 else 0
+        shapes = [self.g.shape[:-2] + (m,) * rank for rank in (2, 3, 4)]
+        if m < 1 or [self.g.shape, self.dg.shape, self.ddg.shape] != shapes:
             raise ValueError("inconsistent metric jet array shapes")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "dg", dg)
-        object.__setattr__(self, "ddg", ddg)
 
     @property
     def dimension(self) -> int:
@@ -145,13 +137,15 @@ def metric_eigenvalues(g: np.ndarray) -> np.ndarray:
 def _require_positive_definite(g: np.ndarray) -> np.ndarray:
     """``g`` as a complex stack; raises unless every metric is finite and positive definite."""
     g = np.asarray(g, dtype=complex)
-    if not np.all(np.isfinite(g)):
-        raise DegenerateMetricError(math.nan, "degenerate metric: non-finite entries")
+    finite = np.isfinite(g)
+    if not finite.all():
+        row = finite.all(axis=(-2, -1)).argmin()
+        raise DegenerateMetricError(math.nan, "degenerate metric: non-finite entries", row)
     ev = metric_eigenvalues(g)
     low = ev[..., 0]
     bad = ~np.all(np.isfinite(ev), axis=-1) | (low <= 0.0)
     if np.any(bad):
-        raise DegenerateMetricError(float(low[bad][0]))
+        raise DegenerateMetricError(float(low[bad][0]), row=bad.argmax())
     return g
 
 

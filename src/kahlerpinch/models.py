@@ -16,7 +16,7 @@ Models:
   (z1, w = 1/z2) of the curve at infinity log(1+|z1|^2) + s log(1 + |w|^2 (1+|z1|^2)^n).
   All three kernels are U^a + |x|^2 U^b with U = 1+|z1|^2: (a, b) = (1, none),
   (n, 0) and (0, n), built by one function.
-* ``Product(a, b)``    -- block product metric of two factor models.
+* ``Product(a, b)``    -- block product metric of two factor models (:func:`product_jet`).
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ __all__ = [
     "Product",
     "MetricModel",
     "log_jet",
+    "product_jet",
     "model_to_json",
     "model_from_json",
 ]
@@ -99,7 +100,10 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     # last bit can differ from it, and the jets should not depend on the host.
     flat = w.ravel().tolist()
     w1 = w.reshape(-1)
-    w2, w3, w4 = (np.array([x**k for x in flat]) for k in (2, 3, 4))
+    try:
+        w2, w3, w4 = (np.array([x**k for x in flat]) for k in (2, 3, 4))
+    except OverflowError:
+        w2, w3, w4 = (np.array([_pow(x, k) for x in flat]) for k in (2, 3, 4))
     dw, d2w, dmix = stack_last(kernel.dw, 1), stack_last(kernel.d2w, 2), stack_last(kernel.dmix, 2)
     d3w, d4w = stack_last(kernel.d3w, 3), stack_last(kernel.d4w, 4)
     # The barred derivatives of a real kernel; d3wb[i, j, l] = conj(d3w[j, l, i]).
@@ -146,6 +150,28 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     return MetricJet(stack_first(g), stack_first(dg), stack_first(ddg))
 
 
+def _pow(x: float, k: int) -> float:
+    """x**k of a kernel value x > 0, inf past the float range, for the finiteness checks."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
+def product_jet(left: MetricJet, right: MetricJet) -> MetricJet:
+    """Block-diagonal jet of a product metric from any two factor jets, batch axes broadcast.
+
+    A product row has the bits, and so the definiteness, of its factor rows.
+    """
+    ml, m = left.dimension, left.dimension + right.dimension
+    batch = np.broadcast_shapes(left.g.shape[:-2], right.g.shape[:-2])
+    parts = [np.zeros(batch + (m,) * rank, dtype=complex) for rank in (2, 3, 4)]
+    for part, a, b in zip(parts, (left.g, left.dg, left.ddg), (right.g, right.dg, right.ddg)):
+        rank = part.ndim - len(batch)
+        part[(...,) + (slice(ml),) * rank], part[(...,) + (slice(ml, None),) * rank] = a, b
+    return MetricJet(*parts)
+
+
 def _as_point(z, m: int) -> np.ndarray:
     """Chart point(s) as a complex array of shape (..., m); a scalar is a point of C^1."""
     z = np.asarray(z, dtype=complex)
@@ -169,7 +195,9 @@ def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
     jet = jet_of(z.reshape(-1, m))
     _require_positive_definite(jet.g)
     if not (np.all(np.isfinite(jet.dg)) and np.all(np.isfinite(jet.ddg))):
-        raise DegenerateMetricError(math.nan, "metric jet has non-finite derivatives")
+        dg_ok, ddg_ok = (np.isfinite(a.reshape(len(a), -1)).all(axis=1) for a in (jet.dg, jet.ddg))
+        row = (dg_ok & ddg_ok).argmin()
+        raise DegenerateMetricError(math.nan, "metric jet has non-finite derivatives", row)
     batch = z.shape[:-1]
     return MetricJet(*(a.reshape(batch + a.shape[1:]) for a in (jet.g, jet.dg, jet.ddg)))
 
@@ -375,23 +403,8 @@ class Product:
         return self.left.potential(z[:ml]) + self.right.potential(z[ml:])
 
     def metric_jet(self, z) -> MetricJet:
-        ml, m = self.left.dimension, self.dimension
-
-        def jet_of(rows):
-            jl = self.left.metric_jet(rows[:, :ml])
-            jr = self.right.metric_jet(rows[:, ml:])
-            g = np.zeros((len(rows),) + (m,) * 2, dtype=complex)
-            dg = np.zeros((len(rows),) + (m,) * 3, dtype=complex)
-            ddg = np.zeros((len(rows),) + (m,) * 4, dtype=complex)
-            g[:, :ml, :ml] = jl.g
-            g[:, ml:, ml:] = jr.g
-            dg[:, :ml, :ml, :ml] = jl.dg
-            dg[:, ml:, ml:, ml:] = jr.dg
-            ddg[:, :ml, :ml, :ml, :ml] = jl.ddg
-            ddg[:, ml:, ml:, ml:, ml:] = jr.ddg
-            return MetricJet(g, dg, ddg)
-
-        return _jet_on_rows(jet_of, z, m)
+        z, ml = _as_point(z, self.dimension), self.left.dimension
+        return product_jet(self.left.metric_jet(z[..., :ml]), self.right.metric_jet(z[..., ml:]))
 
 
 MetricModel = FubiniStudy | Hitchin | Product

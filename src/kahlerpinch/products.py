@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _curvature
-from .models import Hitchin, MetricModel, Product
-from .optimize import DirectionExtrema, extremize_directions
+from .geometry import MetricJet, _curvature
+from .models import Hitchin, MetricModel, product_jet
+from .optimize import extremize_directions
 
 __all__ = [
     "ProductHypothesisError",
@@ -93,23 +93,23 @@ class FactorStats:
         return self.min_K / self.max_K
 
 
-def _sample_points(model: MetricModel, rng: np.random.Generator, count: int):
+def _sample_points(model: MetricModel, rng: np.random.Generator, count: int) -> np.ndarray:
     m = model.dimension
     pts = [np.zeros(m, dtype=complex)]
     if isinstance(model, Hitchin):
         pts.extend(model.fiber_point(r) for r in (1.0, 4.0, 24.0))
     raw = 0.8 * (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m)))
     pts.extend(raw)
-    return pts
+    return np.stack(pts)
 
 
-def _extrema_at_points(model: MetricModel, points, seed: int) -> DirectionExtrema:
-    """Direction extrema at every point, stacked: one jet, one tensor and one search.
-
-    ``metric_jet`` checks the metrics definite, so the tensor is not checked again.
-    """
-    jet = model.metric_jet(np.stack(points))
-    return extremize_directions(_curvature(jet), jet.g, seed=seed)
+def _factor_stats(jet: MetricJet, seed: int) -> FactorStats:
+    """Curvature range over a factor's jet stack, known definite: one tensor, one search."""
+    ex = extremize_directions(_curvature(jet), jet.g, seed=seed)
+    lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
+    if lo <= 0:
+        raise ProductHypothesisError("factor has non-positive sectional curvature on samples")
+    return FactorStats(lo, hi, bool(ex.converged.all()))
 
 
 def factor_curvature_stats(
@@ -117,11 +117,7 @@ def factor_curvature_stats(
 ) -> FactorStats:
     """Extremize K over sampled points and all directions of one factor."""
     rng = np.random.default_rng(seed)
-    ex = _extrema_at_points(model, _sample_points(model, rng, samples), seed)
-    lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
-    if lo <= 0:
-        raise ProductHypothesisError("factor has non-positive sectional curvature on samples")
-    return FactorStats(lo, hi, bool(ex.converged.all()))
+    return _factor_stats(model.metric_jet(_sample_points(model, rng, samples)), seed)
 
 
 @dataclass(frozen=True)
@@ -174,8 +170,14 @@ def verify_product_numeric(
     The report agrees only when both relative errors are within ``tol`` and
     every direction extremization, on the factors and on the product, has
     converged.
+    The product rows pair the left and right sample points of ``default_rng(seed)``;
+    :func:`~kahlerpinch.models.product_jet` builds them from the factor stacks, the left
+    one shared with the left factor's stats, which draw it first from the same seed.
     """
-    stats_l = factor_curvature_stats(left, samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    pts_l, pts_r = _sample_points(left, rng, samples), _sample_points(right, rng, samples)
+    jet_l = left.metric_jet(pts_l)
+    stats_l = _factor_stats(jet_l, seed)
     stats_r = factor_curvature_stats(right, samples=samples, seed=seed + 1)
     k_l, k_r = stats_l.max_K, stats_r.max_K
     if abs(k_l - k_r) > _K_MATCH_TOL * max(k_l, k_r):
@@ -186,13 +188,11 @@ def verify_product_numeric(
     c_l, c_r = stats_l.min_K / k, stats_r.min_K / k
     expected = product_bounds(c_l, c_r, k)
 
-    product = Product(left, right)
-    rng = np.random.default_rng(seed)
-    pts_l = _sample_points(left, rng, samples)
-    pts_r = _sample_points(right, rng, samples)
-    ex = _extrema_at_points(
-        product, [np.concatenate([zl, zr]) for zl in pts_l for zr in pts_r], seed
-    )
+    jet_r = right.metric_jet(pts_r)
+    # product row i P_r + j pairs left point i with right point j
+    rows = np.divmod(np.arange(len(pts_l) * len(pts_r)), len(pts_r))
+    jet = product_jet(*(MetricJet(j.g[i], j.dg[i], j.ddg[i]) for j, i in zip((jet_l, jet_r), rows)))
+    ex = extremize_directions(_curvature(jet), jet.g, seed=seed)
     lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
     converged = stats_l.converged and stats_r.converged and bool(ex.converged.all())
 

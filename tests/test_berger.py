@@ -334,8 +334,8 @@ def test_caller_failure_stops_and_joins_the_draw(patched, at, monkeypatch):
     assert "berger-draw" in alive
 
 
-def test_impossible_sample_count_is_a_sample_count_error():
+def test_impossible_sample_count_is_a_memory_error():
     threads = threading.active_count()
-    with pytest.raises(berger.SampleCountError):
+    with pytest.raises(MemoryError, match="sample buffers"):
         berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], SphereSampleConfig(2**62))
     assert threading.active_count() == threads

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kahlerpinch
@@ -227,6 +228,15 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["pinch", "--bogus"], 2),
         (["pinch", "--n", "1", "--bogus"], 2),
         (["verify", "--n-max", "1", "--tol", "-inf"], 2),
+        # a kernel power past the float range is inf, not an OverflowError
+        (["curvature", "--model", "fs1", "--point", "1e50"], 2),
+        (["berger", "--model", "fs1", "--point=1e50", "--samples", "10"], 2),
+        (["curvature", "--model", "hitchin:2:1/10", "--point", "1e30,0"], 2),
+        # arrays of 728 TiB, past the 128 TiB user address space: never allocated
+        (["pinch", "--n", "1", "--grid", "99999999999999"], 2),
+        (["sweep-s", "--n", "1", "--points", "99999999999999"], 2),
+        (["verify", "--n-max", "1", "--grid", "99999999999999"], 2),
+        (["product", "--left", "fs1", "--right", "fs1", "--samples", "99999999999999"], 2),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
@@ -237,6 +247,24 @@ def test_exit_code_contract(capsys, argv, code):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     else:
         assert json.loads(captured.out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # the points are checked on one stack; the error names the bad one
+        (["berger", "--model", "fs1", "--samples", "10", "--point=0.5", "--point=1e200"], "'1e200'"),
+        (["berger", "--model", "fs1", "--samples", "10", "--point=1e50", "--point=0.5"], "'1e50'"),
+        (["curvature", "--model", "product:fs1:hitchin:1:1/3", "--point", "0,0,1e200"], "'0,0,1e200'"),
+        # a size whose arrays cannot be allocated names its option
+        (["pinch", "--n", "1", "--grid", "99999999999999"], "--grid 99999999999999"),
+        (["verify", "--n-max", "1", "--grid", "16", "--samples", str(2**62)], f"--samples {2**62}"),
+    ],
+)
+def test_parameter_errors_name_the_parameter(capsys, argv, named):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -400,10 +428,17 @@ def test_commands_run_without_scipy():
         (["berger", "--model", "hitchin:2:1/10", "--samples", "2000"], 1),
         # the fiber sweep checks two jet stacks, then the Berger jet
         (["verify", "--n-max", "1", "--grid", "16"], 3),
-        # each factor's jet, the product jet and the two factor jets inside it, one per search
-        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 8),
+        # the left jet, the right factor's two jets, and one per search; the
+        # product jet is assembled from checked factor jets
+        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 6),
+        # the command-line points are checked on the one stack, one check per factor
+        (["berger", "--model", "product:fs2:fs2", "--samples", "2000",
+          "--point=0.1,0.2j,0.3,0.4", "--point=0.5,0,-0.3j,0.2"], 2),
+        # the jet's two factor checks, then the tensor, Ricci, scalar and search
+        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 6),
     ],
-    ids=["berger", "berger-hitchin", "verify", "product"],
+    ids=["berger", "berger-hitchin", "verify", "product", "berger-product-points",
+         "curvature-product"],
 )
 def test_metric_stacks_are_checked_definite_once(argv, checks, monkeypatch, capsys):
     calls, check = [], geometry._require_positive_definite
@@ -416,3 +451,18 @@ def test_metric_stacks_are_checked_definite_once(argv, checks, monkeypatch, caps
         monkeypatch.setattr(module, "_require_positive_definite", counting)
     assert main(argv) == 0
     assert len(calls) == checks, calls
+
+
+def test_product_evaluates_each_factor_point_once(monkeypatch, capsys):
+    # Each factor stack has 7 points, 1 + 3 fiber points + 3 draws, and a
+    # Hitchin jet is two log_jets (base and fiber).  The left stack serves its
+    # stats and the product; the right one is drawn twice, by two seeds.
+    rows, log_jet = [], models.log_jet
+
+    def counting(kernel):
+        rows.append(np.size(kernel.w))
+        return log_jet(kernel)
+
+    monkeypatch.setattr(models, "log_jet", counting)
+    assert main(["product", "--left", "hitchin:1:1/3", "--right", "hitchin:1:1/3"]) == 0
+    assert sum(rows) == 3 * 2 * 7, rows

@@ -42,6 +42,7 @@ MODELS += BAD_DESCRIPTORS
 POINTS = [
     "0", "0,0", "0,0,0", "0.3+0.1j,0.5", "0.2-0.7j,-0.4j", "1+2j", "1e5", "1e4,1e4",
     "nan,0", "0,inf", "1e200,0", "0,1e200", "1e300,1e300", "x", "", ",", "0,,0", "1j j",
+    "1e50", "1e30,0",
 ]
 
 

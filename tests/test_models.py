@@ -18,6 +18,7 @@ from kahlerpinch.models import (
     Product,
     model_from_json,
     model_to_json,
+    product_jet,
 )
 from kahlerpinch.optimize import extremize_direction
 
@@ -98,6 +99,19 @@ def test_product_block_structure():
     assert np.max(np.abs(jet.dg[1, 0])) == 0.0
     assert np.max(np.abs(jet.ddg[0, 1])) == 0.0
     assert np.max(np.abs(jet.ddg[0, 0, :, 1])) == 0.0
+
+
+def test_product_jet_of_fiber_jets_is_the_product_metric_jet():
+    # For t <= 1/2 fiber_jet takes the standard chart, so the factor fiber
+    # jets, broadcast over a (9, 5) grid, give Product.metric_jet there bit for bit.
+    left, right = Hitchin.make(1, "1/3"), Hitchin.make(2, "1/10")
+    tl, tr = np.linspace(0.0, 0.5, 9)[:, None], np.array([0.5, 0.4, 0.1, 1e-3, 0.0])
+    jet = product_jet(left.fiber_jet(tl), right.fiber_jet(tr))
+    zl, zr = left.fiber_point(tl / (1.0 - tl)), right.fiber_point(tr / (1.0 - tr))
+    want = Product(left, right).metric_jet(np.concatenate(np.broadcast_arrays(zl, zr), axis=-1))
+    assert jet.g.shape == (9, 5, 4, 4)
+    for got, ref in zip((jet.g, jet.dg, jet.ddg), (want.g, want.dg, want.ddg)):
+        assert np.array_equal(got, ref)
 
 
 def _rel_err(a, b):
