@@ -230,5 +230,5 @@ def default_points(model: MetricModel) -> list:
         return [model.fiber_point(r) for r in (0.0, 1.0, 9.0)]
     pts = [np.zeros(m, dtype=complex)]
     base = np.array([0.7, -0.4, 0.25, 0.1], dtype=complex) * (1 + 0.3j)
-    pts.append(base[:m])
+    pts.append(np.resize(base, m))  # the base entries repeated past m = 4
     return pts

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -127,10 +128,17 @@ def _named_points(texts):
 
 @contextlib.contextmanager
 def _sized(option: str, value: int):
-    """Arrays sized by ``option`` that cannot be allocated, as a usage error naming it."""
+    """Arrays sized by ``option`` that cannot be allocated, as a usage error naming it.
+
+    numpy refuses a size past any address space with a plain ``ValueError``
+    ("array is too big", "Maximum allowed size exceeded") before allocating;
+    the package's own errors subclass ``ValueError`` and pass through.
+    """
     try:
         yield
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if not isinstance(exc, MemoryError) and type(exc) is not ValueError:
+            raise
         raise UsageError(f"{option} {value} is too large: {exc}") from exc
 
 
@@ -290,7 +298,7 @@ def cmd_product(args):
             )
     except DegenerateMetricError as exc:
         raise UsageError(f"a factor is out of numerical range at a sample point: {exc}") from exc
-    results = report.to_json_dict()
+    results = dataclasses.asdict(report)
     params = {
         "left": model_to_json(left),
         "right": model_to_json(right),

@@ -21,11 +21,9 @@ __all__ = [
     "ProductHypothesisError",
     "CommonBoundError",
     "ProductBounds",
-    "FactorStats",
     "ProductReport",
     "product_hsc",
     "product_bounds",
-    "factor_curvature_stats",
     "verify_product_numeric",
 ]
 
@@ -77,22 +75,6 @@ def product_bounds(c_left, c_right, k) -> ProductBounds:
     )
 
 
-@dataclass(frozen=True)
-class FactorStats:
-    """Numerically measured curvature range of one factor model.
-
-    ``converged`` holds when every direction extremization behind it converged.
-    """
-
-    min_K: float
-    max_K: float
-    converged: bool
-
-    @property
-    def pinching(self) -> float:
-        return self.min_K / self.max_K
-
-
 def _sample_points(model: MetricModel, rng: np.random.Generator, count: int) -> np.ndarray:
     m = model.dimension
     pts = [np.zeros(m, dtype=complex)]
@@ -103,26 +85,18 @@ def _sample_points(model: MetricModel, rng: np.random.Generator, count: int) -> 
     return np.stack(pts)
 
 
-def _factor_stats(jet: MetricJet, seed: int) -> FactorStats:
-    """Curvature range over a factor's jet stack, known definite: one tensor, one search."""
+def _extrema(jet: MetricJet, seed: int) -> tuple[float, float, bool]:
+    """Min K, max K and whether every search converged, over a jet stack known definite."""
     ex = extremize_directions(_curvature(jet), jet.g, seed=seed)
-    lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
-    if lo <= 0:
-        raise ProductHypothesisError("factor has non-positive sectional curvature on samples")
-    return FactorStats(lo, hi, bool(ex.converged.all()))
-
-
-def factor_curvature_stats(
-    model: MetricModel, samples: int = 4, seed: int = 0
-) -> FactorStats:
-    """Extremize K over sampled points and all directions of one factor."""
-    rng = np.random.default_rng(seed)
-    return _factor_stats(model.metric_jet(_sample_points(model, rng, samples)), seed)
+    return float(ex.min_K.min()), float(ex.max_K.max()), bool(ex.converged.all())
 
 
 @dataclass(frozen=True)
 class ProductReport:
-    """Numerical product extrema against the closed-form prediction."""
+    """Numerical product extrema against the closed-form prediction.
+
+    The fields, in this order, are the keys of the ``product`` command's results.
+    """
 
     min_K: float
     max_K: float
@@ -130,29 +104,14 @@ class ProductReport:
     c_left: float
     c_right: float
     k: float
-    expected: ProductBounds
+    y_star: float
+    expected_lower: float
+    expected_upper: float
+    expected_pinching: float
     rel_min_err: float
     rel_max_err: float
     tol: float
     agree: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_K": self.min_K,
-            "max_K": self.max_K,
-            "pinching": self.pinching,
-            "c_left": self.c_left,
-            "c_right": self.c_right,
-            "k": self.k,
-            "y_star": self.expected.y_star,
-            "expected_lower": self.expected.lower,
-            "expected_upper": self.expected.upper,
-            "expected_pinching": self.expected.pinching,
-            "rel_min_err": self.rel_min_err,
-            "rel_max_err": self.rel_max_err,
-            "tol": self.tol,
-            "agree": self.agree,
-        }
 
 
 def verify_product_numeric(
@@ -170,32 +129,32 @@ def verify_product_numeric(
     The report agrees only when both relative errors are within ``tol`` and
     every direction extremization, on the factors and on the product, has
     converged.
-    The product rows pair the left and right sample points of ``default_rng(seed)``;
-    :func:`~kahlerpinch.models.product_jet` builds them from the factor stacks, the left
-    one shared with the left factor's stats, which draw it first from the same seed.
+    Factor i (left 0, right 1) is sampled once, from ``default_rng(seed + i)``,
+    and searched with seed ``seed + i``.  That one jet stack gives the factor's
+    constants, and :func:`~kahlerpinch.models.product_jet` pairs the two stacks
+    into the product rows, searched with seed ``seed``.
     """
-    rng = np.random.default_rng(seed)
-    pts_l, pts_r = _sample_points(left, rng, samples), _sample_points(right, rng, samples)
-    jet_l = left.metric_jet(pts_l)
-    stats_l = _factor_stats(jet_l, seed)
-    stats_r = factor_curvature_stats(right, samples=samples, seed=seed + 1)
-    k_l, k_r = stats_l.max_K, stats_r.max_K
+    jets, stats, converged = [], [], True
+    for i, model in enumerate((left, right)):
+        jets.append(model.metric_jet(_sample_points(model, np.random.default_rng(seed + i), samples)))
+        lo, hi, ok = _extrema(jets[-1], seed + i)
+        if lo <= 0:
+            raise ProductHypothesisError("factor has non-positive sectional curvature on samples")
+        stats.append((lo, hi))
+        converged &= ok
+    (min_l, k_l), (min_r, k_r) = stats
     if abs(k_l - k_r) > _K_MATCH_TOL * max(k_l, k_r):
         raise CommonBoundError(
             f"common bound k violated: left max {k_l:.6g} != right max {k_r:.6g}"
         )
     k = max(k_l, k_r)
-    c_l, c_r = stats_l.min_K / k, stats_r.min_K / k
+    c_l, c_r = min_l / k, min_r / k
     expected = product_bounds(c_l, c_r, k)
 
-    jet_r = right.metric_jet(pts_r)
     # product row i P_r + j pairs left point i with right point j
-    rows = np.divmod(np.arange(len(pts_l) * len(pts_r)), len(pts_r))
-    jet = product_jet(*(MetricJet(j.g[i], j.dg[i], j.ddg[i]) for j, i in zip((jet_l, jet_r), rows)))
-    ex = extremize_directions(_curvature(jet), jet.g, seed=seed)
-    lo, hi = float(ex.min_K.min()), float(ex.max_K.max())
-    converged = stats_l.converged and stats_r.converged and bool(ex.converged.all())
-
+    rows = np.divmod(np.arange(len(jets[0].g) * len(jets[1].g)), len(jets[1].g))
+    jet = product_jet(*(MetricJet(j.g[i], j.dg[i], j.ddg[i]) for j, i in zip(jets, rows)))
+    lo, hi, ok = _extrema(jet, seed)
     rel_min = abs(lo - expected.lower) / abs(expected.lower)
     rel_max = abs(hi - expected.upper) / abs(expected.upper)
     return ProductReport(
@@ -205,9 +164,12 @@ def verify_product_numeric(
         c_left=c_l,
         c_right=c_r,
         k=k,
-        expected=expected,
+        y_star=expected.y_star,
+        expected_lower=expected.lower,
+        expected_upper=expected.upper,
+        expected_pinching=expected.pinching,
         rel_min_err=rel_min,
         rel_max_err=rel_max,
         tol=tol,
-        agree=rel_min <= tol and rel_max <= tol and converged,
+        agree=rel_min <= tol and rel_max <= tol and converged and ok,
     )

@@ -142,6 +142,17 @@ def test_product_command(capsys):
     assert res["agree"] is True
 
 
+def test_product_results_keys(capsys):
+    # the report's fields, in the key order of the JSON results and the CSV rows
+    keys = ["min_K", "max_K", "pinching", "c_left", "c_right", "k", "y_star", "expected_lower",
+            "expected_upper", "expected_pinching", "rel_min_err", "rel_max_err", "tol", "agree"]
+    code, doc = run_json(capsys, "product", "--left", "fs1", "--right", "fs2", "--samples", "1")
+    assert code == 0 and list(doc["results"]) == keys
+    code, out = run_cli(capsys, "product", "--left", "fs1", "--right", "fs2", "--samples", "1",
+                        "--format", "csv")
+    assert code == 0 and [row[0] for row in csv.reader(io.StringIO(out))] == ["key", *keys]
+
+
 def test_product_mismatched_bound_is_usage_error(capsys):
     code = main(["product", "--left", "hitchin:1:1/3", "--right", "fs1"])
     err = capsys.readouterr().err
@@ -237,6 +248,12 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["sweep-s", "--n", "1", "--points", "99999999999999"], 2),
         (["verify", "--n-max", "1", "--grid", "99999999999999"], 2),
         (["product", "--left", "fs1", "--right", "fs1", "--samples", "99999999999999"], 2),
+        # sizes numpy refuses outright, before allocating anything
+        (["pinch", "--n", "1", "--grid", "4611686018427387904"], 2),
+        (["verify", "--n-max", "1", "--grid", "4611686018427387904"], 2),
+        (["sweep-s", "--n", "1", "--points", "4611686018427387904"], 2),
+        (["product", "--left", "fs1", "--right", "fs1", "--samples", "4611686018427387904"], 2),
+        (["pinch", "--n", "1", "--grid", "1000000000000000000000000000000"], 2),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
@@ -428,9 +445,9 @@ def test_commands_run_without_scipy():
         (["berger", "--model", "hitchin:2:1/10", "--samples", "2000"], 1),
         # the fiber sweep checks two jet stacks, then the Berger jet
         (["verify", "--n-max", "1", "--grid", "16"], 3),
-        # the left jet, the right factor's two jets, and one per search; the
-        # product jet is assembled from checked factor jets
-        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 6),
+        # one jet per factor, and one per search; the product jet is
+        # assembled from the checked factor jets
+        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 5),
         # the command-line points are checked on the one stack, one check per factor
         (["berger", "--model", "product:fs2:fs2", "--samples", "2000",
           "--point=0.1,0.2j,0.3,0.4", "--point=0.5,0,-0.3j,0.2"], 2),
@@ -455,8 +472,8 @@ def test_metric_stacks_are_checked_definite_once(argv, checks, monkeypatch, caps
 
 def test_product_evaluates_each_factor_point_once(monkeypatch, capsys):
     # Each factor stack has 7 points, 1 + 3 fiber points + 3 draws, and a
-    # Hitchin jet is two log_jets (base and fiber).  The left stack serves its
-    # stats and the product; the right one is drawn twice, by two seeds.
+    # Hitchin jet is two log_jets (base and fiber).  Each factor is drawn once,
+    # and its one stack serves its constants and the product rows.
     rows, log_jet = [], models.log_jet
 
     def counting(kernel):
@@ -465,4 +482,4 @@ def test_product_evaluates_each_factor_point_once(monkeypatch, capsys):
 
     monkeypatch.setattr(models, "log_jet", counting)
     assert main(["product", "--left", "hitchin:1:1/3", "--right", "hitchin:1:1/3"]) == 0
-    assert sum(rows) == 3 * 2 * 7, rows
+    assert sum(rows) == 2 * 2 * 7, rows

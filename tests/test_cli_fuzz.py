@@ -18,12 +18,12 @@ from kahlerpinch.cli import main
 
 BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-300", "abc", "", "1/0", "0x10", " "]
 MODELS = [
-    "fs1", "fs2", "fs3", "fs0", "fs-1", "fsx", "fs",
+    "fs1", "fs2", "fs3", "fs5", "fs0", "fs-1", "fsx", "fs",
     "hitchin:1:1/3", "hitchin:2:1/10", "hitchin:3:0.05", "hitchin:2:0.3",
     "hitchin:0:1/3", "hitchin:1:-1", "hitchin:1:1/0", "hitchin:1:nan", "hitchin:1:inf",
     "hitchin:1:1e-300", "hitchin:2:1e-100", "hitchin:1:1e300", "hitchin:99:1/3",
     "hitchin:1", "hitchin:x:1/3",
-    "product:fs1:fs1", "product:fs1:fs2", "product:hitchin:1:1/3:fs1", "product:fs1",
+    "product:fs1:fs1", "product:fs1:fs2", "product:fs3:fs2", "product:hitchin:1:1/3:fs1", "product:fs1",
     "product:", "product:fs1:fs1:fs1",
     '{"kind": "fubini_study", "m": 2}', '{"kind": "hitchin", "n": 1, "s": "1/3"}',
     '{"kind": "torus"}', "{}", "{not json", "[1]", "", "torus9",

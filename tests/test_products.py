@@ -12,7 +12,6 @@ from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import extremize_direction, extremize_directions
 from kahlerpinch.products import (
     CommonBoundError,
-    factor_curvature_stats,
     product_bounds,
     product_hsc,
     verify_product_numeric,
@@ -94,7 +93,7 @@ def test_verify_product_fs_times_fs():
     assert abs(report.max_K - 4.0) <= 1e-6
     assert abs(report.pinching - 0.5) <= 1e-6
     assert report.agree
-    assert abs(report.expected.y_star - 0.5) < 1e-9
+    assert abs(report.y_star - 0.5) < 1e-9
 
 
 def test_verify_product_mixed_dimensions():
@@ -149,13 +148,42 @@ def test_unconverged_search_fails_product_command(monkeypatch, capsys):
 
 def test_stacked_sampling_matches_pointwise():
     model = Product(FubiniStudy(1), Hitchin.make(1, "1/3"))
-    stats = factor_curvature_stats(model, samples=3, seed=4)
-    rng = np.random.default_rng(4)
+    points = products._sample_points(model, np.random.default_rng(4), 3)
+    stack_lo, stack_hi, converged = products._extrema(model.metric_jet(points), 4)
     lo, hi = math.inf, -math.inf
-    for z in products._sample_points(model, rng, 3):
+    for z in points:
         jet = model.metric_jet(z)
         ex = extremize_direction(curvature_tensor(jet), jet.g, seed=4)
         lo, hi = min(lo, ex.min_K), max(hi, ex.max_K)
-    assert stats.converged
-    assert stats.min_K == pytest.approx(lo, rel=1e-13)
-    assert stats.max_K == pytest.approx(hi, rel=1e-13)
+    assert converged
+    assert stack_lo == pytest.approx(lo, rel=1e-13)
+    assert stack_hi == pytest.approx(hi, rel=1e-13)
+
+
+def test_each_factor_is_sampled_once(monkeypatch):
+    # Factor i is drawn from default_rng(seed + i) and searched with seed + i;
+    # its constants and the product rows come from that one stack.
+    left, right, seed, samples = Hitchin.make(1, "1/5"), Hitchin.make(2, "1/5"), 3, 2
+    jets = [
+        model.metric_jet(products._sample_points(model, np.random.default_rng(seed + i), samples))
+        for i, model in enumerate((left, right))
+    ]
+    extrema = [products._extrema(jet, seed + i) for i, jet in enumerate(jets)]
+    k = max(extrema[0][1], extrema[1][1])
+    searches = []
+
+    def search(R, g, seed):
+        searches.append((g, seed))
+        return extremize_directions(R, g, seed=seed)
+
+    monkeypatch.setattr(products, "extremize_directions", search)
+    report = verify_product_numeric(left, right, samples=samples, seed=seed)
+    assert (report.c_left, report.c_right, report.k) == (extrema[0][0] / k, extrema[1][0] / k, k)
+
+    assert [s for _, s in searches] == [seed, seed + 1, seed]
+    (g_l, _), (g_r, _), (g, _) = searches
+    assert np.array_equal(g_l, jets[0].g) and np.array_equal(g_r, jets[1].g)
+    ml, rows_r = g_l.shape[-1], len(g_r)
+    for i, j in np.ndindex(len(g_l), rows_r):
+        assert np.array_equal(g[i * rows_r + j, :ml, :ml], g_l[i])
+        assert np.array_equal(g[i * rows_r + j, ml:, ml:], g_r[j])
