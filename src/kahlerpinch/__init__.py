@@ -30,7 +30,6 @@ from .optimize import (
     DirectionExtrema,
     PinchingReport,
     SweepSResult,
-    extremize_direction,
     sweep_fiber,
     sweep_s,
 )

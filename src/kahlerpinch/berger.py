@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _curvature, _frame, _scalar_curvature
-from .models import Hitchin, MetricModel
+from .models import Hitchin, MetricModel, _as_point
 from .optimize import _HSC_BLOCK, _frame_tensor, _hermitian_form, _hsc_columns
 
 __all__ = [
@@ -198,7 +198,7 @@ def berger_vs_trace(
     points = list(points)
     if not points:
         return []
-    zs = np.stack([np.atleast_1d(np.asarray(z, dtype=complex)) for z in points])
+    zs = np.stack([_as_point(z, model.dimension) for z in points])
     jet = model.metric_jet(zs)
     R = _curvature(jet)
     ests, sems = _sphere_average(R, jet.g, cfg)

@@ -29,7 +29,7 @@ from .geometry import (
     scalar_curvature,
 )
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
-from .optimize import extremize_direction, sweep_fiber, sweep_s
+from .optimize import extremize_directions, sweep_fiber, sweep_s
 from .products import ProductHypothesisError, verify_product_numeric
 
 SCHEMA_VERSION = 1
@@ -142,6 +142,14 @@ def _sized(option: str, value: int):
         raise UsageError(f"{option} {value} is too large: {exc}") from exc
 
 
+def _model_option(option: str, text: str) -> MetricModel:
+    """Model ``text`` of ``option``, a usage error naming both if one point's jet is too large."""
+    model = _parse_model(text)
+    with _sized(option, text):  # the m^4 entries of one point's ddg, allocated untouched
+        np.empty((model.dimension,) * 4, dtype=complex)
+    return model
+
+
 def _c2j(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -181,11 +189,15 @@ def _emit(payload: dict, rows, args) -> None:
 
 
 def _hitchin_from_args(args) -> Hitchin:
-    s = _parse_s(args.s) if args.s is not None else hirzebruch.optimal_s(args.n)[0]
+    """Hitchin model of --n and --s, s* without --s; an s* out of range is blamed on --n."""
+    given = getattr(args, "s", None)
+    s = _parse_s(given) if given is not None else hirzebruch.optimal_s(args.n)[0]
     try:
         model = Hitchin.make(args.n, s)
     except ValueError as exc:
-        raise UsageError(f"bad family parameter {args.s!r}: {exc}") from exc
+        if given is None:
+            raise UsageError(f"--n {args.n} has s* = {float(s):.6g}: {exc}") from exc
+        raise UsageError(f"bad family parameter {given!r}: {exc}") from exc
     hirzebruch.require_admissible(model.n, s)
     return model
 
@@ -225,9 +237,9 @@ def cmd_pinch(args):
 
 
 def cmd_sweep_s(args):
+    s_star = float(_hitchin_from_args(args).s)  # pinch's range rule for s*
     with _sized("--points", args.points):
         result = sweep_s(args.n, points=args.points)
-    s_star = float(hirzebruch.optimal_s(args.n)[0])
     within = abs(result.argmax_s - s_star) <= result.cell_width
     results = {
         "argmax_s": result.argmax_s,
@@ -243,7 +255,7 @@ def cmd_sweep_s(args):
 
 
 def cmd_berger(args):
-    model = _parse_model(args.model)
+    model = _model_option("--model", args.model)
     cfg = SphereSampleConfig(
         sample_count=args.samples, seed=args.seed, antithetic=args.antithetic
     )
@@ -289,8 +301,8 @@ def cmd_berger(args):
 
 
 def cmd_product(args):
-    left = _parse_model(args.left)
-    right = _parse_model(args.right)
+    left = _model_option("--left", args.left)
+    right = _model_option("--right", args.right)
     try:
         with _sized("--samples", args.samples):
             report = verify_product_numeric(
@@ -310,7 +322,7 @@ def cmd_product(args):
 
 
 def cmd_curvature(args):
-    model = _parse_model(args.model)
+    model = _model_option("--model", args.model)
     m = model.dimension
     z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
     with _named_points([args.point]):
@@ -318,13 +330,10 @@ def cmd_curvature(args):
     R = curvature_tensor(jet)
     ric = ricci(R, jet.g)
     sym = check_symmetries(R, jet)
-    ex = extremize_direction(R, jet.g, seed=args.seed)
+    ex = extremize_directions(R[None], jet.g[None], seed=args.seed)
     components = [
         {"i": i, "j": j, "k": k, "l": l, "value": _c2j(R[i, j, k, l])}
-        for i in range(m)
-        for j in range(m)
-        for k in range(m)
-        for l in range(m)
+        for i, j, k, l in np.ndindex(R.shape)
         if abs(R[i, j, k, l]) > 1e-12
     ]
     results = {
@@ -332,8 +341,8 @@ def cmd_curvature(args):
         "curvature_components": components,
         "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(ric)],
         "scalar_curvature": scalar_curvature(R, jet.g),
-        "hsc_min": ex.min_K,
-        "hsc_max": ex.max_K,
+        "hsc_min": ex.min_K[0],
+        "hsc_max": ex.max_K[0],
         "max_symmetry_violation": sym.max_violation,
     }
     params = {
@@ -344,13 +353,12 @@ def cmd_curvature(args):
 
     def csv_rows():
         yield ("key", "value")
-        yield ("scalar_curvature", results["scalar_curvature"])
-        yield ("hsc_min", ex.min_K)
-        yield ("hsc_max", ex.max_K)
+        for key in ("scalar_curvature", "hsc_min", "hsc_max"):
+            yield (key, results[key])
         for idx, val in enumerate(results["ricci_eigenvalues"]):
             yield (f"ricci_eigenvalue_{idx}", val)
 
-    passed = ex.converged and sym.max_violation < 1e-10
+    passed = bool(ex.converged[0]) and sym.max_violation < 1e-10
     return _envelope("curvature", params, results, passed), csv_rows(), passed
 
 

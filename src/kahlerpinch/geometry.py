@@ -108,21 +108,16 @@ class SymmetryReport:
 
 
 def _real_part(value, what: str):
-    """Real part of a complex number (as a float) or array that must be real.
+    """Real part of a complex NumPy scalar or array that must be real.
 
     The imaginary residue may reach _IMAG_TOL times max(1, |value|).
     """
     residue = abs(value.imag)
-    bad = (residue > _IMAG_TOL) & (residue > _IMAG_TOL * abs(value))
-    if isinstance(value, np.ndarray):
-        bad, real = bad.any(), value.real
-    else:
-        real = float(value.real)
-    if bad:
+    if ((residue > _IMAG_TOL) & (residue > _IMAG_TOL * abs(value))).any():
         raise ValueError(
             f"{what} has imaginary residue {np.max(residue):.3e}, expected real"
         )
-    return real
+    return value.real
 
 
 def _hermitian_part(g: np.ndarray) -> np.ndarray:
@@ -178,7 +173,7 @@ def _curvature(jet: MetricJet) -> np.ndarray:
 def norm_squared(g: np.ndarray, xi: np.ndarray):
     """Squared metric norm sum_{ij} g_{i jbar} xi_i conj(xi_j).
 
-    A float, or an array over the leading axes of a stack.
+    A NumPy scalar, or an array over the leading axes of a stack.
     """
     g = np.asarray(g, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
@@ -188,8 +183,8 @@ def norm_squared(g: np.ndarray, xi: np.ndarray):
 def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray, xi: np.ndarray):
     """Holomorphic sectional curvature K(xi) of the complex line through xi.
 
-    Invariant under nonzero complex rescaling of ``xi``.  A float, or an array
-    over the leading axes of a stack.
+    Invariant under nonzero complex rescaling of ``xi``.  A NumPy scalar, or
+    an array over the leading axes of a stack.
     """
     xi = np.asarray(xi, dtype=complex)
     if not np.all(np.any(xi, axis=-1)):
@@ -228,7 +223,7 @@ def ricci(R: np.ndarray, g: np.ndarray) -> np.ndarray:
 def scalar_curvature(R: np.ndarray, g: np.ndarray):
     """Scalar curvature, the double metric trace of the curvature tensor.
 
-    A float, or an array over the leading axes of a stack.
+    A NumPy scalar, or an array over the leading axes of a stack.
     """
     return _scalar_curvature(R, _require_positive_definite(g))
 

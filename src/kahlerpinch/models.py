@@ -173,12 +173,10 @@ def product_jet(left: MetricJet, right: MetricJet) -> MetricJet:
 
 
 def _as_point(z, m: int) -> np.ndarray:
-    """Chart point(s) as a complex array of shape (..., m); a scalar is a point of C^1."""
+    """Chart point(s) as a complex array of shape (..., m)."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        z = z.reshape(1)
-    if z.shape[-1] != m:
-        raise ValueError(f"expected a point with {m} coordinates, got {z.shape[-1]}")
+    if z.shape[-1:] != (m,):
+        raise ValueError(f"expected a point with {m} coordinates, got an array of shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("chart point coordinates must be finite")
     return z

@@ -59,7 +59,6 @@ __all__ = [
     "PinchingReport",
     "SweepSResult",
     "batch_hsc",
-    "extremize_direction",
     "extremize_directions",
     "extremize_quadratic",
     "direction_weights",
@@ -186,31 +185,29 @@ def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarra
 
 @dataclass(frozen=True)
 class DirectionExtrema:
-    """Extrema of K over the unit direction sphere of one tangent space.
+    """Extrema of K over the unit direction spheres of a stack of tangent spaces.
 
-    Fields are floats (and direction vectors) for one tangent space; the
-    stacked solves of this module fill them with arrays over the stack.
+    Every field is an array over the stack.
     """
 
-    min_K: float
-    max_K: float
+    min_K: np.ndarray
+    max_K: np.ndarray
     argmin: np.ndarray
     argmax: np.ndarray
-    min_residual: float
-    max_residual: float
-    converged: bool
+    min_residual: np.ndarray
+    max_residual: np.ndarray
+    converged: np.ndarray
 
 
 @dataclass(frozen=True)
 class QuadraticExtrema:
     """Extrema of the weight quadratic alpha a^2 + beta ab + gamma b^2 on a+b=1.
 
-    Fields are floats for scalar coefficients and arrays of their broadcast
-    shape otherwise.
+    Fields have the broadcast shape of the coefficients.
     """
 
-    min_K: float
-    max_K: float
+    min_K: np.ndarray
+    max_K: np.ndarray
 
 
 def _residual(R, g, xi) -> np.ndarray:
@@ -583,16 +580,6 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K)
 
 
-def extremize_direction(R: np.ndarray, g: np.ndarray, seed: int = 0) -> DirectionExtrema:
-    """Extrema of K over the unit sphere of one tangent space.
-
-    The one-row stack of :func:`extremize_directions`, with float fields.
-    """
-    ex = extremize_directions(np.asarray(R)[None], np.asarray(g)[None], seed)
-    rows = (getattr(ex, f.name)[0] for f in fields(ex))
-    return DirectionExtrema(*(y if y.ndim else y.item() for y in rows))
-
-
 def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
     """Exact extrema of the weight quadratic over a in [0, 1], elementwise.
 
@@ -606,7 +593,7 @@ def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
     a = np.clip(np.divide(-slope0, 2.0 * curv, out=np.zeros_like(curv), where=curv != 0), 0.0, 1.0)
     K = alpha * a * a + beta * a * (1.0 - a) + gamma * (1.0 - a) ** 2
     extrema = np.minimum(np.minimum(gamma, alpha), K), np.maximum(np.maximum(gamma, alpha), K)
-    return QuadraticExtrema(*(x if x.ndim else float(x) for x in extrema))
+    return QuadraticExtrema(*extrema)
 
 
 def direction_weights(g: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from kahlerpinch.geometry import (
     scalar_curvature,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import _extremize_surfaces, direction_weights, extremize_direction
+from kahlerpinch.optimize import _extremize_surfaces, direction_weights, extremize_directions
 
 from conftest import MASTER_SEED, random_point
 
@@ -70,14 +70,14 @@ def test_stacked_surface_extrema_match_rows(model, rng):
     ex, _, _ = _extremize_surfaces(curvature_tensor(jet), jet.g)
     for i, zi in enumerate(z):
         row = model.metric_jet(zi)
-        one = extremize_direction(curvature_tensor(row), row.g)
-        _assert_close(ex.min_K[i], one.min_K)
-        _assert_close(ex.max_K[i], one.max_K)
-        _assert_close(ex.argmin[i], one.argmin)
-        _assert_close(ex.argmax[i], one.argmax)
+        one = extremize_directions(curvature_tensor(row)[None], row.g[None])
+        _assert_close(ex.min_K[i], one.min_K[0])
+        _assert_close(ex.max_K[i], one.max_K[0])
+        _assert_close(ex.argmin[i], one.argmin[0])
+        _assert_close(ex.argmax[i], one.argmax[0])
         # residuals are gradient norms of K: round-off relative to |K|
-        _assert_close(ex.min_residual[i], one.min_residual, abs(one.min_K))
-        _assert_close(ex.max_residual[i], one.max_residual, abs(one.max_K))
+        _assert_close(ex.min_residual[i], one.min_residual[0], abs(one.min_K[0]))
+        _assert_close(ex.max_residual[i], one.max_residual[0], abs(one.max_K[0]))
         assert ex.converged[i] == one.converged
 
 

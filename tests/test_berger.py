@@ -38,6 +38,10 @@ def test_consistent_reads_its_zmax():
 def test_fs_p1_scalar_estimate():
     est = berger_vs_trace(FubiniStudy(1), [[0.7]], SphereSampleConfig(20000, MASTER_SEED))[0]
     assert abs(est.estimate - 2.0) <= max(3.0 * est.stderr, 1e-9)
+    # each point is an array of m coordinates, however many points there are
+    for points in ([0.7], [0.7, 0.2]):
+        with pytest.raises(ValueError, match="expected a point with 1 coordinates"):
+            berger_vs_trace(FubiniStudy(1), points, SphereSampleConfig(10, MASTER_SEED))
 
 
 def test_fs_p2_scalar_estimate():

@@ -254,6 +254,17 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["sweep-s", "--n", "1", "--points", "4611686018427387904"], 2),
         (["product", "--left", "fs1", "--right", "fs1", "--samples", "4611686018427387904"], 2),
         (["pinch", "--n", "1", "--grid", "1000000000000000000000000000000"], 2),
+        # a model whose one-point jet numpy refuses outright (m^4 entries past any size)
+        (["curvature", "--model", "fs4000000"], 2),
+        (["berger", "--model", "fs4000000", "--samples", "1"], 2),
+        (["product", "--left", "fs4000000", "--right", "fs1"], 2),
+        # s* = 1/(2n^2 + n) leaves [1e-150, 1e150] from n = 10**75; past 10**154 1/n^2 is no float
+        (["pinch", "--n", str(10**75)], 2),
+        (["pinch", "--n", str(10**155)], 2),
+        (["sweep-s", "--n", str(10**75), "--points", "5"], 2),
+        (["sweep-s", "--n", str(10**155), "--points", "5"], 2),
+        (["pinch", "--n", str(10**74), "--grid", "16"], 1),
+        (["sweep-s", "--n", str(10**74), "--points", "5"], 1),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
@@ -263,7 +274,7 @@ def test_exit_code_contract(capsys, argv, code):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     else:
-        assert json.loads(captured.out)["pass"] is True
+        assert json.loads(captured.out)["pass"] is (code == 0)
 
 
 @pytest.mark.parametrize(
@@ -276,6 +287,14 @@ def test_exit_code_contract(capsys, argv, code):
         # a size whose arrays cannot be allocated names its option
         (["pinch", "--n", "1", "--grid", "99999999999999"], "--grid 99999999999999"),
         (["verify", "--n-max", "1", "--grid", "16", "--samples", str(2**62)], f"--samples {2**62}"),
+        # a model too large to evaluate at one point names its option and text
+        (["curvature", "--model", "fs4000000"], "--model fs4000000"),
+        (["berger", "--model", "fs4000000", "--samples", "1"], "--model fs4000000"),
+        (["product", "--left", "fs4000000", "--right", "fs1"], "--left fs4000000"),
+        (["product", "--left", "fs1", "--right", "product:fs1:fs4000000"], "--right product:fs1:fs4000000"),
+        # an s* out of numerical range names --n, with s defaulted or swept
+        (["pinch", "--n", str(10**75)], f"--n {10**75} has s* = 5e-151"),
+        (["sweep-s", "--n", str(10**155), "--points", "5"], f"--n {10**155} has s* = 5e-311"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):

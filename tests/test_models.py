@@ -20,7 +20,7 @@ from kahlerpinch.models import (
     model_to_json,
     product_jet,
 )
-from kahlerpinch.optimize import extremize_direction
+from kahlerpinch.optimize import extremize_directions
 
 from conftest import builtin_models, random_point
 from fd_oracle import fd_metric_jet
@@ -37,10 +37,9 @@ def test_far_chart_is_the_same_metric(rng):
         near, far = model.metric_jet([z1, 1.0 / w]), model._jet(model.far_kernel, [z1, w])
         J = np.array([1.0, -1.0 / w**2])
         assert np.allclose(far.g, J[:, None] * near.g * J.conj(), rtol=1e-13, atol=0.0)
-        a = extremize_direction(curvature_tensor(near), near.g)
-        b = extremize_direction(curvature_tensor(far), far.g)
-        assert abs(a.min_K - b.min_K) <= 1e-11 * abs(a.min_K)
-        assert abs(a.max_K - b.max_K) <= 1e-11 * abs(a.max_K)
+        a, b = (extremize_directions(curvature_tensor(j)[None], j.g[None]) for j in (near, far))
+        assert abs(a.min_K[0] - b.min_K[0]) <= 1e-11 * abs(a.min_K[0])
+        assert abs(a.max_K[0] - b.max_K[0]) <= 1e-11 * abs(a.max_K[0])
 
 
 def test_fiber_jet_charts():
@@ -228,8 +227,10 @@ def test_model_validation():
 
 def test_chart_point_validation():
     model = FubiniStudy(2)
-    with pytest.raises(ValueError):
-        model.metric_jet([0.1])
+    # a point is an array of m coordinates: a scalar is refused alike, also for m = 1
+    for m, z in ((2, [0.1]), (2, 0.1), (1, 0.1), (1, [[0.1, 0.2]])):
+        with pytest.raises(ValueError, match=f"expected a point with {m} coordinates"):
+            FubiniStudy(m).metric_jet(z)
     with pytest.raises(ValueError):
         model.metric_jet([np.inf, 0.0])
     with pytest.raises(ValueError):

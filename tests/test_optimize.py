@@ -18,7 +18,6 @@ from kahlerpinch.geometry import (
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import (
-    extremize_direction,
     batch_hsc,
     extremize_directions,
     extremize_quadratic,
@@ -32,34 +31,34 @@ from conftest import MASTER_SEED, random_point
 def test_extremize_constant_model(rng):
     model = FubiniStudy(2)
     jet = model.metric_jet(random_point(model, rng))
-    ex = extremize_direction(curvature_tensor(jet), jet.g)
-    assert abs(ex.min_K - 4.0) < 1e-8
-    assert abs(ex.max_K - 4.0) < 1e-8
-    assert ex.converged
+    ex = extremize_directions(curvature_tensor(jet)[None], jet.g[None])
+    assert abs(ex.min_K[0] - 4.0) < 1e-8
+    assert abs(ex.max_K[0] - 4.0) < 1e-8
+    assert ex.converged[0]
 
 
 def test_extremize_hitchin_origin():
     jet = Hitchin.make(1, "1/3").metric_jet([0.0, 0.0])
-    ex = extremize_direction(curvature_tensor(jet), jet.g)
-    assert abs(ex.min_K - 3.0) < 1e-9
-    assert abs(ex.max_K - 12.0) < 1e-9
-    assert ex.min_residual <= 1e-4 * max(1.0, ex.min_K)
-    assert ex.max_residual <= 1e-4 * max(1.0, ex.max_K)
+    ex = extremize_directions(curvature_tensor(jet)[None], jet.g[None])
+    assert abs(ex.min_K[0] - 3.0) < 1e-9
+    assert abs(ex.max_K[0] - 12.0) < 1e-9
+    assert ex.min_residual[0] <= 1e-4 * max(1.0, ex.min_K[0])
+    assert ex.max_residual[0] <= 1e-4 * max(1.0, ex.max_K[0])
 
 
 def test_extremize_product_origin():
     jet = Product(FubiniStudy(1), FubiniStudy(1)).metric_jet([0.0, 0.0])
-    ex = extremize_direction(curvature_tensor(jet), jet.g)
-    assert abs(ex.min_K - 2.0) < 1e-9
-    assert abs(ex.max_K - 4.0) < 1e-9
+    ex = extremize_directions(curvature_tensor(jet)[None], jet.g[None])
+    assert abs(ex.min_K[0] - 2.0) < 1e-9
+    assert abs(ex.max_K[0] - 4.0) < 1e-9
 
 
 def test_extremize_three_dimensional_product(rng):
     model = Product(FubiniStudy(1), FubiniStudy(2))
     jet = model.metric_jet(random_point(model, rng))
-    ex = extremize_direction(curvature_tensor(jet), jet.g)
-    assert abs(ex.min_K - 2.0) < 1e-6
-    assert abs(ex.max_K - 4.0) < 1e-6
+    ex = extremize_directions(curvature_tensor(jet)[None], jet.g[None])
+    assert abs(ex.min_K[0] - 2.0) < 1e-6
+    assert abs(ex.max_K[0] - 4.0) < 1e-6
 
 
 def _surface_cases():
@@ -89,16 +88,17 @@ def _surface_cases():
 def test_surface_extrema_bracket_dense_sample(model, z):
     jet = model.metric_jet(z)
     R = curvature_tensor(jet)
-    ex = extremize_direction(R, jet.g)
+    ex = extremize_directions(R[None], jet.g[None])
+    min_K, max_K = ex.min_K[0], ex.max_K[0]
     rng = np.random.default_rng(MASTER_SEED)
     raw = rng.standard_normal((20000, 2)) + 1j * rng.standard_normal((20000, 2))
     K = batch_hsc(R, jet.g, raw @ orthonormal_frame(jet.g).T)
-    scale = max(1.0, abs(ex.min_K), abs(ex.max_K))
-    assert ex.min_K <= K.min() + 1e-12 * scale
-    assert ex.max_K >= K.max() - 1e-12 * scale
-    assert ex.min_residual <= 1e-10 * max(1.0, abs(ex.min_K))
-    assert ex.max_residual <= 1e-10 * max(1.0, abs(ex.max_K))
-    assert ex.converged
+    scale = max(1.0, abs(min_K), abs(max_K))
+    assert min_K <= K.min() + 1e-12 * scale
+    assert max_K >= K.max() - 1e-12 * scale
+    assert ex.min_residual[0] <= 1e-10 * max(1.0, abs(min_K))
+    assert ex.max_residual[0] <= 1e-10 * max(1.0, abs(max_K))
+    assert ex.converged[0]
 
 
 def test_extremize_quadratic_against_grid(rng):
@@ -163,7 +163,7 @@ def test_extremize_quadratic_endpoint_identity(rng):
 
     for alpha, beta, gamma in ((1.0, 3.0, 2.0), (2.0, -1.0, 5.0), (12.0, 8.0, 4.0), (1.0, 0.0, 1.0)):
         q = extremize_quadratic(alpha, beta, gamma)
-        assert type(q.min_K) is float and type(q.max_K) is float
+        assert type(q.min_K) is np.float64 and type(q.max_K) is np.float64
         _assert_same_bits(q, _three_point_extrema(alpha, beta, gamma)[:2])
 
 
@@ -250,8 +250,8 @@ def test_refine_wins_and_limit_tie_lost(n, s, monkeypatch):
         assert report.min_K < min(row[1] for row in finite)
         assert abs(report.min_K - infimum) <= 1e-8 * infimum
         jet = model.fiber_jet(t)
-        ex = extremize_direction(curvature_tensor(jet), jet.g)
-        assert abs(report.min_K - ex.min_K) <= 1e-12 * ex.min_K
+        min_K = extremize_directions(curvature_tensor(jet)[None], jet.g[None]).min_K[0]
+        assert abs(report.min_K - min_K) <= 1e-12 * min_K
         # K = 4/s along the vertical direction at every t, so the maximum is a
         # plateau on which the refine may beat the grid by rounding alone.
         assert report.argmax["t"] < 1.0
@@ -346,9 +346,9 @@ def test_sweep_s_rejects_empty_grid():
 def test_unconverged_flag_is_reported_not_silenced(monkeypatch):
     monkeypatch.setattr(optimize, "_RESIDUAL_TOL", 0.0)
     jet = Hitchin.make(1, "1/3").metric_jet([0.0, 0.5])
-    ex = extremize_direction(curvature_tensor(jet), jet.g)
-    assert not ex.converged
-    assert abs(ex.max_K - 12.0) < 1e-8  # the answer is still reported
+    ex = extremize_directions(curvature_tensor(jet)[None], jet.g[None])
+    assert not ex.converged[0]
+    assert abs(ex.max_K[0] - 12.0) < 1e-8  # the answer is still reported
 
 
 def _random_tangent_space(model, rng):
@@ -438,15 +438,16 @@ def test_general_extrema_bracket_dense_sample(name):
     rng = np.random.default_rng(MASTER_SEED)
     for k in range(8):
         R, g = _random_tangent_space(model, rng)
-        ex = extremize_direction(R, g, seed=k)
+        ex = extremize_directions(R[None], g[None], seed=k)
+        min_K, max_K = ex.min_K[0], ex.max_K[0]
         raw = rng.standard_normal((20000, m)) + 1j * rng.standard_normal((20000, m))
         K = batch_hsc(R, g, raw @ orthonormal_frame(g).T)
-        scale = max(1.0, abs(ex.min_K), abs(ex.max_K))
-        assert ex.min_K <= K.min() + 1e-12 * scale
-        assert ex.max_K >= K.max() - 1e-12 * scale
-        assert ex.min_residual <= 1e-11 * max(1.0, abs(ex.min_K))
-        assert ex.max_residual <= 1e-11 * max(1.0, abs(ex.max_K))
-        assert ex.converged
+        scale = max(1.0, abs(min_K), abs(max_K))
+        assert min_K <= K.min() + 1e-12 * scale
+        assert max_K >= K.max() - 1e-12 * scale
+        assert ex.min_residual[0] <= 1e-11 * max(1.0, abs(min_K))
+        assert ex.max_residual[0] <= 1e-11 * max(1.0, abs(max_K))
+        assert ex.converged[0]
 
 
 _STACKED_MODELS = {**_GENERAL_MODELS, "fs2": FubiniStudy(2), "fs1": FubiniStudy(1)}
@@ -456,9 +457,9 @@ def _assert_rows_alone_match(R, g, seed):
     """Each row of the stacked direction search gives the same bits solved alone."""
     ex = optimize.extremize_directions(R, g, seed=seed)
     for p in range(len(R)):
-        one = extremize_direction(R[p], g[p], seed=seed)
+        one = extremize_directions(R[p : p + 1], g[p : p + 1], seed=seed)
         for f in fields(one):
-            assert np.array_equal(getattr(ex, f.name)[p], getattr(one, f.name)), (p, f.name)
+            assert np.array_equal(getattr(ex, f.name)[p], getattr(one, f.name)[0]), (p, f.name)
 
 
 @pytest.mark.parametrize("name", list(_STACKED_MODELS))
@@ -603,7 +604,7 @@ def test_trust_region_step_meets_more_sorensen_conditions(n):
 
 def test_general_extrema_repeat_for_a_seed(rng):
     R, g = _random_tangent_space(_GENERAL_MODELS["hitchin-2_10xfs2"], rng)
-    a, b = (extremize_direction(R, g, seed=5) for _ in range(2))
+    a, b = (extremize_directions(R[None], g[None], seed=5) for _ in range(2))
     for f in fields(a):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 

@@ -9,7 +9,7 @@ from kahlerpinch import products
 from kahlerpinch.cli import main
 from kahlerpinch.geometry import curvature_tensor, holomorphic_sectional_curvature, norm_squared
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import extremize_direction, extremize_directions
+from kahlerpinch.optimize import extremize_directions
 from kahlerpinch.products import (
     CommonBoundError,
     product_bounds,
@@ -153,8 +153,8 @@ def test_stacked_sampling_matches_pointwise():
     lo, hi = math.inf, -math.inf
     for z in points:
         jet = model.metric_jet(z)
-        ex = extremize_direction(curvature_tensor(jet), jet.g, seed=4)
-        lo, hi = min(lo, ex.min_K), max(hi, ex.max_K)
+        ex = extremize_directions(curvature_tensor(jet)[None], jet.g[None], seed=4)
+        lo, hi = min(lo, ex.min_K[0]), max(hi, ex.max_K[0])
     assert converged
     assert stack_lo == pytest.approx(lo, rel=1e-13)
     assert stack_hi == pytest.approx(hi, rel=1e-13)
