@@ -12,11 +12,13 @@ through an orthonormal frame, so raw complex Gaussian rows scored on each
 point's frame tensor give the average without a normalising or frame product.
 Every point reseeds from the configured seed, so one draw per call serves all
 points, and a point's row is the same alone as in a stack.  The draw runs on
-one short-lived thread per call: all real parts, then the imaginary parts
-block by block, the order of the seeded stream.  The calling thread scores
-each block of the stack as it arrives, in the blocks and with the arithmetic
-of :func:`~kahlerpinch.optimize.batch_hsc`, so the estimates are bit for bit
-those of one thread.
+one short-lived thread per call in the order of the seeded stream: all real
+parts into one array, then the imaginary parts block by block into a ring of
+two slots, which the calling thread hands back once it has scored the block
+on the whole stack, together with the block's antithetic mirrors.  So a call
+holds the real parts but never all the imaginary ones.  The blocks and the
+arithmetic are those of :func:`~kahlerpinch.optimize.batch_hsc`, so the
+estimates are bit for bit those of one thread.
 """
 from __future__ import annotations
 
@@ -27,7 +29,14 @@ import numpy as np
 
 from .geometry import _curvature, _frame, _scalar_curvature
 from .models import Hitchin, MetricModel, _as_point
-from .optimize import _HSC_BLOCK, _frame_tensor, _hermitian_form, _hsc_columns
+from .optimize import (
+    _HSCWork,
+    _blocks,
+    _frame_tensor,
+    _hermitian_form,
+    _hsc_columns,
+    _widest_block,
+)
 
 __all__ = [
     "SphereSampleConfig",
@@ -78,17 +87,16 @@ class BergerComparison:
         return abs(self.zscore) < zmax or self.near_exact
 
 
-def _columns(parts: np.ndarray, start: int, stop: int, half: int) -> np.ndarray:
-    """Samples ``start`` to ``stop`` of one coordinate part, as contiguous columns (m, stop - start).
+def _columns(rows: np.ndarray, mirrored: int, out: np.ndarray) -> np.ndarray:
+    """The rows (B, m), then mirrors, as the first B + ``mirrored`` columns of ``out`` (m, width).
 
-    ``parts`` holds the real or the imaginary parts of the draws, shape
-    (half, m); sample half + i is the mirror of draw i, its coordinates
-    reversed.
+    The mirrors are the first ``mirrored`` rows, their coordinates reversed.
     """
-    draws = max(min(stop, half) - start, 0)
-    cols = np.empty((parts.shape[1], stop - start))
-    cols[:, :draws] = parts[start : start + draws].T
-    cols[:, draws:] = parts[start + draws - half : stop - half, ::-1].T
+    width = len(rows)
+    cols = out[:, : width + mirrored]
+    cols[:, :width] = rows.T
+    if mirrored:
+        cols[:, width:] = rows[:mirrored, ::-1].T
     return cols
 
 
@@ -107,26 +115,42 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     errors, one per point; pairs are averaged before the error estimate,
     keeping it unbiased.  g must be known definite: the frame is not checked.
 
-    One draw thread per call fills the buffers the caller allocated: the real
-    parts of all draws in one ``standard_normal`` call, then the imaginary
-    parts in blocks of ``_HSC_BLOCK`` rows, the stream order of a single
-    (draws, m) real draw followed by an imaginary one.  The caller builds the
-    Hermitian form meanwhile and scores each block of draws as its imaginary
-    part arrives, in the blocks of :func:`~kahlerpinch.optimize.batch_hsc`
-    over all rows; blocks that hold mirrors are scored after the join.  So
-    every value is bit for bit that of :func:`batch_hsc` on the complex rows.
-    A failure of the draw is raised here; a failure of the caller stops the
-    draw at its next block, and the thread is joined before this returns.
+    One draw thread per call follows the order of the seeded stream, a single
+    (draws, m) real draw followed by an imaginary one: the real parts of all
+    draws in one ``standard_normal`` call into a full array, then the
+    imaginary parts of each block of :func:`~kahlerpinch.optimize._blocks`
+    (``_HSC_BLOCK`` draws) into the next free slot of a ring of two.  The
+    caller builds the Hermitian form meanwhile, scores each block as its slot
+    fills, with the mirrors of the block's draws as the last columns of the
+    same product, and hands the slot back; plain and antithetic runs take
+    this one path.  Every block is scored in work buffers allocated once per
+    call, and every value is bit for bit that of :func:`batch_hsc` on the
+    complex rows.  A failure of the draw is raised here; a failure of the
+    caller stops the draw at its next block, waiting for a slot or not, and
+    the thread is joined before this returns.
     """
     m, count = g.shape[-1], cfg.sample_count
     half = (count + 1) // 2 if cfg.antithetic else count
+    pairs = count - half  # draws whose mirror is in the sample: none in a plain run
+    width = _widest_block(half)
     try:
-        re, im = np.empty((half, m)), np.empty((half, m))
+        re = np.empty((half, m))
         values = np.empty(R.shape[:-4] + (count,))
     except ValueError as exc:  # numpy's "array is too big", past any address space
         raise MemoryError(f"the sample buffers cannot be allocated: {exc}") from exc
+    ring = np.empty((2, width, m))
+    scored = width + min(width, pairs)  # the widest block with its mirrors
+    columns = np.empty((2, m, scored))
+    work = _HSCWork(R.shape[:-4], m, scored)
     rng = np.random.default_rng(cfg.seed)
-    drawn, stop, failed = threading.Semaphore(0), threading.Event(), []
+    # Imported here, so that commands that never sample do not load it.
+    import queue
+
+    # Slot indices pass between the threads: ``filled`` to the caller, and
+    # ``free`` back to the draw once the caller has scored the slot.
+    filled, free, stop, failed = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event(), []
+    for slot in range(len(ring)):
+        free.put(slot)
 
     def draw():
         # Only the Generator runs here, and it fills without the GIL; every
@@ -134,43 +158,51 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
         # such as perfbench's keeps its one call stack.
         try:
             rng.standard_normal(out=re)
-            for i in range(0, half, _HSC_BLOCK):
+            for start, end in _blocks(half):
+                slot = free.get()
                 if stop.is_set():
                     return
-                rng.standard_normal(out=im[i : i + _HSC_BLOCK])
-                drawn.release()
+                rng.standard_normal(out=ring[slot, : end - start])
+                filled.put(slot)
         except BaseException as exc:  # re-raised by the caller
             failed.append(exc)
-            drawn.release()
+            filled.put(None)
 
     thread = threading.Thread(target=draw, name="berger-draw")
     thread.start()
     try:
         N, gamma = _hermitian_form(_frame_tensor(R, _frame(g)), np.eye(m))
         gamma = gamma[..., None, :]
-        for start in range(0, count, _HSC_BLOCK):
-            end = min(start + _HSC_BLOCK, count)
-            if end <= half:
-                drawn.acquire()  # this block's imaginary parts
-            else:
-                thread.join()  # a block with mirrors needs every draw
-            if failed:
+        for start, end in _blocks(half):
+            slot = filled.get()  # this block's imaginary parts, or None if the draw failed
+            if slot is None:
                 break
-            re_cols, im_cols = _columns(re, start, end, half), _columns(im, start, end, half)
-            values[..., start:end] = _hsc_columns(N, gamma, re_cols, im_cols)
+            mirrored = max(min(end, pairs) - start, 0)  # sample half + i mirrors draw i < pairs
+            K = _hsc_columns(
+                N,
+                gamma,
+                _columns(re[start:end], mirrored, columns[0]),
+                _columns(ring[slot, : end - start], mirrored, columns[1]),
+                work,
+            )
+            values[..., start:end] = K[..., : end - start]
+            if mirrored:
+                values[..., half + start : half + start + mirrored] = K[..., end - start :]
+            free.put(slot)
     except BaseException:
         stop.set()
+        free.put(None)  # wakes a draw waiting for a slot
         raise
     finally:
         thread.join()
     if failed:
         raise failed[0]
+    del re  # freed first, the statistics' temporaries can reuse its memory
     values *= 0.25 * m * (m + 1)
     if cfg.antithetic:
-        # draw i is column i and its mirror column count - pairs + i
-        pairs = count // 2
-        mean_pairs = 0.5 * (values[:, :pairs] + values[:, count - pairs :])
-        values = np.concatenate([mean_pairs, values[:, pairs : count - pairs]], axis=1)
+        # draw i is column i and its mirror column half + i
+        mean_pairs = 0.5 * (values[:, :pairs] + values[:, half:])
+        values = np.concatenate([mean_pairs, values[:, pairs:half]], axis=1)
     n = values.shape[1]
     est = np.mean(values, axis=1)
     sem = np.std(values, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(values))
@@ -198,7 +230,7 @@ def berger_vs_trace(
     points = list(points)
     if not points:
         return []
-    zs = np.stack([_as_point(z, model.dimension) for z in points])
+    zs = np.stack([_as_point(z, model.dimension, batched=False) for z in points])
     jet = model.metric_jet(zs)
     R = _curvature(jet)
     ests, sems = _sphere_average(R, jet.g, cfg)

@@ -172,10 +172,10 @@ def product_jet(left: MetricJet, right: MetricJet) -> MetricJet:
     return MetricJet(*parts)
 
 
-def _as_point(z, m: int) -> np.ndarray:
-    """Chart point(s) as a complex array of shape (..., m)."""
+def _as_point(z, m: int, batched: bool = True) -> np.ndarray:
+    """Chart point(s) as a complex array of shape (..., m), or of shape (m,) unless ``batched``."""
     z = np.asarray(z, dtype=complex)
-    if z.shape[-1:] != (m,):
+    if z.shape[-1:] != (m,) or not (batched or z.ndim == 1):
         raise ValueError(f"expected a point with {m} coordinates, got an array of shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("chart point coordinates must be finite")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .geometry import (
     orthonormal_frame,
 )
 from .hirzebruch import hsc_coefficients, require_admissible
-from .models import Hitchin
+from .models import _S_RANGE, Hitchin
 
 __all__ = [
     "DirectionExtrema",
@@ -74,9 +75,18 @@ _SWEEP_T_POINTS = 65
 # quartiles on a 2-core VM): 20.8, 16.4 and 15.5 ms at 128, 256 and 512;
 # certify-fiber peak RSS 36.6, 36.7 and 37.6 MB, so 512 buys 5 % for 0.9 MB.
 _FIBER_BLOCK = 256
-# Directions per matrix product in batch_hsc and the Berger sphere average:
-# bounds their (m^2, rows) buffers.
-_HSC_BLOCK = 8192
+# Directions per matrix product in batch_hsc and the Berger sphere average,
+# and per slot of the Berger draw ring.  A call allocates its work buffers
+# once and reuses them from block to block, and a direction's value does not
+# depend on the block's width (tests compare 64, 2048 and 8192), so the block
+# is sized for the cache: at m = 4 its q takes 256 kB.  Against 8192,
+# mc-product (2-core VM, 10 pairs) went from 54.2 to 48.2 MB peak RSS and
+# from 0.0235 to 0.0193 s for its slowest job.
+_HSC_BLOCK = 2048
+# Blocks narrower than this go through other BLAS kernels (matrix-vector at
+# one column, edge kernels up to 7) than the same columns at the end of a
+# wider block, so a last remainder this narrow joins the block before it.
+_NARROW = 8
 _EPS = float(np.finfo(float).eps)
 # Gradient tolerance of each general-dimension search, relative to max(1, |K|)
 # at its start.
@@ -107,15 +117,14 @@ _BLOCH = 0.5 * np.einsum("mab,ncd->abcdmn", _PAULI, _PAULI).reshape(16, 16)
 _COMPLETION = np.eye(3)[:, None, :] * np.array([1.0, -1.0])[:, None]
 
 
-def _hermitian_coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Real coordinates q of xi xi* for the column directions xi = re + i im, as (m^2, B).
+def _hermitian_coordinates(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Real coordinates q of xi xi* for the column directions xi = re + i im, written to ``out`` (m^2, B).
 
     re and im are the real and imaginary parts, shape (m, B), fastest with
     contiguous rows.  q = (|xi_a|^2, Re xi_a conj(xi_b), Im xi_a conj(xi_b))
-    over a and the pairs a < b in ``np.triu_indices`` order, written in place.
+    over a and the pairs a < b in ``np.triu_indices`` order.
     """
-    m = len(re)
-    q = np.empty((m * m, re.shape[1]))
+    m, q = len(re), out
     np.multiply(re, re, out=q[:m])
     q[:m] += im * im
     pairs, j = m * (m - 1) // 2, m
@@ -157,30 +166,79 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     the result is (..., B), every tensor of the stack at every direction.  In
     the real coordinates q of xi xi*, K(xi) = 2 q.N q / (gamma.q)^2 with the
     form of :func:`_hermitian_form`; the rows are evaluated as one real matrix
-    product per block of ``_HSC_BLOCK`` rows (:func:`_hsc_columns`).
+    product per block of :func:`_blocks` (:func:`_hsc_columns`), in work
+    buffers allocated once per call.
     """
     xis = np.asarray(xis, dtype=complex)
     N, gamma = _hermitian_form(np.asarray(R, dtype=complex), np.asarray(g, dtype=complex))
     # One (1, m^2) row per metric, so that a shared metric and a stacked one
     # take the same matrix product and give the same bits.
     gamma = gamma[..., None, :]
-    K = np.empty(np.broadcast_shapes(N.shape[:-2], gamma.shape[:-2]) + (len(xis),))
-    for i in range(0, len(xis), _HSC_BLOCK):
-        block = xis[i : i + _HSC_BLOCK].T
-        K[..., i : i + block.shape[1]] = _hsc_columns(N, gamma, block.real, block.imag)
+    stack = np.broadcast_shapes(N.shape[:-2], gamma.shape[:-2])
+    N, gamma = (np.broadcast_to(a, stack + a.shape[-2:]) for a in (N, gamma))
+    K = np.empty(stack + (len(xis),))
+    work = _HSCWork(stack, xis.shape[-1], _widest_block(len(xis)))
+    for start, stop in _blocks(len(xis)):
+        block = xis[start:stop].T
+        K[..., start:stop] = _hsc_columns(N, gamma, block.real, block.imag, work)
     return K
 
 
-def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _blocks(rows: int):
+    """(start, stop) of the blocks of ``_HSC_BLOCK`` rows, a last remainder narrower than ``_NARROW`` joined to the block before it."""
+    start = 0
+    while start < rows:
+        stop = start + _HSC_BLOCK
+        if rows - stop < _NARROW:
+            stop = rows
+        yield start, stop
+        start = stop
+
+
+def _widest_block(rows: int) -> int:
+    """The width of the widest of the :func:`_blocks` of ``rows``."""
+    return min(rows, _HSC_BLOCK + _NARROW - 1)
+
+
+class _HSCWork:
+    """Work buffers of :func:`_hsc_columns` for blocks of up to ``width`` columns, allocated once.
+
+    ``views(B)`` gives q, N q, gamma.q and K for a block of B columns, on
+    forms stacked over ``stack``: each the leading part of its flat buffer,
+    so contiguous at any width, laid out as a fresh array of the block would be.
+    """
+
+    def __init__(self, stack: tuple, m: int, width: int):
+        self._shapes = ((m * m,), stack + (m * m,), stack + (1,), stack)
+        self._flat = [np.empty(math.prod(shape) * width) for shape in self._shapes]
+        self._views = {}
+
+    def views(self, width: int) -> tuple:
+        if width not in self._views:
+            self._views[width] = tuple(
+                flat[: math.prod(shape) * width].reshape(shape + (width,))
+                for flat, shape in zip(self._flat, self._shapes)
+            )
+        return self._views[width]
+
+
+def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarray, work: _HSCWork):
     """K of the column directions re + i im, (m, B) each, on the form (N, gamma[..., None, :]).
 
-    One block of :func:`batch_hsc`, (..., B): its bits depend on the block's
-    columns and width, not on where the parts are stored.
+    N and gamma carry the same stack axes.  One block of :func:`batch_hsc`,
+    (..., B), computed in ``work`` and returned as a view of it, valid until
+    the next block.
     """
-    q = _hermitian_coordinates(re, im)
-    Nq = N @ q
+    q, Nq, den, K = work.views(re.shape[1])
+    _hermitian_coordinates(re, im, q)
+    np.matmul(N, q, out=Nq)
     Nq *= q
-    return 2.0 * Nq.sum(axis=-2) / (gamma @ q)[..., 0, :] ** 2
+    np.add.reduce(Nq, axis=-2, out=K)
+    K *= 2.0
+    np.matmul(gamma, q, out=den)
+    den *= den
+    K /= den[..., 0, :]
+    return K
 
 
 @dataclass(frozen=True)
@@ -750,6 +808,13 @@ def sweep_s(n: int, points: int = 999) -> SweepSResult:
         raise ValueError("empty parameter grid")
     if n < 1:
         raise ValueError("Hirzebruch index n must be >= 1")
+    # Hitchin's range rule for s; the grid stays below 1/n^2 <= 1.
+    s_min = Fraction(1, n * n * (points + 1))
+    if s_min < _S_RANGE[0]:
+        raise ValueError(
+            f"Hirzebruch index n = {n} puts the {points}-point parameter grid down to "
+            f"s = {float(s_min):.3g}, outside [%g, %g]: out of numerical range" % _S_RANGE
+        )
     s_max = 1.0 / (n * n)
     svals = s_max * np.arange(1, points + 1) / (points + 1)
     tvals = np.linspace(0.0, 1.0, _SWEEP_T_POINTS)

@@ -1,4 +1,6 @@
+import queue
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,8 @@ from kahlerpinch import hirzebruch as hz
 from kahlerpinch.berger import (
     BergerComparison,
     SphereSampleConfig,
-    _columns,
     berger_vs_trace,
+    default_points,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 from kahlerpinch.optimize import _HSC_BLOCK, batch_hsc
@@ -42,6 +44,14 @@ def test_fs_p1_scalar_estimate():
     for points in ([0.7], [0.7, 0.2]):
         with pytest.raises(ValueError, match="expected a point with 1 coordinates"):
             berger_vs_trace(FubiniStudy(1), points, SphereSampleConfig(10, MASTER_SEED))
+
+
+def test_each_point_is_one_point():
+    cfg = SphereSampleConfig(10, MASTER_SEED)
+    with pytest.raises(ValueError, match=r"1 coordinates, got an array of shape \(2, 1\)"):
+        berger_vs_trace(FubiniStudy(1), [[[0.3], [0.2]]], cfg)
+    with pytest.raises(ValueError, match=r"2 coordinates, got an array of shape \(1, 2\)"):
+        berger_vs_trace(FubiniStudy(2), [[0.1, 0.2], [[0.3, 0.4]]], cfg)
 
 
 def test_fs_p2_scalar_estimate():
@@ -145,7 +155,7 @@ def _hsc_at(R, g, c):
 
 
 @pytest.mark.parametrize("count", [5, 6, 7])
-def test_antithetic_pairs_each_draw_with_its_mirror(count):
+def test_antithetic_pairs_each_draw_with_its_mirror(count, monkeypatch):
     from kahlerpinch.geometry import curvature_tensor
 
     model, z, seed = Product(FubiniStudy(1), Hitchin.make(2, "1/10")), [0.3j, -0.4, 0.2 + 0.5j], 11
@@ -161,13 +171,19 @@ def test_antithetic_pairs_each_draw_with_its_mirror(count):
     ]
     if count % 2:
         units.append(scale * _hsc_at(R, jet.g, draws[-1]))  # its mirror is not in the sample
+    scored = []
+    hsc_columns = berger._hsc_columns
+    monkeypatch.setattr(
+        berger,
+        "_hsc_columns",
+        lambda *a: scored.append(a[2].T + 1j * a[3].T) or hsc_columns(*a),
+    )
     est = berger_vs_trace(model, [z], SphereSampleConfig(count, seed, antithetic=True))[0]
     assert est.estimate == pytest.approx(np.mean(units), rel=1e-13)
     assert est.stderr == pytest.approx(np.std(units, ddof=1) / np.sqrt(len(units)), rel=1e-12)
-    # the mirrors really are the stored draws, reversed, after the draws
-    rows = _columns(np.ascontiguousarray(draws.real), 0, count, half).T
-    assert np.array_equal(rows[:half], draws.real)
-    assert np.array_equal(rows[half:], rows[: count // 2, ::-1])
+    # one block: the draws, then the mirrors of the paired draws, their coordinates reversed
+    assert len(scored) == 1
+    assert np.array_equal(scored[0], np.concatenate([draws, draws[: count // 2, ::-1]]))
 
 
 # Estimates of the earlier per-point path (normalise, frame push and complex
@@ -343,3 +359,93 @@ def test_impossible_sample_count_is_a_memory_error():
     with pytest.raises(MemoryError, match="sample buffers"):
         berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], SphereSampleConfig(2**62))
     assert threading.active_count() == threads
+
+
+def test_sphere_average_streams_the_imaginary_parts():
+    # All real parts of two points' 1e5 draws take 3.2 MB, and so would all
+    # imaginary parts; the ring holds two slots of them.
+    model = Product(FubiniStudy(2), FubiniStudy(2))
+    points, cfg = default_points(model), SphereSampleConfig(100_000, MASTER_SEED)
+    assert len(points) == 2
+    berger_vs_trace(model, points, cfg)
+    tracemalloc.start()
+    try:
+        berger_vs_trace(model, points, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+def _watch_queues(monkeypatch, blocked):
+    """Queues that set ``blocked`` when the draw thread waits on one."""
+
+    class WatchedQueue(queue.SimpleQueue):
+        def get(self, block=True, timeout=None):
+            try:
+                return super().get(block=False)
+            except queue.Empty:
+                if threading.current_thread().name == "berger-draw":
+                    blocked.set()
+                return super().get(block, timeout)
+
+    monkeypatch.setattr(queue, "SimpleQueue", WatchedQueue)
+
+
+# Six blocks of draws: each of the two ring slots is filled three times.
+_RING_CFG = SphereSampleConfig(6 * _HSC_BLOCK + 5)
+
+
+def _bounded(call, timeout=60.0):
+    """The exception ``call`` raises, run on a helper thread that must finish within ``timeout`` s."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "berger_vs_trace did not return"
+    return raised[0] if raised else None
+
+
+def test_caller_failure_releases_a_draw_waiting_for_a_slot(monkeypatch):
+    blocked = threading.Event()
+    _watch_queues(monkeypatch, blocked)
+
+    def fail(*args):
+        assert blocked.wait(60)  # both slots are full, and the draw waits for one
+        raise KeyError("scoring")
+
+    monkeypatch.setattr(berger, "_hsc_columns", fail)
+    threads = threading.active_count()
+    raised = _bounded(lambda: berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _RING_CFG))
+    assert isinstance(raised, KeyError)
+    assert threading.active_count() == threads
+    assert "berger-draw" not in [t.name for t in threading.enumerate()]
+
+
+def test_draw_failure_at_a_reused_slot_is_raised_in_the_caller(monkeypatch):
+    blocked, error = threading.Event(), RuntimeError("draw failed")
+    _watch_queues(monkeypatch, blocked)
+    hsc_columns = berger._hsc_columns
+
+    def score(*args):
+        assert blocked.wait(60)  # the draw waits for the first slot before it fails there
+        return hsc_columns(*args)
+
+    def fail():
+        raise error
+
+    monkeypatch.setattr(berger, "_hsc_columns", score)
+    # calls: the real parts, the two slots, then the first slot again
+    monkeypatch.setattr(berger.np.random, "default_rng", lambda s: _HookedGenerator(s, 4, fail))
+    threads = threading.active_count()
+    raised = _bounded(lambda: berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _RING_CFG))
+    assert raised is error
+    assert threading.active_count() == threads
+    assert "berger-draw" not in [t.name for t in threading.enumerate()]

@@ -343,6 +343,15 @@ def test_sweep_s_rejects_empty_grid():
         sweep_s(1, points=0)
 
 
+@pytest.mark.parametrize("n", [10**80, 10**155], ids=["1e80", "1e155"])
+def test_sweep_s_applies_the_range_rule_of_s(n):
+    # 1e155: 1/n^2 is no float; 1e80: every s of the grid is below 1e-150
+    with pytest.raises(ValueError, match=f"n = {n} puts the 5-point parameter grid down to s = "):
+        sweep_s(n, 5)
+    # the grid's smallest s, 1/(6 n^2), is just inside at n = 10**74
+    assert sweep_s(10**74, 5).argmax_s > 1e-150
+
+
 def test_unconverged_flag_is_reported_not_silenced(monkeypatch):
     monkeypatch.setattr(optimize, "_RESIDUAL_TOL", 0.0)
     jet = Hitchin.make(1, "1/3").metric_jet([0.0, 0.5])
@@ -375,6 +384,32 @@ def test_batch_hsc_matches_pointwise_across_blocks(model, rng, monkeypatch):
     want = np.array([holomorphic_sectional_curvature(R, g, xi) for xi in xis])
     assert K.shape == (150,)
     assert np.all(np.abs(K - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        FubiniStudy(1),
+        Hitchin.make(1, "1/3"),
+        Product(FubiniStudy(1), Hitchin.make(2, "1/10")),
+        Product(Hitchin.make(1, "1/3"), Hitchin.make(3, "1/21")),
+    ],
+    ids=["m1", "m2", "m3", "m4"],
+)
+def test_batch_hsc_bits_do_not_depend_on_the_block(model, rng, monkeypatch):
+    # 10243 rows: a last remainder of 3 joins its block at 64 and at 2048;
+    # at 8192 one full block, then the same last block of 2051 as at 2048
+    m = model.dimension
+    jet = model.metric_jet(np.array([random_point(model, rng) for _ in range(3)]))
+    R, g = curvature_tensor(jet), jet.g
+    xis = rng.standard_normal((10243, m)) + 1j * rng.standard_normal((10243, m))
+    got = []
+    for block in (64, 2048, 8192):
+        monkeypatch.setattr(optimize, "_HSC_BLOCK", block)
+        got.append((batch_hsc(R, g, xis), batch_hsc(R, g[0], xis)))
+    for stacked, shared in got[1:]:
+        assert np.array_equal(stacked, got[0][0])
+        assert np.array_equal(shared, got[0][1])
 
 
 def test_batch_hsc_rejects_imaginary_residue(rng):
