@@ -20,6 +20,7 @@ Models:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,6 +267,19 @@ class FubiniStudy:
         return _jet_on_rows(lambda rows: log_jet(self.kernel(rows)), z, self.m)
 
 
+@functools.cache
+def _fiber_base_jet() -> MetricJet:
+    """Jet of log(1 + |z1|^2) at z1 = 0, one read-only row: the base term of every fiber jet.
+
+    The base kernel of :class:`Hitchin` depends on neither n nor s, so this
+    is taken once per process, on first use.
+    """
+    jet = log_jet(_power_kernel(np.zeros((1, 2)), 1, None))
+    for part in (jet.g, jet.dg, jet.ddg):
+        part.flags.writeable = False
+    return jet
+
+
 @dataclass(frozen=True)
 class Hitchin:
     """Hitchin's Kahler family on the n-th Hirzebruch surface.
@@ -362,25 +376,30 @@ class Hitchin:
         (0, w) with |w|^2 = (1-t)/t of the chart of :meth:`far_kernel`, where
         t = 1 is w = 0.  Both metrics and the Jacobian diag(1, -1/z2^2) of the
         chart change are diagonal on z1 = 0, so frame weights agree.  A t
-        outside [0, 1] gives a negative radius, a ValueError.
+        outside [0, 1] gives a negative radius, a ValueError.  When every t
+        lies in one chart, that chart's jet is the result as it comes.
 
         The base kernel 1 + |z1|^2 depends on z1 alone, and every sample of
         both charts has z1 = 0 exactly, so the jet of its logarithm is taken
-        once, on a one-row stack at z1 = 0, and broadcast into the sum of
-        both charts.  :func:`log_jet` gives a row the same bits alone as in a
-        stack, and the broadcast sum adds element by element, so every row
-        gets the bits of evaluating the base at that row.
+        once per process, on a one-row stack at z1 = 0 (:func:`_fiber_base_jet`),
+        and broadcast into the sum of both charts.  :func:`log_jet` gives a row
+        the same bits alone as in a stack, and the broadcast sum adds element
+        by element, so every row gets the bits of evaluating the base at that
+        row.
         """
         t = np.asarray(t, dtype=float)
         far = t > 0.5
         radius = np.where(far, 1.0 - t, t) / np.where(far, t, 1.0 - t)
-        base = log_jet(self.base_kernel(np.zeros((1, 2))))
+        base = _fiber_base_jet()
+        kernels = ((~far, self.fiber_kernel), (far, self.far_kernel))
+        charts = [(rows, kernel) for rows, kernel in kernels if rows.any()]
+        if len(charts) == 1:
+            return self._jet(charts[0][1], self.fiber_point(radius), base)
         arrays = [np.empty(t.shape + (2,) * rank, dtype=complex) for rank in (2, 3, 4)]
-        for rows, kernel in ((~far, self.fiber_kernel), (far, self.far_kernel)):
-            if rows.any():
-                jet = self._jet(kernel, self.fiber_point(radius[rows]), base)
-                for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
-                    out[rows] = part
+        for rows, kernel in charts:
+            jet = self._jet(kernel, self.fiber_point(radius[rows]), base)
+            for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
+                out[rows] = part
         return MetricJet(*arrays)
 
 

@@ -7,15 +7,15 @@ w = 0 of the chart (z1, w = 1/z2), an ordinary sample (``Hitchin.fiber_jet``).
 
 The extrema over the directions of a two-dimensional tangent space are exact:
 there the direction lines form the Bloch sphere S^2, on which K is a quadratic
-v.Av + b.v + c0, and one eigenproblem enumerates its Karush-Kuhn-Tucker points
-(Gander, Golub and von Matt, "A constrained eigenvalue problem", 1989): 15 unit
-candidates per tangent space, which hold the extremizers in the hard case too.
-A spurious candidate is a point of the sphere as well, so it can tie with an
-extremum but never beat it; tied candidates are told apart by stationarity,
-then by K, never by their order.  The weight quadratic of the Hirzebruch
-family is extremized exactly on its interval.  The two-dimensional solve is
-stacked: the fiber sweep hands it all its tangent spaces at once, and a
-single tangent space is the one-row stack of the same code.  Higher
+v.Av + b.v + c0 whose extrema :mod:`kahlerpinch.sphere` finds among its
+Karush-Kuhn-Tucker points.  The weight quadratic of the Hirzebruch family is
+extremized exactly on its interval.  The two-dimensional solve is stacked:
+the fiber sweep hands it all its tangent spaces at once, and a single tangent
+space is the one-row stack of the same code.  Past the frame, the Bloch
+quadratic and the sphere solve keep the stack axis last, in elementwise
+arithmetic with every sum over a Bloch index written out in a fixed order,
+so that numpy's inner loops run over the stack and a row gets the same bits
+alone as in any stack; only their LAPACK calls take it first.  Higher
 dimensions are stacked the same way: every curvature tensor of the stack is
 contracted into its orthonormal frame, one seeded set of start directions is
 scored on all of them at once, and one trust-region Newton search (More and
@@ -52,6 +52,7 @@ from .geometry import (
 )
 from .hirzebruch import hsc_coefficients, require_admissible
 from .models import _S_RANGE, Hitchin
+from .sphere import _sphere_extrema
 
 __all__ = [
     "DirectionExtrema",
@@ -71,9 +72,10 @@ __all__ = [
 # Compactified fiber samples per parameter value in sweep_s, t = 1 included.
 _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
-# buffers that grow with the block.  Grid-512 sweeps (n = 1, 3, 6 at s*, lower
-# quartiles on a 2-core VM): 20.8, 16.4 and 15.5 ms at 128, 256 and 512;
-# certify-fiber peak RSS 36.6, 36.7 and 37.6 MB, so 512 buys 5 % for 0.9 MB.
+# buffers that grow with the block.  Grid-512 sweeps (n = 1, 3 and 6 at s*
+# together, lower quartiles of 100 interleaved runs on a 2-core VM): 33.2, 27.3
+# and 27.8 ms at 128, 256 and 512; certify-fiber peak RSS (medians of 4 runs)
+# 36.7, 36.6 and 37.5 MB, so 512 buys nothing for 0.9 MB.
 _FIBER_BLOCK = 256
 # Directions per matrix product in batch_hsc and the Berger sphere average,
 # and per slot of the Berger draw ring.  A call allocates its work buffers
@@ -83,6 +85,13 @@ _FIBER_BLOCK = 256
 # mc-product (2-core VM, 10 pairs) went from 54.2 to 48.2 MB peak RSS and
 # from 0.0235 to 0.0193 s for its slowest job.
 _HSC_BLOCK = 2048
+# OpenBLAS multiplies an (M, K) by a (K, N) matrix with its small-matrix
+# kernel while M N K <= this, on one thread, and with its packed kernel above,
+# whose last N mod 8 columns round differently under one and two threads (seen
+# at m = 4 to 16).  So _hsc_columns hands the packed kernel a multiple of
+# _NARROW columns, where a column's bits depend neither on the width, nor on
+# the column's place, nor on the thread count.
+_SMALL_PRODUCT = 10**6
 # Blocks narrower than this go through other BLAS kernels (matrix-vector at
 # one column, edge kernels up to 7) than the same columns at the end of a
 # wider block, so a last remainder this narrow joins the block before it.
@@ -105,16 +114,32 @@ _RESIDUAL_TOL = 1e-4
 # Ulps in a rounding floor: of the largest term of the S^2 quadratic for its
 # extrema, and of |K| for the decreases the Newton search can tell apart.
 _ROUNDING_ULPS = 4.0
-# Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
-_PAULI = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-    dtype=complex,
+# The Bloch matrix 1/2 sigma_m (x) sigma_n, in the Pauli basis with sigma_0 =
+# I, as a (16, 16) matrix with rows p = ab cd and columns mn: Rhat's flattened
+# contraction with it is M_mn = sum Rhat_abcd sigma_m,ab sigma_n,cd / 2.  Per
+# column mn, its four nonzero entries c, each +-1/2 or +-i/2, in increasing
+# row p, as (4, 16) tables: the rows p, the part of Rhat_p that Re(Rhat_p c)
+# takes (0 real, 1 imaginary) and the sign it takes it with, so
+# Re(Rhat_p c) = sign part / 2.  Written out, since deriving them at import
+# raised the peak memory of every command by about 0.2 MB; a test derives
+# them from the Pauli matrices.
+_BLOCH_ROWS = np.array(
+    [
+        [0, 1, 1, 0, 4, 5, 5, 4, 4, 5, 5, 4, 0, 1, 1, 0],
+        [3, 2, 2, 3, 7, 6, 6, 7, 7, 6, 6, 7, 3, 2, 2, 3],
+        [12, 13, 13, 12, 8, 9, 9, 8, 8, 9, 9, 8, 12, 13, 13, 12],
+        [15, 14, 14, 15, 11, 10, 10, 11, 11, 10, 10, 11, 15, 14, 14, 15],
+    ]
 )
-# 1/2 sigma_m (x) sigma_n as a (16, 16) matrix, rows ab cd, columns mn: Rhat's
-# flattened contraction with it is M_mn = sum Rhat_abcd sigma_m,ab sigma_n,cd / 2.
-_BLOCH = 0.5 * np.einsum("mab,ncd->abcdmn", _PAULI, _PAULI).reshape(16, 16)
-# +e_j and -e_j for j = 0, 1, 2, shape (3, 2, 3): the hard-case completions.
-_COMPLETION = np.eye(3)[:, None, :] * np.array([1.0, -1.0])[:, None]
+_BLOCH_PART = np.array([[0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0]] * 4)
+_BLOCH_SIGN = np.array(
+    [
+        [1.0, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1, 1, 1],
+        [1.0, 1, -1, -1, 1, 1, -1, -1, 1, 1, 1, -1, 1, 1, -1, -1],
+        [1.0, 1, 1, 1, 1, 1, 1, 1, -1, -1, 1, -1, -1, -1, -1, -1],
+        [1.0, 1, -1, -1, 1, 1, -1, -1, -1, -1, -1, 1, -1, -1, 1, 1],
+    ]
+)
 
 
 def _hermitian_coordinates(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,15 +225,27 @@ def _widest_block(rows: int) -> int:
     return min(rows, _HSC_BLOCK + _NARROW - 1)
 
 
+def _product_width(m: int, width: int) -> int:
+    """Columns of the matrix product of :func:`_hsc_columns` for a block of ``width`` at dimension m.
+
+    ``width`` itself on OpenBLAS's small-matrix kernel, else the next multiple
+    of ``_NARROW`` (see ``_SMALL_PRODUCT``).
+    """
+    if m**4 * width <= _SMALL_PRODUCT:
+        return width
+    return -(-width // _NARROW) * _NARROW
+
+
 class _HSCWork:
     """Work buffers of :func:`_hsc_columns` for blocks of up to ``width`` columns, allocated once.
 
-    ``views(B)`` gives q, N q, gamma.q and K for a block of B columns, on
+    ``views(B)`` gives q, N q, gamma.q and K for a product of B columns, on
     forms stacked over ``stack``: each the leading part of its flat buffer,
     so contiguous at any width, laid out as a fresh array of the block would be.
     """
 
     def __init__(self, stack: tuple, m: int, width: int):
+        width = _product_width(m, width)
         self._shapes = ((m * m,), stack + (m * m,), stack + (1,), stack)
         self._flat = [np.empty(math.prod(shape) * width) for shape in self._shapes]
         self._views = {}
@@ -227,10 +264,14 @@ def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarra
 
     N and gamma carry the same stack axes.  One block of :func:`batch_hsc`,
     (..., B), computed in ``work`` and returned as a view of it, valid until
-    the next block.
+    the next block.  The products run on the :func:`_product_width` columns,
+    the block's and copies of its first, so that no column's bits depend on
+    the BLAS thread count.
     """
-    q, Nq, den, K = work.views(re.shape[1])
-    _hermitian_coordinates(re, im, q)
+    m, width = re.shape
+    q, Nq, den, K = work.views(_product_width(m, width))
+    _hermitian_coordinates(re, im, q[:, :width])
+    q[:, width:] = q[:, :1]  # scored and dropped
     np.matmul(N, q, out=Nq)
     Nq *= q
     np.add.reduce(Nq, axis=-2, out=K)
@@ -238,7 +279,7 @@ def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarra
     np.matmul(gamma, q, out=den)
     den *= den
     K /= den[..., 0, :]
-    return K
+    return K[..., :width]
 
 
 @dataclass(frozen=True)
@@ -279,76 +320,51 @@ def _frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
 
     In the frame the metric is the identity, so K(F c) = 2 sum Rhat_abcd c_a
     conj(c_b) c_c conj(c_d) / |c|^4 for every nonzero c in C^m.  R and F share
-    their leading axes, which the contractions flatten and move last, so that
-    numpy's inner loops run over the stack rather than over index axes of length m.
+    their leading axes, which the contractions flatten and move last
+    (:func:`_stack_last_frame_tensor`), so that numpy's inner loops run over
+    the stack rather than over index axes of length m.
     """
-    shape, m = R.shape, R.shape[-1]
+    return np.moveaxis(_stack_last_frame_tensor(R, F), -1, 0).reshape(R.shape)
+
+
+def _stack_last_frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Rhat of :func:`_frame_tensor`, its leading axes flattened into one last axis: (m, m, m, m, N)."""
+    m = R.shape[-1]
     R = np.ascontiguousarray(R.reshape(-1, m**4).T).reshape((m,) * 4 + (-1,))
     F = np.ascontiguousarray(F.reshape(-1, m * m).T).reshape(m, m, -1)
     Rhat = np.einsum("ijkl...,ld...->ijkd...", R, F.conj())
     Rhat = np.einsum("ijkd...,kc...->ijcd...", Rhat, F)
     Rhat = np.einsum("ijcd...,jb...->ibcd...", Rhat, F.conj())
-    Rhat = np.einsum("ibcd...,ia...->abcd...", Rhat, F)
-    return np.moveaxis(Rhat, -1, 0).reshape(shape)
+    return np.einsum("ibcd...,ia...->abcd...", Rhat, F)
 
 
 def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     """(A, b, c0) with K(F c) = v.A v + b.v + c0 for unit c, c c* = (I + v.sigma)/2.
 
     In the frame, K(F c) = 2 sum Rhat_abcd P_ab P_cd with P = c c* =
-    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v), here
-    one contraction of the flattened Rhat with ``_BLOCH``.  Stacked over the
-    leading axes of R and F.
+    sum_mu v_mu sigma_mu / 2 and v_0 = 1, a quadratic form in (1, v) whose
+    matrix M_mn = sum_abcd Rhat_abcd sigma_m,ab sigma_n,cd / 2 is real on its
+    symmetric part.
+    Each entry takes its four nonzero terms, in increasing p, from the
+    flattened Rhat with the stack axis last, and adds them elementwise; that
+    is the contraction's order, and a row's bits do not depend on the stack.
+    Stacked over the leading axes of R and F, which lead the results too.
     """
-    batch = R.shape[:-4]
-    M = np.einsum("...p,pq->...q", _frame_tensor(R, F).reshape(batch + (16,)), _BLOCH).real
-    M = M.reshape(batch + (4, 4))
-    M = 0.5 * (M + M.swapaxes(-1, -2))
+    parts = _stack_last_frame_tensor(R, F).reshape(16, -1).view(float).reshape(16, -1, 2)
+    terms = parts[_BLOCH_ROWS, :, _BLOCH_PART] * _BLOCH_SIGN[..., None]  # (4, 16, N)
+    # The contraction sums from +0 and scales each term by 1/2; both are exact here.
+    M = ((terms[0] + terms[1] + terms[2] + terms[3]) * 0.5 + 0.0).reshape(4, 4, -1)
+    M = 0.5 * (M + M.swapaxes(0, 1))
+    M = np.moveaxis(M, -1, 0).reshape(R.shape[:-4] + (4, 4))
     return M[..., 1:, 1:], 2.0 * M[..., 0, 1:], M[..., 0, 0]
 
 
-def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
-    """Unit vectors (rows) among which lie all KKT points of v.A v + b.v on S^2.
-
-    A KKT point solves (A - mu) v = -b/2 with |v| = 1: in the eigenbasis Q of
-    A, w_j = -beta_j/(lam_j - mu) with beta = Q^T b/2.  Its multiplier mu is a
-    real eigenvalue of [[A, -I], [-b b^T/4, A]], or, in the hard case, within
-    1e-12 of an eigenvalue lam_j of A, where w_j is free.  So the 15
-    candidates are w(mu) for the 9 multipliers of both spectra, with w_j = 0
-    where mu is that close to lam_j, and the completions w(lam_j) +- fill e_j
-    to unit length.  Each is normalised onto the sphere, so a spurious one
-    can tie with the extremum but never beat it.
-
-    Stacked over the leading axes of A (..., 3, 3) and b (..., 3): returns the
-    candidates (..., 15, 3) and a mask (..., 15) of those that exist, which is
-    every candidate but a zero vector.
-    """
-    lam, Q = np.linalg.eigh(A)
-    beta = np.einsum("...ji,...j->...i", Q, b) / 2.0
-    H = np.zeros(A.shape[:-2] + (6, 6))
-    H[..., :3, :3] = H[..., 3:, 3:] = A
-    H[..., :3, 3:] = -np.eye(3)
-    H[..., 3:, :3] = -(b[..., :, None] * b[..., None, :]) / 4.0
-    mu = np.concatenate([np.linalg.eigvals(H).real, lam], axis=-1)
-    gap = lam[..., None, :] - mu[..., :, None]
-    scale = np.maximum(1.0, np.maximum(np.abs(lam).max(axis=-1), np.abs(beta).max(axis=-1)))
-    singular = np.abs(gap) <= 1e-12 * scale[..., None, None]
-    w = -beta[..., None, :] / np.where(singular, np.inf, gap)
-    fill = np.sqrt(np.maximum(0.0, 1.0 - np.sum(w[..., 6:, :] ** 2, axis=-1)))
-    hard = w[..., 6:, None, :] + fill[..., None, None] * _COMPLETION
-    W = np.concatenate([w, hard.reshape(w.shape[:-2] + (6, 3))], axis=-2)
-    norm = np.linalg.norm(W, axis=-1)
-    valid = norm > 0.0
-    W /= np.where(valid, norm, 1.0)[..., None]
-    return W @ Q.swapaxes(-1, -2), valid
-
-
 def _bloch_direction(F: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Direction F c of the unit c with c c* = (I + v.sigma)/2, stacked.
+    """Directions F c of the unit c with c c* = (I + v.sigma)/2, for F (B, 2, 2) and v (3, B).
 
     c is the larger column of that projector, normalised.
     """
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    v1, v2, v3 = v
     c = np.where(
         (v3 >= 0.0)[..., None],
         np.stack([1.0 + v3, v1 + 1j * v2], axis=-1),
@@ -363,63 +379,48 @@ def _bloch_weights(v: np.ndarray) -> np.ndarray:
     return np.stack([(1.0 + v[..., 2]) / 2.0, (1.0 - v[..., 2]) / 2.0], axis=-1)
 
 
-def _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor=0.0) -> DirectionExtrema:
+def _direction_extrema(R, g, xi, K, floor=0.0) -> DirectionExtrema:
     """Residuals and convergence flags at given extremizers, stacked.
 
-    An extremum is converged when its residual, and the solve's rounding
-    ``floor``, are within ``_RESIDUAL_TOL`` times max(1, |K|).
+    xi (2P, m) and K (2P,) hold the minima of the P points of (R, g), then
+    their maxima, whose residuals are one stacked call.  An extremum is
+    converged when its residual, and the solve's rounding ``floor``, are
+    within ``_RESIDUAL_TOL`` times max(1, |K|).
     """
-    res_min, res_max = _residual(R, g, xi_min), _residual(R, g, xi_max)
-    tol = _RESIDUAL_TOL
-    converged = (np.maximum(res_min, floor) <= tol * np.maximum(1.0, np.abs(min_K))) & (
-        np.maximum(res_max, floor) <= tol * np.maximum(1.0, np.abs(max_K))
-    )
-    return DirectionExtrema(min_K, max_K, xi_min, xi_max, res_min, res_max, converged)
+    P = len(g)
+    res = _residual(np.concatenate([R, R]), np.concatenate([g, g]), xi).reshape(2, P)
+    K = K.reshape(2, P)
+    converged = np.all(np.maximum(res, floor) <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(K)), axis=0)
+    return DirectionExtrema(K[0], K[1], xi[:P], xi[P:], res[0], res[1], converged)
 
 
 def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     """Exact extrema of K over stacked two-dimensional tangent spaces.
 
     In the orthonormal frame F of g, K is the Bloch quadratic of
-    :func:`_bloch_quadratic`, and its extremizers are among the candidates of
-    :func:`_sphere_kkt_points`.  The rounding floor of the extrema, passed to
-    :func:`_direction_extrema`, is a few ulps of the largest value the
-    quadratic's terms can take: K is a sum of terms of that size, so its
-    absolute error is no smaller.  Returns the stacked DirectionExtrema and
-    the Bloch vectors of its extremizers, whose third component gives the
-    frame weights.  g must be known definite: the frame is not checked.
+    :func:`_bloch_quadratic`, extremized by
+    :func:`~kahlerpinch.sphere._sphere_extrema` with the stack axis last.
+    The rounding floor of the extrema, passed to :func:`_direction_extrema`,
+    is a few ulps of the largest value the quadratic's terms can take: K is a
+    sum of terms of that size, so its absolute error is no smaller.  R (B, 2,
+    2, 2, 2) and g (B, 2, 2) carry one leading stack axis, and a row gets the
+    same bits alone as in any stack.  The extremizers' directions and
+    residuals are one stacked call each, minima and maxima together.
+    Returns the stacked DirectionExtrema and the Bloch vectors (B, 3) of its
+    extremizers, whose third component gives the frame weights.  g must be
+    known definite: the frame is not checked.
     """
     F = _frame(g)
     A, b, c0 = _bloch_quadratic(R, F)
-    floor = _ROUNDING_ULPS * _EPS * (
-        np.abs(A).sum(axis=(-1, -2)) + np.abs(b).sum(axis=-1) + np.abs(c0)
-    )
-    V, valid = _sphere_kkt_points(A, b)
-    VA = V @ A
-    quad = np.sum(VA * V, axis=-1)
-    Vb = np.einsum("...ki,...i->...k", V, b)
-    K = quad + Vb + c0[..., None]
-    kkt = np.linalg.norm(VA + b[..., None, :] / 2.0 - (quad + Vb / 2.0)[..., None] * V, axis=-1)
-    tie = 1e-12 * np.maximum(1.0, np.abs(np.where(valid, K, 0.0)).max(axis=-1))
-
-    def pick(x):
-        # Spurious multipliers next to a multiple eigenvalue of A give points
-        # within rounding of a true KKT point; the exact one is the most
-        # stationary of the tied candidates.  Equally stationary ones, such as
-        # both poles of a rounding-sized b, are told apart by K itself (the
-        # lower for the minimum, the higher for the maximum), so the order of
-        # the candidates never picks the value.
-        x = np.where(valid, x, np.inf)
-        residual = np.where(x <= (x.min(axis=-1) + tie)[..., None], kkt, np.inf)
-        x[residual > residual.min(axis=-1)[..., None]] = np.inf
-        i = np.argmin(x, axis=-1)[..., None]
-        v = np.take_along_axis(V, i[..., None], axis=-2)[..., 0, :]
-        return v, np.take_along_axis(K, i, axis=-1)[..., 0]
-
-    v_min, min_K = pick(K)
-    v_max, max_K = pick(-K)
-    xi_min, xi_max = _bloch_direction(F, v_min), _bloch_direction(F, v_max)
-    return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K, floor), v_min, v_max
+    v, K = _sphere_extrema(A, b, c0)
+    A, b = np.moveaxis(A, 0, -1), b.T  # views of the stack-last arrays of _bloch_quadratic
+    floor = np.abs(c0) + np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])
+    for entry in np.abs(A).reshape(9, -1):
+        floor = floor + entry
+    xi = _bloch_direction(np.concatenate([F, F]), v)
+    P = len(g)
+    ex = _direction_extrema(R, g, xi, K, _ROUNDING_ULPS * _EPS * floor)
+    return ex, v[:, :P].T, v[:, P:].T
 
 
 def _start_candidates(m: int, seed: int) -> np.ndarray:
@@ -615,7 +616,7 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
         return ex
     F = _frame(g)
     if m == 1:
-        xi_min = xi_max = F[..., 0]
+        xi = np.concatenate([F[..., 0], F[..., 0]])
     else:
         Rhat, cands = _frame_tensor(R, F), _start_candidates(m, seed)
         values = batch_hsc(Rhat, np.eye(m), cands)
@@ -632,10 +633,9 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
         Fo = np.take_along_axis(F[point], order[:, None, :], axis=2)
         xi = np.einsum("kij,kj->ki", Fo, _chart_vector(res.x))
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        xi_min, xi_max = xi[: len(g)], xi[len(g) :]
-    min_K = holomorphic_sectional_curvature(R, g, xi_min)
-    max_K = holomorphic_sectional_curvature(R, g, xi_max)
-    return _direction_extrema(R, g, xi_min, min_K, xi_max, max_K)
+    P = len(g)
+    K = np.concatenate([holomorphic_sectional_curvature(R, g, half) for half in (xi[:P], xi[P:])])
+    return _direction_extrema(R, g, xi, K)
 
 
 def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:

@@ -4,15 +4,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kahlerpinch import optimize
+from kahlerpinch import optimize, sphere
 from kahlerpinch.geometry import MetricJet, curvature_tensor, orthonormal_frame
 from kahlerpinch.models import FubiniStudy, Hitchin, KernelJet, Product, log_jet
 from kahlerpinch.optimize import (
+    DirectionExtrema,
     _bloch_quadratic,
+    _extremize_surfaces,
     _frame_tensor,
-    _sphere_kkt_points,
     extremize_directions,
 )
+from kahlerpinch.sphere import _sphere_kkt_points
 
 from conftest import MASTER_SEED, random_point
 
@@ -70,6 +72,38 @@ def test_curvature_and_frame_tensor_are_stack_invariant(model, kind):
     _assert_stack_invariant(lambda R, F: (_frame_tensor(R, F),), (R, F))
     if model.dimension == 2:
         _assert_stack_invariant(_bloch_quadratic, (R, F))
+
+
+# Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
+# 1/2 sigma_m (x) sigma_n as a (16, 16) matrix, rows ab cd, columns mn: the
+# reference that optimize's Bloch tables and _bloch_quadratic are checked against.
+_BLOCH = 0.5 * np.einsum("mab,ncd->abcdmn", _PAULI, _PAULI).reshape(16, 16)
+
+
+def test_bloch_tables_hold_the_nonzero_entries_of_bloch():
+    for q, column in enumerate(_BLOCH.T):
+        rows = np.flatnonzero(column)
+        c = column[rows]
+        assert list(optimize._BLOCH_ROWS[:, q]) == list(rows)
+        assert list(optimize._BLOCH_PART[:, q]) == list((c.real == 0.0).astype(int))
+        # Re(x c) is c x.re for a real c and -c.imag x.im for an imaginary one
+        assert np.array_equal(optimize._BLOCH_SIGN[:, q] / 2.0, np.where(c.real == 0.0, -c.imag, c.real))
+
+
+@pytest.mark.parametrize("model, kind", [case for case in _stack_cases() if case.values[0].dimension == 2])
+def test_bloch_quadratic_has_the_bits_of_the_contraction_with_bloch(model, kind):
+    g, dg, ddg = _jet_arrays(model, kind)
+    R, F = curvature_tensor(MetricJet(g, dg, ddg)), orthonormal_frame(g)
+    M = np.einsum("...p,pq->...q", _frame_tensor(R, F).reshape(-1, 16), _BLOCH).real
+    M = M.reshape(-1, 4, 4)
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    for got, want in zip(_bloch_quadratic(R, F), (M[:, 1:, 1:], 2.0 * M[:, 0, 1:], M[:, 0, 0])):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _log_jet_cases():
@@ -163,7 +197,8 @@ def _extrema(A, b, c0, V, valid):
 def test_sphere_candidates_hold_the_extrema(kind):
     A, b, c0 = (np.array(x) for x in zip(*(_sphere_problem(kind, seed) for seed in range(200))))
     V, valid = _sphere_kkt_points(A, b)
-    assert V.shape == (200, 15, 3)
+    assert V.shape == (3, 15, 200) and valid.shape == (15, 200)
+    V, valid = V.transpose(2, 1, 0), valid.T  # stack first, like the 54-candidate reference
     assert np.allclose(np.linalg.norm(V[valid], axis=-1), 1.0, rtol=0.0, atol=1e-15)
     lo, hi = _extrema(A, b, c0, V, valid)
     lo_54, hi_54 = _extrema(A, b, c0, *_kkt_points_54(A, b))
@@ -194,9 +229,49 @@ def test_sphere_extrema_do_not_depend_on_candidate_order(model, monkeypatch):
 
     def reversed_candidates(A, b):
         V, valid = _sphere_kkt_points(A, b)
-        return V[..., ::-1, :], valid[..., ::-1]
+        return V[:, ::-1], valid[::-1]
 
-    monkeypatch.setattr(optimize, "_sphere_kkt_points", reversed_candidates)
+    monkeypatch.setattr(sphere, "_sphere_kkt_points", reversed_candidates)
     got = extremize_directions(R, jet.g)
     assert np.array_equal(got.min_K, want.min_K)
     assert np.array_equal(got.max_K, want.max_K)
+
+
+def _surface_stacks():
+    rng = np.random.default_rng(MASTER_SEED)
+    cases = []
+    for n in range(1, 7):
+        model = Hitchin.make(n, float(rng.uniform(0.05, 0.95)) / (n * n))
+        cases.append(pytest.param(model, "fiber", id=f"hitchin-{n}-fiber"))
+        cases.append(pytest.param(model, "off", id=f"hitchin-{n}-off"))
+    cases.append(pytest.param(FubiniStudy(2), "off", id="fs2"))
+    cases.append(pytest.param(Product(FubiniStudy(1), FubiniStudy(1)), "off", id="fs1xfs1"))
+    return cases
+
+
+@pytest.mark.parametrize("model, kind", _surface_stacks())
+def test_surface_solve_rows_do_not_depend_on_the_stack(model, kind):
+    """Every row of a 256-row S^2 solve has the bits it gets in stacks of 1, 2 and 16.
+
+    16 is the stack of one zoom round, 256 that of a sweep block.  The fiber
+    rows hold t = 0, 1/2 and 1.
+    """
+    if kind == "fiber":
+        jet = model.fiber_jet(np.append(np.linspace(0.0, 1.0, 255), 0.5))
+    else:
+        rng = np.random.default_rng(MASTER_SEED)
+        jet = model.metric_jet(np.array([random_point(model, rng, radius=1.5) for _ in range(256)]))
+    R, g = curvature_tensor(jet), jet.g
+
+    names = [f.name for f in fields(DirectionExtrema)] + ["v_min", "v_max"]
+
+    def solve(rows):
+        ex, v_min, v_max = _extremize_surfaces(R[rows], g[rows])
+        return [getattr(ex, name) for name in names[:-2]] + [v_min, v_max]
+
+    full = solve(slice(None))
+    for size in (1, 2, 16):
+        for start in range(0, 256, size):
+            part = solve(slice(start, start + size))
+            for name, whole, got in zip(names, full, part):
+                assert np.array_equal(whole[start : start + size], got), (size, start, name)

@@ -66,6 +66,18 @@ def test_fiber_jet_charts():
             model.fiber_jet(bad)
 
 
+def test_fiber_jet_of_one_chart_is_its_rows_of_a_mixed_stack():
+    # A block in one chart returns that chart's jet as it comes.
+    model = Hitchin.make(3, "1/21")
+    t = np.linspace(0.0, 1.0, 512)
+    mixed = model.fiber_jet(t)
+    for rows in (slice(0, 256), slice(256, 512)):
+        alone = model.fiber_jet(t[rows])
+        for got, want in zip((alone.g, alone.dg, alone.ddg), (mixed.g, mixed.dg, mixed.ddg)):
+            assert np.array_equal(got, want[rows])
+            assert got.flags.c_contiguous
+
+
 def test_potential_values():
     assert Hitchin.make(1, "1/3").potential([0.0, 0.0]) == 0.0
     got = Hitchin.make(2, "1/10").potential([0.0, 1.0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kahlerpinch import hirzebruch as hz
-from kahlerpinch import optimize
+from kahlerpinch import models, optimize
 from kahlerpinch.cli import main
 from kahlerpinch.geometry import (
     curvature_tensor,
@@ -278,6 +278,31 @@ def test_fiber_sweep_exact_to_rounding_on_fine_grids(n):
         want = extremize_quadratic(*hz.hsc_coefficients(n, float(s_star), ts / (1.0 - ts)))
     assert np.all(np.abs(k_min - want.min_K) <= 1e-13 * want.min_K)
     assert np.all(np.abs(k_max - want.max_K) <= 1e-13 * want.max_K)
+
+
+def test_fiber_sweep_takes_the_base_jet_once(monkeypatch):
+    # Four grid blocks and the refine rounds of an interior extremum share one
+    # base jet, and a second sweep, of another model, takes it from the first.
+    cells, calls = optimize._fiber_cells, []
+    power_kernel = models._power_kernel
+
+    def lowered_limit(model, t):
+        K, weights, residual, converged = cells(model, t)
+        K[t == 1.0] = (0.99 * 2.0 / model.s, 0.99 * 4.0 / model.s)
+        return K, weights, residual, converged
+
+    def counted(z, a, b):
+        if b is None:  # the base kernel 1 + |z1|^2
+            calls.append(np.shape(z))
+        return power_kernel(z, a, b)
+
+    monkeypatch.setattr(optimize, "_fiber_cells", lowered_limit)
+    monkeypatch.setattr(models, "_power_kernel", counted)
+    models._fiber_base_jet.cache_clear()
+    for model in (Hitchin.make(2, "3/40"), Hitchin.make(3, "1/21")):
+        report = sweep_fiber(model, grid=1024)
+        assert report.method["refine_iterations"] > 0
+    assert calls == [(1, 2)]
 
 
 def test_fiber_sweep_reads_no_closed_form(monkeypatch):
