@@ -21,15 +21,9 @@ import numpy as np
 
 from . import hirzebruch
 from .berger import SphereSampleConfig, berger_vs_trace, default_points
-from .geometry import (
-    DegenerateMetricError,
-    check_symmetries,
-    curvature_tensor,
-    ricci,
-    scalar_curvature,
-)
+from .geometry import DegenerateMetricError, _curvature, _scalar_curvature, check_symmetries, ricci
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
-from .optimize import extremize_directions, sweep_fiber, sweep_s
+from .optimize import _sweep_radii, extremize_directions, sweep_fiber, sweep_s
 from .products import ProductHypothesisError, verify_product_numeric
 
 SCHEMA_VERSION = 1
@@ -326,8 +320,8 @@ def cmd_curvature(args):
     m = model.dimension
     z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
     with _named_points([args.point]):
-        jet = model.metric_jet(z)
-    R = curvature_tensor(jet)
+        jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
+    R = _curvature(jet)
     ric = ricci(R, jet.g)
     sym = check_symmetries(R, jet)
     ex = extremize_directions(R[None], jet.g[None], seed=args.seed)
@@ -340,7 +334,7 @@ def cmd_curvature(args):
         "g": [[_c2j(v) for v in row] for row in jet.g],
         "curvature_components": components,
         "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(ric)],
-        "scalar_curvature": scalar_curvature(R, jet.g),
+        "scalar_curvature": _scalar_curvature(R, jet.g),
         "hsc_min": ex.min_K[0],
         "hsc_max": ex.max_K[0],
         "max_symmetry_violation": sym.max_violation,
@@ -392,10 +386,7 @@ def _verify_row(n: int, args) -> dict:
         and report.argmax["weights"][0] <= 1e-10
     )
 
-    ts = np.linspace(0.0, 1.0, 65)
-    with np.errstate(divide="ignore"):
-        radii = ts / (1.0 - ts)  # inf at t = 1
-    min_eig = float(np.min(hirzebruch.ricci_fiber_eigenvalues(n, float(s_star), radii)))
+    min_eig = float(np.min(hirzebruch.ricci_fiber_eigenvalues(n, float(s_star), _sweep_radii())))
     ricci_ok = (min_eig <= 0.0) if n >= 2 else (min_eig > 0.0)
 
     passed = (

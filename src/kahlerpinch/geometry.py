@@ -11,11 +11,18 @@ Every array may carry leading batch axes ahead of these indices: a stack of
 points has g of shape (..., m, m), dg (..., m, m, m), ddg and R (..., m, m, m,
 m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
 ``curvature_tensor``, ``orthonormal_frame``, ``norm_squared``,
-``holomorphic_sectional_curvature``, ``hsc_gradient`` and ``scalar_curvature``
-act on the whole stack at once through ``...`` einsum subscripts and batched
-``np.linalg``; a single point is the stack with no batch axis.  A kernel may
-move the stack axes last inside, so that numpy's inner loops run over the
-stack; its inputs and results keep the convention above.
+``holomorphic_sectional_curvature``, ``hsc_gradient``, ``ricci``,
+``scalar_curvature`` and ``check_symmetries`` act on the whole stack at once
+through ``...`` einsum subscripts and batched ``np.linalg``; a single point is
+the stack with no batch axis.  A kernel may move the stack axes last inside,
+so that numpy's inner loops run over the stack; its inputs and results keep
+the convention above.  An einsum over ``...`` may group its sums differently
+for one point than for a stack, so ``ricci`` and ``hsc_gradient`` can give a
+point alone other last bits than the same row of a stack.
+
+The public functions that take a metric from outside check it definite; the
+package runs the jets that :mod:`kahlerpinch.models` checked when it made them
+through the unchecked cores ``_curvature``, ``_scalar_curvature`` and ``_frame``.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -203,9 +210,8 @@ def hsc_gradient(R: np.ndarray, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     under complex rescaling; its norm is the stationarity residual of the
     constrained extremization over the metric unit sphere.
     """
-    g = np.asarray(g, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    S = _real_part(np.einsum("...ij,...i,...j->...", g, xi, xi.conj())[..., None], "metric norm")
+    S = norm_squared(g, xi)[..., None]
     if np.any(S <= 0.0):
         raise ZeroDirectionError("zero direction")
     N = np.einsum("...ijkl,...i,...j,...k,...l->...", R, xi, xi.conj(), xi, xi.conj())
@@ -215,9 +221,9 @@ def hsc_gradient(R: np.ndarray, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def ricci(R: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Ricci curvature R_{i jbar} = sum_{kl} g^{k lbar} R_{i jbar k lbar}."""
+    """Ricci curvature R_{i jbar} = sum_{kl} g^{k lbar} R_{i jbar k lbar}, of shape (..., m, m)."""
     ginv = inverse_metric(g)
-    return np.einsum("lk,ijkl->ij", ginv, R)
+    return np.einsum("...lk,...ijkl->...ij", ginv, R)
 
 
 def scalar_curvature(R: np.ndarray, g: np.ndarray):
@@ -257,11 +263,12 @@ def check_symmetries(R: np.ndarray, jet: MetricJet) -> SymmetryReport:
     """Report the largest violation of each Kahler symmetry relation.
 
     Report-only: never raises, suitable as a diagnostic for corrupted jets.
+    Over a stack, each violation is the largest over its rows.
     """
     R = np.asarray(R, dtype=complex)
-    first = float(np.max(np.abs(R - R.transpose(2, 1, 0, 3))))
-    second = float(np.max(np.abs(R - R.transpose(0, 3, 2, 1))))
-    conj_rel = float(np.max(np.abs(R - R.transpose(1, 0, 3, 2).conj())))
-    kahler = float(np.max(np.abs(jet.dg - jet.dg.transpose(2, 1, 0))))
-    hermit = float(np.max(np.abs(jet.g - jet.g.conj().T)))
+    first = float(np.max(np.abs(R - R.swapaxes(-4, -2))))
+    second = float(np.max(np.abs(R - R.swapaxes(-3, -1))))
+    conj_rel = float(np.max(np.abs(R - R.swapaxes(-4, -3).swapaxes(-2, -1).conj())))
+    kahler = float(np.max(np.abs(jet.dg - jet.dg.swapaxes(-3, -1))))
+    hermit = float(np.max(np.abs(jet.g - jet.g.conj().swapaxes(-2, -1))))
     return SymmetryReport(first, second, conj_rel, kahler, hermit)

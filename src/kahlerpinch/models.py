@@ -8,6 +8,12 @@ differentiation is involved.  A kernel jet carries only the unbarred
 derivatives of its real kernel; :func:`log_jet` takes the barred ones as
 their conjugates.
 
+Each model jet is checked finite and positive definite once per stack, where
+it is made: a model's ``metric_jet`` and :meth:`Hitchin.fiber_jet` hand their
+unchecked rows to :func:`_jet_on_rows`, which checks the whole stack.  A
+product is checked on its product stack, not factor by factor; :func:`log_jet`
+and :func:`product_jet` check nothing.
+
 Models:
 
 * ``FubiniStudy(m)``   -- complex projective space P^m, potential log(1+|z|^2).
@@ -186,6 +192,10 @@ def _as_point(z, m: int, batched: bool = True) -> np.ndarray:
 def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
     """Finite, definite metric jet ``jet_of`` of the points z, as a stack of rows.
 
+    Every model jet is checked here, once per stack: ``jet_of`` maps a (P, m)
+    stack of points to their unchecked jet rows (a model's ``_rows``, or the
+    block of both charts of :meth:`Hitchin.fiber_jet`).
+
     A point alone is the one-row stack: numpy's scalar arithmetic can differ
     from its array loops in the last bit, and a point should get the same jet
     alone as in a stack.  The jet comes back with the batch axes of z.
@@ -240,8 +250,21 @@ def _power_kernel(z, a: int, b: int | None) -> KernelJet:
     return KernelJet(w, dw, d2w, dmix, d3w, d4w)
 
 
+class _Model:
+    """The checked ``metric_jet`` of every model, made by :func:`_jet_on_rows` from its ``_rows``.
+
+    ``_rows`` maps a (P, m) stack of chart points to their jet rows, unchecked,
+    so a :class:`Product` pairs the rows of its factors and checks the
+    product stack once.
+    """
+
+    def metric_jet(self, z) -> MetricJet:
+        """Finite, definite metric jet at the chart point(s) z, with their batch axes."""
+        return _jet_on_rows(self._rows, z, self.dimension)
+
+
 @dataclass(frozen=True)
-class FubiniStudy:
+class FubiniStudy(_Model):
     """Fubini-Study metric on P^m in an affine chart."""
 
     m: int = 1
@@ -263,8 +286,8 @@ class FubiniStudy:
     def potential(self, z) -> float:
         return math.log(self.kernel(z).w)
 
-    def metric_jet(self, z) -> MetricJet:
-        return _jet_on_rows(lambda rows: log_jet(self.kernel(rows)), z, self.m)
+    def _rows(self, z) -> MetricJet:
+        return log_jet(self.kernel(z))
 
 
 @functools.cache
@@ -281,7 +304,7 @@ def _fiber_base_jet() -> MetricJet:
 
 
 @dataclass(frozen=True)
-class Hitchin:
+class Hitchin(_Model):
     """Hitchin's Kahler family on the n-th Hirzebruch surface.
 
     Potential:  log(u) + s log(v)  with  u = 1 + |z1|^2,  v = u^n + |z2|^2.
@@ -340,22 +363,16 @@ class Hitchin:
     def potential(self, z) -> float:
         return math.log(self.base_kernel(z).w) + float(self.s) * math.log(self.fiber_kernel(z).w)
 
-    def _jet(self, fiber_kernel, z, base: MetricJet | None = None) -> MetricJet:
-        """Jet of log(base kernel) + s log(fiber_kernel) at the points z of its chart.
+    def _rows(self, z, kernel=None, base: MetricJet | None = None) -> MetricJet:
+        """Unchecked jet of log(base kernel) + s log(``kernel``) at the rows z of its chart.
 
-        ``base``, if given, is the jet of log(base kernel) already evaluated,
-        one row that broadcasts over the rows of z.
+        ``kernel`` is :meth:`fiber_kernel` unless given.  ``base``, if given, is
+        the jet of log(base kernel) already evaluated, one row that broadcasts
+        over z.
         """
-
-        def jet_of(rows):
-            b = log_jet(self.base_kernel(rows)) if base is None else base
-            fiber, s = log_jet(fiber_kernel(rows)), float(self.s)
-            return MetricJet(b.g + s * fiber.g, b.dg + s * fiber.dg, b.ddg + s * fiber.ddg)
-
-        return _jet_on_rows(jet_of, z, 2)
-
-    def metric_jet(self, z) -> MetricJet:
-        return self._jet(self.fiber_kernel, z)
+        b = log_jet(self.base_kernel(z)) if base is None else base
+        fiber, s = log_jet((kernel or self.fiber_kernel)(z)), float(self.s)
+        return MetricJet(b.g + s * fiber.g, b.dg + s * fiber.dg, b.ddg + s * fiber.ddg)
 
     def fiber_point(self, r) -> np.ndarray:
         """Chart point (0, z2) with |z2|^2 = r on the central fiber.
@@ -376,8 +393,10 @@ class Hitchin:
         (0, w) with |w|^2 = (1-t)/t of the chart of :meth:`far_kernel`, where
         t = 1 is w = 0.  Both metrics and the Jacobian diag(1, -1/z2^2) of the
         chart change are diagonal on z1 = 0, so frame weights agree.  A t
-        outside [0, 1] gives a negative radius, a ValueError.  When every t
-        lies in one chart, that chart's jet is the result as it comes.
+        outside [0, 1] gives a negative radius, a ValueError.  The rows of both
+        charts are scattered into one block, checked once (:func:`_jet_on_rows`);
+        when every t lies in one chart, that chart's rows are the block as they
+        come.
 
         The base kernel 1 + |z1|^2 depends on z1 alone, and every sample of
         both charts has z1 = 0 exactly, so the jet of its logarithm is taken
@@ -390,21 +409,24 @@ class Hitchin:
         t = np.asarray(t, dtype=float)
         far = t > 0.5
         radius = np.where(far, 1.0 - t, t) / np.where(far, t, 1.0 - t)
-        base = _fiber_base_jet()
         kernels = ((~far, self.fiber_kernel), (far, self.far_kernel))
-        charts = [(rows, kernel) for rows, kernel in kernels if rows.any()]
-        if len(charts) == 1:
-            return self._jet(charts[0][1], self.fiber_point(radius), base)
-        arrays = [np.empty(t.shape + (2,) * rank, dtype=complex) for rank in (2, 3, 4)]
-        for rows, kernel in charts:
-            jet = self._jet(kernel, self.fiber_point(radius[rows]), base)
-            for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
-                out[rows] = part
-        return MetricJet(*arrays)
+        charts = [(rows.ravel(), kernel) for rows, kernel in kernels if rows.any()]
+
+        def jet_of(z):
+            if len(charts) == 1:
+                return self._rows(z, charts[0][1], _fiber_base_jet())
+            arrays = [np.empty((len(z),) + (2,) * rank, dtype=complex) for rank in (2, 3, 4)]
+            for rows, kernel in charts:
+                jet = self._rows(z[rows], kernel, _fiber_base_jet())
+                for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
+                    out[rows] = part
+            return MetricJet(*arrays)
+
+        return _jet_on_rows(jet_of, self.fiber_point(radius), 2)
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Model):
     """Product metric of two factor models, block diagonal in all jets."""
 
     left: "MetricModel"
@@ -419,9 +441,9 @@ class Product:
         ml = self.left.dimension
         return self.left.potential(z[:ml]) + self.right.potential(z[ml:])
 
-    def metric_jet(self, z) -> MetricJet:
-        z, ml = _as_point(z, self.dimension), self.left.dimension
-        return product_jet(self.left.metric_jet(z[..., :ml]), self.right.metric_jet(z[..., ml:]))
+    def _rows(self, z) -> MetricJet:
+        ml = self.left.dimension
+        return product_jet(self.left._rows(z[:, :ml]), self.right._rows(z[:, ml:]))
 
 
 MetricModel = FubiniStudy | Hitchin | Product

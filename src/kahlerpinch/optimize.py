@@ -69,7 +69,8 @@ __all__ = [
     "sweep_s",
 ]
 
-# Compactified fiber samples per parameter value in sweep_s, t = 1 included.
+# Compactified fiber samples per parameter value in sweep_s, t = 1 included;
+# verify reads the fiber's Ricci eigenvalues on the same samples.
 _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
 # buffers that grow with the block.  Grid-512 sweeps (n = 1, 3 and 6 at s*
@@ -797,6 +798,13 @@ class SweepSResult:
             yield (s, p, int(s == self.argmax_s))
 
 
+def _sweep_radii() -> np.ndarray:
+    """Fiber radii r = t/(1-t) of the ``_SWEEP_T_POINTS`` samples t of [0, 1], inf at t = 1."""
+    t = np.linspace(0.0, 1.0, _SWEEP_T_POINTS)
+    with np.errstate(divide="ignore"):
+        return t / (1.0 - t)
+
+
 def sweep_s(n: int, points: int = 999) -> SweepSResult:
     """Measure the pinching ratio on a uniform parameter grid inside (0, 1/n^2).
 
@@ -817,10 +825,7 @@ def sweep_s(n: int, points: int = 999) -> SweepSResult:
         )
     s_max = 1.0 / (n * n)
     svals = s_max * np.arange(1, points + 1) / (points + 1)
-    tvals = np.linspace(0.0, 1.0, _SWEEP_T_POINTS)
-    with np.errstate(divide="ignore"):
-        radii = tvals / (1.0 - tvals)  # inf at t = 1
-    fiber = extremize_quadratic(*hsc_coefficients(n, svals[:, None], radii))
+    fiber = extremize_quadratic(*hsc_coefficients(n, svals[:, None], _sweep_radii()))
     ps = fiber.min_K.min(axis=1) / fiber.max_K.max(axis=1)
     rows = list(zip(svals.tolist(), ps.tolist()))
     k = int(np.argmax(ps))

@@ -1,12 +1,17 @@
 """The leading batch axis: a stack of points gives its rows' results."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kahlerpinch.geometry import (
     DegenerateMetricError,
     MetricJet,
+    SymmetryReport,
+    check_symmetries,
     curvature_tensor,
     orthonormal_frame,
+    ricci,
     scalar_curvature,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
@@ -118,3 +123,38 @@ def test_stack_with_one_degenerate_point_raises():
 def test_metric_jet_rejects_inconsistent_batched_shapes(shapes):
     with pytest.raises(ValueError, match="inconsistent"):
         MetricJet(*(np.zeros(shape) for shape in shapes))
+
+
+def _row(jet, i):
+    return MetricJet(jet.g[i], jet.dg[i], jet.ddg[i])
+
+
+@pytest.mark.parametrize("model", _stack_models())
+def test_stacked_symmetry_report_is_the_largest_row_report(model, rng):
+    z = _stack(model, rng)
+    jet = model.metric_jet(z)
+    R = curvature_tensor(jet)
+    g = jet.g.copy()
+    g[3, 0, -1] += 1e-3j  # a Hermiticity violation in row 3 alone
+    for case in (jet, MetricJet(g, jet.dg, jet.ddg)):
+        stacked = check_symmetries(R, case)
+        rows = [check_symmetries(R[i], _row(case, i)) for i in range(len(z))]
+        for field in dataclasses.fields(SymmetryReport):
+            assert getattr(stacked, field.name) == max(getattr(r, field.name) for r in rows)
+    # the corrupted stack, checked last, is flagged at row 3 and nowhere else
+    assert stacked.hermiticity == rows[3].hermiticity > 5e-4
+    assert max(r.max_violation for r in rows[:3] + rows[4:]) < 1e-10
+
+
+@pytest.mark.parametrize("model", _stack_models())
+def test_stacked_ricci_rows_match_points_alone(model, rng):
+    # The "..." einsum may group a point's sums differently alone than in a
+    # stack, so rows agree to a few units in the last place, not to the bit.
+    z = np.array([random_point(model, rng, radius=1.5) for _ in range(64)])
+    jet = model.metric_jet(z)
+    R = curvature_tensor(jet)
+    ric = ricci(R, jet.g)
+    assert ric.shape == z.shape[:1] + (model.dimension,) * 2
+    for i in range(len(z)):
+        alone = ricci(R[i], jet.g[i])
+        assert np.max(np.abs(ric[i] - alone)) <= 4 * np.spacing(np.max(np.abs(alone))), i

@@ -295,6 +295,18 @@ def test_exit_code_contract(capsys, argv, code):
         # an s* out of numerical range names --n, with s defaulted or swept
         (["pinch", "--n", str(10**75)], f"--n {10**75} has s* = 5e-151"),
         (["sweep-s", "--n", str(10**155), "--points", "5"], f"--n {10**155} has s* = 5e-311"),
+        # the product stack is checked once, not factor by factor; a point out
+        # of range in either factor is still named
+        (["curvature", "--model", "product:fs1:hitchin:1:1/3", "--point", "1e200,0,0.1"],
+         "point '1e200,0,0.1' is out of numerical range"),
+        (["curvature", "--model", "product:hitchin:2:1/10:fs2", "--point", "1e30,0,0.1,0.2"],
+         "point '1e30,0,0.1,0.2' is out of numerical range"),
+        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2,1e100,1e100"],
+         "point '0.1,0.2,1e100,1e100' is out of numerical range"),
+        (["berger", "--model", "product:fs1:hitchin:1:1/3", "--samples", "64",
+          "--point=0.1,0.1,0.1", "--point=1e200,0,0.1"], "point '1e200,0,0.1' is out of numerical range"),
+        (["berger", "--model", "product:fs1:hitchin:1:1/3", "--samples", "64",
+          "--point=0.1,0,1e200", "--point=0.1,0.1,0.1"], "point '0.1,0,1e200' is out of numerical range"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):
@@ -462,19 +474,23 @@ def test_commands_run_without_scipy():
         # one jet of all points; the trace reuses its check
         (["berger", "--model", "fs3", "--samples", "2000"], 1),
         (["berger", "--model", "hitchin:2:1/10", "--samples", "2000"], 1),
-        # the fiber sweep checks two jet stacks, then the Berger jet
-        (["verify", "--n-max", "1", "--grid", "16"], 3),
+        # the fiber sweep checks its one block across both charts, then the Berger jet
+        (["verify", "--n-max", "1", "--grid", "16"], 2),
+        # the same at the default grid of 256 samples, still one block
+        (["verify", "--n-max", "1"], 2),
         # one jet per factor, and one per search; the product jet is
         # assembled from the checked factor jets
         (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 5),
-        # the command-line points are checked on the one stack, one check per factor
+        # the command-line points are checked on the one product stack
         (["berger", "--model", "product:fs2:fs2", "--samples", "2000",
-          "--point=0.1,0.2j,0.3,0.4", "--point=0.5,0,-0.3j,0.2"], 2),
-        # the jet's two factor checks, then the tensor, Ricci, scalar and search
-        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 6),
+          "--point=0.1,0.2j,0.3,0.4", "--point=0.5,0,-0.3j,0.2"], 1),
+        # the product jet, then Ricci's inverse metric and the search
+        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 3),
+        (["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"], 3),
+        (["curvature", "--model", "fs3"], 3),
     ],
-    ids=["berger", "berger-hitchin", "verify", "product", "berger-product-points",
-         "curvature-product"],
+    ids=["berger", "berger-hitchin", "verify", "verify-default-grid", "product",
+         "berger-product-points", "curvature-product", "curvature-hitchin", "curvature-fs3"],
 )
 def test_metric_stacks_are_checked_definite_once(argv, checks, monkeypatch, capsys):
     calls, check = [], geometry._require_positive_definite

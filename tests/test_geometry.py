@@ -164,6 +164,16 @@ def test_scalar_equals_trace_of_ricci(rng, models):
         assert abs(tau - tau2) <= 1e-10 * max(1.0, abs(tau))
 
 
+def test_ricci_of_one_point_keeps_the_bits_of_the_point_contraction(rng, models):
+    # Stacked subscripts must not change what a single point gets.
+    for model in models:
+        for _ in range(100):
+            jet = model.metric_jet(random_point(model, rng))
+            R = curvature_tensor(jet)
+            want = np.einsum("lk,ijkl->ij", inverse_metric(jet.g), R)
+            assert ricci(R, jet.g).tobytes() == want.tobytes()
+
+
 def test_symmetries_hold_for_builtin_models(rng, models):
     for model in models:
         for _ in range(5):
