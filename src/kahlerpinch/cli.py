@@ -23,7 +23,7 @@ from . import hirzebruch
 from .berger import SphereSampleConfig, berger_vs_trace, default_points
 from .geometry import DegenerateMetricError, _curvature, _scalar_curvature, check_symmetries, ricci
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
-from .optimize import _sweep_radii, extremize_directions, sweep_fiber, sweep_s
+from .optimize import _extremize_directions, _sweep_radii, sweep_fiber, sweep_s
 from .products import ProductHypothesisError, verify_product_numeric
 
 SCHEMA_VERSION = 1
@@ -324,7 +324,7 @@ def cmd_curvature(args):
     R = _curvature(jet)
     ric = ricci(R, jet.g)
     sym = check_symmetries(R, jet)
-    ex = extremize_directions(R[None], jet.g[None], seed=args.seed)
+    ex = _extremize_directions(R[None], jet.g[None], args.seed)
     components = [
         {"i": i, "j": j, "k": k, "l": l, "value": _c2j(R[i, j, k, l])}
         for i, j, k, l in np.ndindex(R.shape)

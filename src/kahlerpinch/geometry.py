@@ -16,9 +16,13 @@ m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
 through ``...`` einsum subscripts and batched ``np.linalg``; a single point is
 the stack with no batch axis.  A kernel may move the stack axes last inside,
 so that numpy's inner loops run over the stack; its inputs and results keep
-the convention above.  An einsum over ``...`` may group its sums differently
-for one point than for a stack, so ``ricci`` and ``hsc_gradient`` can give a
-point alone other last bits than the same row of a stack.
+the convention above.  ``_curvature`` contracts its quadratic term D g^-1 D^H
+over contiguous stack-last copies of g^-1 and D, and ``hsc_gradient`` keeps
+the stack axes last and writes out every sum over an index, added in a fixed
+order elementwise (:func:`_sum_first`), so that its rows get the same bits
+alone as in any stack.  An einsum over ``...`` may group its sums
+differently for one point than for a stack, so ``ricci`` can give a point
+alone other last bits than the same row of a stack.
 
 The public functions that take a metric from outside check it definite; the
 package runs the jets that :mod:`kahlerpinch.models` checked when it made them
@@ -169,12 +173,24 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
     return _curvature(jet)
 
 
+def _stack_last(a: np.ndarray, rank: int) -> np.ndarray:
+    """Contiguous copy of a stack of (m,) * rank arrays, its leading axes flattened into one last axis."""
+    m = a.shape[-1]
+    return a.reshape(-1, m**rank).T.copy().reshape((m,) * rank + (-1,))
+
+
 def _curvature(jet: MetricJet) -> np.ndarray:
     """:func:`curvature_tensor` of a jet whose metric is known definite, unchecked."""
-    ginv = np.linalg.inv(jet.g)
-    D = jet.dg.swapaxes(-1, -2).reshape(jet.ddg.shape[:-4] + (-1, jet.dimension))
-    quad = np.einsum("...pq,...ap,...bq->...ab", ginv, D, D.conj()).reshape(jet.ddg.shape)
-    return -jet.ddg + quad.swapaxes(-3, -2)
+    m = jet.dimension
+    # g^-1 (m, m, N) and D (m^2, m, N), D[(i, k), p] = dg[i, p, k], with the
+    # flattened stack axis last and contiguous: the einsum's inner loop runs
+    # over the stack, adding each entry's m^2 terms in (p, q) order.
+    ginv = _stack_last(np.linalg.inv(jet.g), 2)
+    D = np.ascontiguousarray(jet.dg.reshape(-1, m, m, m).transpose(1, 3, 2, 0))
+    D = D.reshape(m * m, m, -1)
+    quad = np.einsum("pq...,ap...,bq...->ab...", ginv, D, D.conj())
+    quad = np.moveaxis(quad, -1, 0).reshape(jet.ddg.shape).swapaxes(-3, -2)
+    return np.subtract(quad, jet.ddg, out=np.empty_like(jet.ddg))
 
 
 def norm_squared(g: np.ndarray, xi: np.ndarray):
@@ -208,16 +224,46 @@ def hsc_gradient(R: np.ndarray, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Vanishes identically at every extremal direction because K is invariant
     under complex rescaling; its norm is the stationarity residual of the
-    constrained extremization over the metric unit sphere.
+    constrained extremization over the metric unit sphere.  The leading
+    axes of R, g and xi broadcast.
     """
-    xi = np.asarray(xi, dtype=complex)
-    S = norm_squared(g, xi)[..., None]
+    R, g, xi = (np.asarray(a, dtype=complex) for a in (R, g, xi))
+    stack = np.broadcast_shapes(R.shape[:-4], g.shape[:-2], xi.shape[:-1])
+    if not stack:  # a point is the one-row stack: numpy's scalar arithmetic rounds otherwise
+        return hsc_gradient(R[None], g[None], xi[None])[0]
+    k = len(stack)
+
+    def stack_last(a, order):
+        """Contiguous copy of ``a`` with its index axes in ``order``, then its stack axes padded to k."""
+        a = a.reshape((1,) * (k + len(order) - a.ndim) + a.shape)
+        return np.ascontiguousarray(a.transpose([k + i for i in order] + list(range(k))))
+
+    # K = 2N/S^2 with S = g(xi, xi) = sum_j dS_j conj(xi_j), dS_j = sum_i g_ij xi_i,
+    # and N = R(xi, xi, xi, xi) = sum_j u_j conj(xi_j), u_j = sum_i T_ij xi_i,
+    # T_ij = sum_kl R_ijkl xi_k conj(xi_l); dS and dN = 2u are their gradients.
+    x = stack_last(xi, [0])
+    xc = x.conj()
+    dS = _sum_first(stack_last(g, [0, 1]), x[:, None])
+    S = _real_part(_sum_first(dS, xc), "metric norm")
     if np.any(S <= 0.0):
         raise ZeroDirectionError("zero direction")
-    N = np.einsum("...ijkl,...i,...j,...k,...l->...", R, xi, xi.conj(), xi, xi.conj())
-    dN = 2.0 * np.einsum("...ijkl,...i,...k,...l->...j", R, xi, xi, xi.conj())
-    dS = np.einsum("...ij,...i->...j", g, xi)
-    return 2.0 * dN / S**2 - 4.0 * N.real[..., None] * dS / S**3
+    V = _sum_first(stack_last(R, [3, 0, 1, 2]), xc[:, None, None, None])  # V_ijk, the sum over l
+    T = _sum_first(np.moveaxis(V, 2, 0), x[:, None, None])
+    u = _sum_first(T, x[:, None])
+    N = _sum_first(u, xc)
+    return np.moveaxis(4.0 * u / S**2 - 4.0 * N.real * dS / S**3, 0, -1)
+
+
+def _sum_first(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x_i y_i over the first axes of x and y, added left to right, elementwise over the rest.
+
+    Every element is multiplied and added in the same order whatever the
+    other axes hold, so a stack row gets the bits it gets alone.
+    """
+    total = x[0] * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        total += a * b
+    return total
 
 
 def ricci(R: np.ndarray, g: np.ndarray) -> np.ndarray:

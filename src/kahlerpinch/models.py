@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import DegenerateMetricError, MetricJet, _require_positive_definite
+from .geometry import DegenerateMetricError, MetricJet, _require_positive_definite, _stack_last
 
 # Curvature scales like 1/s and the two-dimensional direction solve squares
 # it; outside this range the square leaves the floating-point range.
@@ -94,10 +94,6 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     alone as in a stack, which ``@`` and broadcast multiplication do not promise.
     """
     w = np.asarray(kernel.w, dtype=float)
-    m = kernel.dw.shape[-1]
-
-    def stack_last(field, rank):
-        return field.reshape(-1, m**rank).T.copy().reshape((m,) * rank + (-1,))
 
     def stack_first(part):
         return part.reshape(-1, part.shape[-1]).T.copy().reshape(w.shape + part.shape[:-1])
@@ -111,8 +107,8 @@ def log_jet(kernel: KernelJet) -> MetricJet:
         w2, w3, w4 = (np.array([x**k for x in flat]) for k in (2, 3, 4))
     except OverflowError:
         w2, w3, w4 = (np.array([_pow(x, k) for x in flat]) for k in (2, 3, 4))
-    dw, d2w, dmix = stack_last(kernel.dw, 1), stack_last(kernel.d2w, 2), stack_last(kernel.dmix, 2)
-    d3w, d4w = stack_last(kernel.d3w, 3), stack_last(kernel.d4w, 4)
+    dw, d2w, dmix = _stack_last(kernel.dw, 1), _stack_last(kernel.d2w, 2), _stack_last(kernel.dmix, 2)
+    d3w, d4w = _stack_last(kernel.d3w, 3), _stack_last(kernel.d4w, 4)
     # The barred derivatives of a real kernel; d3wb[i, j, l] = conj(d3w[j, l, i]).
     dwb, d2wb, d3wb = dw.conj(), d2w.conj(), np.moveaxis(d3w.conj(), 2, 0)
 

@@ -46,6 +46,7 @@ from .geometry import (
     _frame,
     _real_part,
     _require_positive_definite,
+    _stack_last,
     holomorphic_sectional_curvature,
     hsc_gradient,
     orthonormal_frame,
@@ -74,9 +75,9 @@ __all__ = [
 _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
 # buffers that grow with the block.  Grid-512 sweeps (n = 1, 3 and 6 at s*
-# together, lower quartiles of 100 interleaved runs on a 2-core VM): 33.2, 27.3
-# and 27.8 ms at 128, 256 and 512; certify-fiber peak RSS (medians of 4 runs)
-# 36.7, 36.6 and 37.5 MB, so 512 buys nothing for 0.9 MB.
+# together, lower quartiles of 100 interleaved runs on a 2-core VM): 39.6, 30.2
+# and 30.5 ms at 128, 256 and 512; certify-fiber peak RSS (medians of 4 runs)
+# 36.5, 36.5 and 37.2 MB, so 512 buys nothing for 0.7 MB.
 _FIBER_BLOCK = 256
 # Directions per matrix product in batch_hsc and the Berger sphere average,
 # and per slot of the Berger draw ring.  A call allocates its work buffers
@@ -311,7 +312,11 @@ class QuadraticExtrema:
 
 
 def _residual(R, g, xi) -> np.ndarray:
-    """Stationarity residual |dK/d conj(xi)| at the Euclidean-normalised xi, stacked."""
+    """Stationarity residual |dK/d conj(xi)| at the Euclidean-normalised xi, stacked.
+
+    The leading axes of R, g and xi broadcast, as in :func:`hsc_gradient`,
+    whose rows do not depend on the stack.
+    """
     xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
     return np.linalg.norm(hsc_gradient(R, g, xi), axis=-1)
 
@@ -330,9 +335,7 @@ def _frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 def _stack_last_frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Rhat of :func:`_frame_tensor`, its leading axes flattened into one last axis: (m, m, m, m, N)."""
-    m = R.shape[-1]
-    R = np.ascontiguousarray(R.reshape(-1, m**4).T).reshape((m,) * 4 + (-1,))
-    F = np.ascontiguousarray(F.reshape(-1, m * m).T).reshape(m, m, -1)
+    R, F = _stack_last(R, 4), _stack_last(F, 2)
     Rhat = np.einsum("ijkl...,ld...->ijkd...", R, F.conj())
     Rhat = np.einsum("ijkd...,kc...->ijcd...", Rhat, F)
     Rhat = np.einsum("ijcd...,jb...->ibcd...", Rhat, F.conj())
@@ -361,7 +364,7 @@ def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
 
 
 def _bloch_direction(F: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directions F c of the unit c with c c* = (I + v.sigma)/2, for F (B, 2, 2) and v (3, B).
+    """Directions F c of the unit c with c c* = (I + v.sigma)/2, for F (..., 2, 2) and v (3, ...).
 
     c is the larger column of that projector, normalised.
     """
@@ -383,16 +386,15 @@ def _bloch_weights(v: np.ndarray) -> np.ndarray:
 def _direction_extrema(R, g, xi, K, floor=0.0) -> DirectionExtrema:
     """Residuals and convergence flags at given extremizers, stacked.
 
-    xi (2P, m) and K (2P,) hold the minima of the P points of (R, g), then
-    their maxima, whose residuals are one stacked call.  An extremum is
+    xi (2, P, m) and K (2, P) hold the minima of the P points of (R, g), then
+    their maxima.  Their residuals are one :func:`_residual` call, over which
+    R and g broadcast, so neither is copied for the two rows.  An extremum is
     converged when its residual, and the solve's rounding ``floor``, are
     within ``_RESIDUAL_TOL`` times max(1, |K|).
     """
-    P = len(g)
-    res = _residual(np.concatenate([R, R]), np.concatenate([g, g]), xi).reshape(2, P)
-    K = K.reshape(2, P)
+    res = _residual(R, g, xi)
     converged = np.all(np.maximum(res, floor) <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(K)), axis=0)
-    return DirectionExtrema(K[0], K[1], xi[:P], xi[P:], res[0], res[1], converged)
+    return DirectionExtrema(K[0], K[1], xi[0], xi[1], res[0], res[1], converged)
 
 
 def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
@@ -406,7 +408,8 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     sum of terms of that size, so its absolute error is no smaller.  R (B, 2,
     2, 2, 2) and g (B, 2, 2) carry one leading stack axis, and a row gets the
     same bits alone as in any stack.  The extremizers' directions and
-    residuals are one stacked call each, minima and maxima together.
+    residuals are one stacked call each, minima and maxima together, over
+    which F, R and g broadcast.
     Returns the stacked DirectionExtrema and the Bloch vectors (B, 3) of its
     extremizers, whose third component gives the frame weights.  g must be
     known definite: the frame is not checked.
@@ -418,9 +421,9 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     floor = np.abs(c0) + np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])
     for entry in np.abs(A).reshape(9, -1):
         floor = floor + entry
-    xi = _bloch_direction(np.concatenate([F, F]), v)
     P = len(g)
-    ex = _direction_extrema(R, g, xi, K, _ROUNDING_ULPS * _EPS * floor)
+    xi = _bloch_direction(F, v.reshape(3, 2, P))
+    ex = _direction_extrema(R, g, xi, K.reshape(2, P), _ROUNDING_ULPS * _EPS * floor)
     return ex, v[:, :P].T, v[:, P:].T
 
 
@@ -610,7 +613,11 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     residuals near rounding, about 1e-12 relative, so that tolerance leaves a
     wide margin.
     """
-    R, g = np.asarray(R, dtype=complex), _require_positive_definite(g)
+    return _extremize_directions(np.asarray(R, dtype=complex), _require_positive_definite(g), seed)
+
+
+def _extremize_directions(R: np.ndarray, g: np.ndarray, seed: int) -> DirectionExtrema:
+    """:func:`extremize_directions` of complex stacks whose metrics are known definite, unchecked."""
     m = g.shape[-1]
     if m == 2:
         ex, _, _ = _extremize_surfaces(R, g)
@@ -634,8 +641,8 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
         Fo = np.take_along_axis(F[point], order[:, None, :], axis=2)
         xi = np.einsum("kij,kj->ki", Fo, _chart_vector(res.x))
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    P = len(g)
-    K = np.concatenate([holomorphic_sectional_curvature(R, g, half) for half in (xi[:P], xi[P:])])
+    xi = xi.reshape(2, len(g), m)
+    K = np.stack([holomorphic_sectional_curvature(R, g, half) for half in xi])
     return _direction_extrema(R, g, xi, K)
 
 

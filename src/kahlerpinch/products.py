@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import MetricJet, _curvature
 from .models import Hitchin, MetricModel, product_jet
-from .optimize import extremize_directions
+from .optimize import _extremize_directions
 
 __all__ = [
     "ProductHypothesisError",
@@ -87,7 +87,7 @@ def _sample_points(model: MetricModel, rng: np.random.Generator, count: int) -> 
 
 def _extrema(jet: MetricJet, seed: int) -> tuple[float, float, bool]:
     """Min K, max K and whether every search converged, over a jet stack known definite."""
-    ex = extremize_directions(_curvature(jet), jet.g, seed=seed)
+    ex = _extremize_directions(_curvature(jet), jet.g, seed)
     return float(ex.min_K.min()), float(ex.max_K.max()), bool(ex.converged.all())
 
 

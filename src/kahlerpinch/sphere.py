@@ -12,14 +12,16 @@ The solve is stacked over quadratics.  Its two LAPACK calls, ``eigh`` of A
 and ``eigvals`` of a 6 x 6 matrix, take the stack axis first; everything
 after them keeps it last, as elementwise arithmetic on (..., B) arrays whose
 sums over index axes of length 3 are written out in a fixed order
-(:func:`_sum3`).  Numpy's inner loops then run over the stack, and every
-element is rounded in the same order whatever the stack's length, which a
-matrix product (through BLAS) or an einsum does not promise: a quadratic
-gets the same bits alone as in any stack.
+(:func:`~kahlerpinch.geometry._sum_first`).  Numpy's inner loops then run
+over the stack, and every element is rounded in the same order whatever the
+stack's length, which a matrix product (through BLAS) or an einsum does not
+promise: a quadratic gets the same bits alone as in any stack.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .geometry import _sum_first
 
 __all__: list[str] = []
 
@@ -28,11 +30,6 @@ __all__: list[str] = []
 # the multiplier lam_j with j = _PAIR[k].
 _PAIR = np.repeat(np.arange(3), 2)
 _COMPLETION = (np.eye(3)[:, _PAIR] * np.tile([1.0, -1.0], 3))[..., None]
-
-
-def _sum3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_i x_i y_i over a first axis of length 3, added left to right, elementwise over the rest."""
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
@@ -63,18 +60,18 @@ def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
     mu = np.concatenate([np.linalg.eigvals(H).real.T, lam.T])  # (9, B)
     # lam_j (3, B), Q[i, j] component i of the eigenvector j (3, 3, B), b_i (3, B)
     lam, Q, b = lam.T, np.ascontiguousarray(np.moveaxis(Q, 0, -1)), b.T
-    beta = _sum3(Q, b[:, None]) / 2.0
+    beta = _sum_first(Q, b[:, None]) / 2.0
     gap = lam[:, None] - mu  # (3, 9, B): lam_j - mu_k
     scale = np.maximum(1.0, np.maximum(np.abs(lam).max(axis=0), np.abs(beta).max(axis=0)))
     w = -beta[:, None] / np.where(np.abs(gap) <= 1e-12 * scale, np.inf, gap)
     lam_w = w[:, 6:]  # the w(lam_j), which the hard case completes along e_j
-    fill = np.sqrt(np.maximum(0.0, 1.0 - _sum3(lam_w, lam_w)))
+    fill = np.sqrt(np.maximum(0.0, 1.0 - _sum_first(lam_w, lam_w)))
     W = np.concatenate([w, lam_w[:, _PAIR] + fill[_PAIR] * _COMPLETION], axis=1)
-    norm = np.sqrt(_sum3(W, W))
+    norm = np.sqrt(_sum_first(W, W))
     valid = norm > 0.0
     W /= np.where(valid, norm, 1.0)
     # v_i = sum_j W_j Q[i, j], the candidates in the original coordinates
-    return _sum3(W, Q.swapaxes(0, 1)[:, :, None]), valid
+    return _sum_first(W, Q.swapaxes(0, 1)[:, :, None]), valid
 
 
 def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
@@ -89,12 +86,12 @@ def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     """
     V, valid = _sphere_kkt_points(A, b)
     A, b = np.moveaxis(A, 0, -1), b.T
-    VA = _sum3(V, A[:, :, None])  # (V A)_j = sum_i V_i A_ij
-    quad, Vb = _sum3(VA, V), _sum3(V, b)
+    VA = _sum_first(V, A[:, :, None])  # (V A)_j = sum_i V_i A_ij
+    quad, Vb = _sum_first(VA, V), _sum_first(V, b)
     K = quad + Vb + c0
     # the KKT residual |A v + b/2 - (v.A v + b.v/2) v| of every candidate
     r = VA + b[:, None] / 2.0 - (quad + Vb / 2.0) * V
-    kkt = np.sqrt(_sum3(r, r))
+    kkt = np.sqrt(_sum_first(r, r))
     tie = 1e-12 * np.maximum(1.0, np.abs(np.where(valid, K, 0.0)).max(axis=0))
 
     def pick(x):

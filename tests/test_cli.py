@@ -478,16 +478,16 @@ def test_commands_run_without_scipy():
         (["verify", "--n-max", "1", "--grid", "16"], 2),
         # the same at the default grid of 256 samples, still one block
         (["verify", "--n-max", "1"], 2),
-        # one jet per factor, and one per search; the product jet is
-        # assembled from the checked factor jets
-        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 5),
+        # one jet per factor; the product jet is assembled from the checked
+        # factor jets, and the searches take the checked stacks
+        (["product", "--left", "fs1", "--right", "fs2", "--samples", "4"], 2),
         # the command-line points are checked on the one product stack
         (["berger", "--model", "product:fs2:fs2", "--samples", "2000",
           "--point=0.1,0.2j,0.3,0.4", "--point=0.5,0,-0.3j,0.2"], 1),
-        # the product jet, then Ricci's inverse metric and the search
-        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 3),
-        (["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"], 3),
-        (["curvature", "--model", "fs3"], 3),
+        # the jet, then Ricci's inverse metric; the search takes the checked jet
+        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 2),
+        (["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"], 2),
+        (["curvature", "--model", "fs3"], 2),
     ],
     ids=["berger", "berger-hitchin", "verify", "verify-default-grid", "product",
          "berger-product-points", "curvature-product", "curvature-hitchin", "curvature-fs3"],

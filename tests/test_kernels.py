@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from kahlerpinch import optimize, sphere
-from kahlerpinch.geometry import MetricJet, curvature_tensor, orthonormal_frame
+from kahlerpinch.geometry import (
+    MetricJet,
+    _curvature,
+    curvature_tensor,
+    hsc_gradient,
+    norm_squared,
+    orthonormal_frame,
+)
 from kahlerpinch.models import FubiniStudy, Hitchin, KernelJet, Product, log_jet
 from kahlerpinch.optimize import (
     DirectionExtrema,
@@ -275,3 +282,97 @@ def test_surface_solve_rows_do_not_depend_on_the_stack(model, kind):
             part = solve(slice(start, start + size))
             for name, whole, got in zip(names, full, part):
                 assert np.array_equal(whole[start : start + size], got), (size, start, name)
+
+
+def _curvature_einsum(jet):
+    """R with its quadratic term D g^-1 D^H as one einsum over the leading axes: the reference."""
+    ginv = np.linalg.inv(jet.g)
+    D = jet.dg.swapaxes(-1, -2).reshape(jet.ddg.shape[:-4] + (-1, jet.dimension))
+    quad = np.einsum("...pq,...ap,...bq->...ab", ginv, D, D.conj()).reshape(jet.ddg.shape)
+    return -jet.ddg + quad.swapaxes(-3, -2)
+
+
+def _curvature_models():
+    fs = [pytest.param(FubiniStudy(m), id=f"fs{m}") for m in (1, 2, 3, 4)]
+    h1, h2, h3 = Hitchin.make(1, "1/3"), Hitchin.make(2, "1/10"), Hitchin.make(3, "1/21")
+    pairs = [
+        (FubiniStudy(1), FubiniStudy(1), "fs1xfs1"),
+        (FubiniStudy(2), h2, "fs2xhitchin-2"),
+        (h1, FubiniStudy(1), "hitchin-1xfs1"),
+        (h1, h1, "hitchin-1xhitchin-1"),
+    ]
+    return (
+        fs
+        + [pytest.param(h1, id="hitchin-1"), pytest.param(h3, id="hitchin-3")]
+        + [pytest.param(Product(left, right), id=name) for left, right, name in pairs]
+    )
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("model", _curvature_models())
+def test_curvature_keeps_the_bits_of_the_einsum_over_leading_axes(model):
+    """A 300-point stack, each of its rows as a one-row stack and as a point, and a fiber stack."""
+    rng = np.random.default_rng(MASTER_SEED)
+    jet = model.metric_jet(np.array([random_point(model, rng, radius=1.5) for _ in range(300)]))
+    assert _same_bytes(_curvature(jet), _curvature_einsum(jet))
+    for i in range(300):
+        for row in (slice(i, i + 1), i):
+            one = MetricJet(jet.g[row], jet.dg[row], jet.ddg[row])
+            assert _same_bytes(_curvature(one), _curvature_einsum(one)), (i, row)
+    if isinstance(model, Hitchin):
+        fiber = model.fiber_jet(np.linspace(0.0, 1.0, 256))
+        assert _same_bytes(_curvature(fiber), _curvature_einsum(fiber))
+
+
+def _gradient_einsum(R, g, xi):
+    """dK/dconj(xi) with N and dN as einsums over the leading axes: the reference."""
+    S = norm_squared(g, xi)[..., None]
+    N = np.einsum("...ijkl,...i,...j,...k,...l->...", R, xi, xi.conj(), xi, xi.conj())
+    dN = 2.0 * np.einsum("...ijkl,...i,...k,...l->...j", R, xi, xi, xi.conj())
+    dS = np.einsum("...ij,...i->...j", g, xi)
+    return 2.0 * dN / S**2 - 4.0 * N.real[..., None] * dS / S**3
+
+
+def _gradient_scale(R, g, xi):
+    """The reference's two terms summed over absolute values, the largest per row: its rounding scale."""
+    S = norm_squared(g, xi)[..., None]
+    a = np.abs(xi)
+    N = np.einsum("...ijkl,...i,...j,...k,...l->...", np.abs(R), a, a, a, a)
+    dN = np.einsum("...ijkl,...i,...k,...l->...j", np.abs(R), a, a, a)
+    dS = np.einsum("...ij,...i->...j", np.abs(g), a)
+    return np.max(4.0 * dN / S**2 + 4.0 * N[..., None] * dS / S**3, axis=-1)
+
+
+def _random_gradient_stack(m, rows, rng):
+    """Definite metrics, Hermitian curvature forms R_{i jbar k lbar} and directions."""
+    A = rng.standard_normal((rows, m, m)) + 1j * rng.standard_normal((rows, m, m))
+    g = A @ A.conj().swapaxes(-1, -2) + 0.1 * m * np.eye(m)
+    B = rng.standard_normal((rows, m * m, m * m)) + 1j * rng.standard_normal((rows, m * m, m * m))
+    R = (B @ B.conj().swapaxes(-1, -2)).reshape((rows,) + (m,) * 4).transpose(0, 1, 3, 2, 4)
+    R = 0.5 * (R + R.transpose(0, 3, 2, 1, 4))
+    xi = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    return R, g, xi
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_hsc_gradient_rows_do_not_depend_on_the_stack(m):
+    """Each row of a 256-row stack has the bits it gets alone, as a one-row stack and in stacks of 2 and 16."""
+    R, g, xi = _random_gradient_stack(m, 256, np.random.default_rng(MASTER_SEED + m))
+    full = hsc_gradient(R, g, xi)
+    for size in (1, 2, 16):
+        for start in range(0, 256, size):
+            rows = slice(start, start + size)
+            assert np.array_equal(hsc_gradient(R[rows], g[rows], xi[rows]), full[rows]), (size, start)
+    for i in range(256):
+        assert np.array_equal(hsc_gradient(R[i], g[i], xi[i]), full[i]), i
+    # R and g broadcast over a leading axis of xi, as over the minima and maxima of a search.
+    both = hsc_gradient(R, g, np.stack([xi, xi[::-1]]))
+    assert np.array_equal(both[0], full)
+    assert np.array_equal(both[1], hsc_gradient(R, g, xi[::-1]))
+
+    eps = np.finfo(float).eps
+    err = np.max(np.abs(full - _gradient_einsum(R, g, xi)), axis=-1)
+    assert np.all(err <= 8.0 * eps * _gradient_scale(R, g, xi))

@@ -9,7 +9,7 @@ from kahlerpinch import products
 from kahlerpinch.cli import main
 from kahlerpinch.geometry import curvature_tensor, holomorphic_sectional_curvature, norm_squared
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import extremize_directions
+from kahlerpinch.optimize import _extremize_directions, extremize_directions
 from kahlerpinch.products import (
     CommonBoundError,
     product_bounds,
@@ -116,7 +116,7 @@ def _one_unconverged_search(monkeypatch, index):
     calls = []
 
     def search(*args, **kwargs):
-        ex = extremize_directions(*args, **kwargs)
+        ex = _extremize_directions(*args, **kwargs)
         first = len(calls)
         calls.extend(range(first, first + len(ex.converged)))
         converged = ex.converged.copy()
@@ -124,7 +124,7 @@ def _one_unconverged_search(monkeypatch, index):
             converged[index - first] = False
         return replace(ex, converged=converged)
 
-    monkeypatch.setattr(products, "extremize_directions", search)
+    monkeypatch.setattr(products, "_extremize_directions", search)
     return calls
 
 
@@ -174,9 +174,9 @@ def test_each_factor_is_sampled_once(monkeypatch):
 
     def search(R, g, seed):
         searches.append((g, seed))
-        return extremize_directions(R, g, seed=seed)
+        return _extremize_directions(R, g, seed)
 
-    monkeypatch.setattr(products, "extremize_directions", search)
+    monkeypatch.setattr(products, "_extremize_directions", search)
     report = verify_product_numeric(left, right, samples=samples, seed=seed)
     assert (report.c_left, report.c_right, report.k) == (extrema[0][0] / k, extrema[1][0] / k, k)
 
