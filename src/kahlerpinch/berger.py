@@ -11,18 +11,16 @@ the metric-uniform measure on the unit sphere is the push of the Euclidean one
 through an orthonormal frame, so raw complex Gaussian rows scored on each
 point's frame tensor give the average without a normalising or frame product.
 Every point reseeds from the configured seed, so one draw per call serves all
-points, and a point's row is the same alone as in a stack.  The draw runs on
-one short-lived thread per call in the order of the seeded stream: all real
-parts into one array, then the imaginary parts block by block into a ring of
-two slots, which the calling thread hands back once it has scored the block
-on the whole stack, together with the block's antithetic mirrors.  So a call
-holds the real parts but never all the imaginary ones.  The blocks and the
-arithmetic are those of :func:`~kahlerpinch.optimize.batch_hsc`, so the
-estimates are bit for bit those of one thread.
+points, and a point's row is the same alone as in a stack.  The draw follows
+the order of the seeded stream: all real parts into one array, then the
+imaginary parts of each block into one reused block buffer, drawn just before
+the block is scored on the whole stack, together with its antithetic mirrors.
+So a call holds the real parts but never all the imaginary ones.  The blocks
+and the arithmetic are those of :func:`~kahlerpinch.optimize.batch_hsc`, so
+the estimates are bit for bit those of one complex row array.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,19 +113,15 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     errors, one per point; pairs are averaged before the error estimate,
     keeping it unbiased.  g must be known definite: the frame is not checked.
 
-    One draw thread per call follows the order of the seeded stream, a single
-    (draws, m) real draw followed by an imaginary one: the real parts of all
-    draws in one ``standard_normal`` call into a full array, then the
-    imaginary parts of each block of :func:`~kahlerpinch.optimize._blocks`
-    (``_HSC_BLOCK`` draws) into the next free slot of a ring of two.  The
-    caller builds the Hermitian form meanwhile, scores each block as its slot
-    fills, with the mirrors of the block's draws as the last columns of the
-    same product, and hands the slot back; plain and antithetic runs take
-    this one path.  Every block is scored in work buffers allocated once per
-    call, and every value is bit for bit that of :func:`batch_hsc` on the
-    complex rows.  A failure of the draw is raised here; a failure of the
-    caller stops the draw at its next block, waiting for a slot or not, and
-    the thread is joined before this returns.
+    The draw follows the order of the seeded stream, a single (draws, m)
+    real draw followed by an imaginary one: the real parts of all draws in
+    one ``standard_normal`` call into a full array, then the imaginary parts
+    of each block of :func:`~kahlerpinch.optimize._blocks` (``_HSC_BLOCK``
+    draws) into one reused block buffer, just before the block is scored,
+    with the mirrors of the block's draws as the last columns of the same
+    product; plain and antithetic runs take this one path.  Every block is
+    scored in work buffers allocated once per call, and every value is bit
+    for bit that of :func:`batch_hsc` on the complex rows.
     """
     m, count = g.shape[-1], cfg.sample_count
     half = (count + 1) // 2 if cfg.antithetic else count
@@ -138,65 +132,27 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
         values = np.empty(R.shape[:-4] + (count,))
     except ValueError as exc:  # numpy's "array is too big", past any address space
         raise MemoryError(f"the sample buffers cannot be allocated: {exc}") from exc
-    ring = np.empty((2, width, m))
+    im = np.empty((width, m))
     scored = width + min(width, pairs)  # the widest block with its mirrors
     columns = np.empty((2, m, scored))
     work = _HSCWork(R.shape[:-4], m, scored)
     rng = np.random.default_rng(cfg.seed)
-    # Imported here, so that commands that never sample do not load it.
-    import queue
-
-    # Slot indices pass between the threads: ``filled`` to the caller, and
-    # ``free`` back to the draw once the caller has scored the slot.
-    filled, free, stop, failed = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event(), []
-    for slot in range(len(ring)):
-        free.put(slot)
-
-    def draw():
-        # Only the Generator runs here, and it fills without the GIL; every
-        # package function stays on the caller's thread, where a span tracer
-        # such as perfbench's keeps its one call stack.
-        try:
-            rng.standard_normal(out=re)
-            for start, end in _blocks(half):
-                slot = free.get()
-                if stop.is_set():
-                    return
-                rng.standard_normal(out=ring[slot, : end - start])
-                filled.put(slot)
-        except BaseException as exc:  # re-raised by the caller
-            failed.append(exc)
-            filled.put(None)
-
-    thread = threading.Thread(target=draw, name="berger-draw")
-    thread.start()
-    try:
-        N, gamma = _hermitian_form(_frame_tensor(R, _frame(g)), np.eye(m))
-        gamma = gamma[..., None, :]
-        for start, end in _blocks(half):
-            slot = filled.get()  # this block's imaginary parts, or None if the draw failed
-            if slot is None:
-                break
-            mirrored = max(min(end, pairs) - start, 0)  # sample half + i mirrors draw i < pairs
-            K = _hsc_columns(
-                N,
-                gamma,
-                _columns(re[start:end], mirrored, columns[0]),
-                _columns(ring[slot, : end - start], mirrored, columns[1]),
-                work,
-            )
-            values[..., start:end] = K[..., : end - start]
-            if mirrored:
-                values[..., half + start : half + start + mirrored] = K[..., end - start :]
-            free.put(slot)
-    except BaseException:
-        stop.set()
-        free.put(None)  # wakes a draw waiting for a slot
-        raise
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
+    rng.standard_normal(out=re)
+    N, gamma = _hermitian_form(_frame_tensor(R, _frame(g)), np.eye(m))
+    gamma = gamma[..., None, :]
+    for start, end in _blocks(half):
+        rng.standard_normal(out=im[: end - start])
+        mirrored = max(min(end, pairs) - start, 0)  # sample half + i mirrors draw i < pairs
+        K = _hsc_columns(
+            N,
+            gamma,
+            _columns(re[start:end], mirrored, columns[0]),
+            _columns(im[: end - start], mirrored, columns[1]),
+            work,
+        )
+        values[..., start:end] = K[..., : end - start]
+        if mirrored:
+            values[..., half + start : half + start + mirrored] = K[..., end - start :]
     del re  # freed first, the statistics' temporaries can reuse its memory
     values *= 0.25 * m * (m + 1)
     if cfg.antithetic:

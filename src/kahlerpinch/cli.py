@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hirzebruch
 from .berger import SphereSampleConfig, berger_vs_trace, default_points
-from .geometry import DegenerateMetricError, _curvature, _scalar_curvature, check_symmetries, ricci
+from .geometry import DegenerateMetricError, _curvature, _ricci, _scalar_curvature, check_symmetries
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
 from .optimize import _extremize_directions, _sweep_radii, sweep_fiber, sweep_s
 from .products import ProductHypothesisError, verify_product_numeric
@@ -322,7 +322,7 @@ def cmd_curvature(args):
     with _named_points([args.point]):
         jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
     R = _curvature(jet)
-    ric = ricci(R, jet.g)
+    ric = _ricci(R, np.linalg.inv(jet.g))
     sym = check_symmetries(R, jet)
     ex = _extremize_directions(R[None], jet.g[None], args.seed)
     components = [

@@ -26,7 +26,8 @@ alone other last bits than the same row of a stack.
 
 The public functions that take a metric from outside check it definite; the
 package runs the jets that :mod:`kahlerpinch.models` checked when it made them
-through the unchecked cores ``_curvature``, ``_scalar_curvature`` and ``_frame``.
+through the unchecked cores ``_curvature``, ``_ricci``, ``_scalar_curvature`` and
+``_frame``.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -268,7 +269,11 @@ def _sum_first(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def ricci(R: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Ricci curvature R_{i jbar} = sum_{kl} g^{k lbar} R_{i jbar k lbar}, of shape (..., m, m)."""
-    ginv = inverse_metric(g)
+    return _ricci(R, inverse_metric(g))
+
+
+def _ricci(R: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """:func:`ricci` from the inverse ``ginv`` of a metric known to be definite, unchecked."""
     return np.einsum("...lk,...ijkl->...ij", ginv, R)
 
 

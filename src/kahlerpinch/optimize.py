@@ -80,7 +80,7 @@ _SWEEP_T_POINTS = 65
 # 36.5, 36.5 and 37.2 MB, so 512 buys nothing for 0.7 MB.
 _FIBER_BLOCK = 256
 # Directions per matrix product in batch_hsc and the Berger sphere average,
-# and per slot of the Berger draw ring.  A call allocates its work buffers
+# and per draw of the Berger imaginary parts.  A call allocates its work buffers
 # once and reuses them from block to block, and a direction's value does not
 # depend on the block's width (tests compare 64, 2048 and 8192), so the block
 # is sized for the cache: at m = 4 its q takes 256 kB.  Against 8192,

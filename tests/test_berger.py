@@ -1,5 +1,4 @@
 import os
-import queue
 import subprocess
 import sys
 import threading
@@ -319,23 +318,6 @@ class _HookedGenerator:
 _BLOCKS_CFG = SphereSampleConfig(3 * _HSC_BLOCK + 5)
 
 
-def _bounded(call, timeout=60.0):
-    """The exception ``call`` raises, run on a helper thread that must finish within ``timeout`` s."""
-    raised = []
-
-    def run():
-        try:
-            call()
-        except BaseException as exc:  # handed to the test
-            raised.append(exc)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), "berger_vs_trace did not return"
-    return raised[0] if raised else None
-
-
 @pytest.mark.parametrize("at", [1, 2, 3], ids=["real-parts", "first-block", "second-block"])
 def test_draw_failure_is_raised_in_the_caller(at, monkeypatch):
     error = RuntimeError("draw failed")
@@ -344,34 +326,37 @@ def test_draw_failure_is_raised_in_the_caller(at, monkeypatch):
         raise error
 
     monkeypatch.setattr(berger.np.random, "default_rng", lambda s: _HookedGenerator(s, at, fail))
-    threads = threading.active_count()
-    raised = _bounded(lambda: berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG))
-    assert raised is error
-    assert threading.active_count() == threads
+    with pytest.raises(RuntimeError) as raised:
+        berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG)
+    assert raised.value is error
 
 
 @pytest.mark.parametrize(
-    "patched, at", [("_frame_tensor", 1), ("_hsc_columns", 3)], ids=["before-scoring", "scoring"]
+    "patched", ["_frame_tensor", "_hsc_columns"], ids=["before-scoring", "scoring"]
 )
-def test_caller_failure_stops_and_joins_the_draw(patched, at, monkeypatch):
-    # The draw waits at its call ``at`` until the caller has failed, so the
-    # caller fails while the draw thread is alive.
-    failed, alive = threading.Event(), []
-
+def test_caller_failure_stops_and_joins_the_draw(patched, monkeypatch):
+    # The draw runs on the caller's thread, so a failure there ends it and
+    # reaches the caller of berger_vs_trace.
     def fail(*args):
-        alive.extend(t.name for t in threading.enumerate())
-        failed.set()
         raise KeyError(patched)
 
     monkeypatch.setattr(berger, patched, fail)
-    monkeypatch.setattr(
-        berger.np.random, "default_rng", lambda s: _HookedGenerator(s, at, lambda: failed.wait(60))
-    )
-    threads = threading.active_count()
-    raised = _bounded(lambda: berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG))
-    assert isinstance(raised, KeyError)
-    assert threading.active_count() == threads
-    assert "berger-draw" in alive
+    with pytest.raises(KeyError, match=patched):
+        berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG)
+
+
+def test_sphere_average_starts_no_thread(monkeypatch):
+    # plain and antithetic runs of more than one block, on two points
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the sphere average started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    model = Product(FubiniStudy(1), FubiniStudy(1))
+    points = [[0.3, -0.2j], [0.1 + 0.4j, 0.5]]
+    for antithetic in (False, True):
+        cfg = SphereSampleConfig(3 * _HSC_BLOCK + 5, 11, antithetic)
+        rows = berger_vs_trace(model, points, cfg)
+        assert [(row.estimate, row.stderr) for row in rows] == _one_thread_rows(model, points, cfg)
 
 
 def test_impossible_sample_count_is_a_memory_error():
@@ -383,7 +368,7 @@ def test_impossible_sample_count_is_a_memory_error():
 
 def test_sphere_average_streams_the_imaginary_parts():
     # All real parts of two points' 1e5 draws take 3.2 MB, and so would all
-    # imaginary parts; the ring holds two slots of them.
+    # imaginary parts; the call holds one block of them at a time.
     model = Product(FubiniStudy(2), FubiniStudy(2))
     points, cfg = default_points(model), SphereSampleConfig(100_000, MASTER_SEED)
     assert len(points) == 2
@@ -395,63 +380,6 @@ def test_sphere_average_streams_the_imaginary_parts():
     finally:
         tracemalloc.stop()
     assert peak < 9e6
-
-
-def _watch_queues(monkeypatch, blocked):
-    """Queues that set ``blocked`` when the draw thread waits on one."""
-
-    class WatchedQueue(queue.SimpleQueue):
-        def get(self, block=True, timeout=None):
-            try:
-                return super().get(block=False)
-            except queue.Empty:
-                if threading.current_thread().name == "berger-draw":
-                    blocked.set()
-                return super().get(block, timeout)
-
-    monkeypatch.setattr(queue, "SimpleQueue", WatchedQueue)
-
-
-# Six blocks of draws: each of the two ring slots is filled three times.
-_RING_CFG = SphereSampleConfig(6 * _HSC_BLOCK + 5)
-
-
-def test_caller_failure_releases_a_draw_waiting_for_a_slot(monkeypatch):
-    blocked = threading.Event()
-    _watch_queues(monkeypatch, blocked)
-
-    def fail(*args):
-        assert blocked.wait(60)  # both slots are full, and the draw waits for one
-        raise KeyError("scoring")
-
-    monkeypatch.setattr(berger, "_hsc_columns", fail)
-    threads = threading.active_count()
-    raised = _bounded(lambda: berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _RING_CFG))
-    assert isinstance(raised, KeyError)
-    assert threading.active_count() == threads
-    assert "berger-draw" not in [t.name for t in threading.enumerate()]
-
-
-def test_draw_failure_at_a_reused_slot_is_raised_in_the_caller(monkeypatch):
-    blocked, error = threading.Event(), RuntimeError("draw failed")
-    _watch_queues(monkeypatch, blocked)
-    hsc_columns = berger._hsc_columns
-
-    def score(*args):
-        assert blocked.wait(60)  # the draw waits for the first slot before it fails there
-        return hsc_columns(*args)
-
-    def fail():
-        raise error
-
-    monkeypatch.setattr(berger, "_hsc_columns", score)
-    # calls: the real parts, the two slots, then the first slot again
-    monkeypatch.setattr(berger.np.random, "default_rng", lambda s: _HookedGenerator(s, 4, fail))
-    threads = threading.active_count()
-    raised = _bounded(lambda: berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _RING_CFG))
-    assert raised is error
-    assert threading.active_count() == threads
-    assert "berger-draw" not in [t.name for t in threading.enumerate()]
 
 
 def test_bits_do_not_depend_on_the_blas_thread_count():

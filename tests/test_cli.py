@@ -484,10 +484,10 @@ def test_commands_run_without_scipy():
         # the command-line points are checked on the one product stack
         (["berger", "--model", "product:fs2:fs2", "--samples", "2000",
           "--point=0.1,0.2j,0.3,0.4", "--point=0.5,0,-0.3j,0.2"], 1),
-        # the jet, then Ricci's inverse metric; the search takes the checked jet
-        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 2),
-        (["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"], 2),
-        (["curvature", "--model", "fs3"], 2),
+        # the jet; Ricci, the trace and the search take the checked jet
+        (["curvature", "--model", "product:fs2:fs2", "--point", "0.1,0.2j,0.3,0.4"], 1),
+        (["curvature", "--model", "hitchin:1:1/3", "--point", "0.3+0.1j,0.5"], 1),
+        (["curvature", "--model", "fs3"], 1),
     ],
     ids=["berger", "berger-hitchin", "verify", "verify-default-grid", "product",
          "berger-product-points", "curvature-product", "curvature-hitchin", "curvature-fs3"],
