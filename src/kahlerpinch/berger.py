@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _curvature, _frame, _scalar_curvature
+from .geometry import _curvature, _scalar_curvature, _stack_first
 from .models import Hitchin, MetricModel, _as_point
 from .optimize import (
     _HSCWork,
@@ -51,7 +51,9 @@ class SphereSampleConfig:
     ``antithetic`` pairs every draw with its coordinate-reversed mirror (a
     measure-preserving map of the sphere), which damps the variance of
     weight-quadratic integrands; the last draw of an odd count has no mirror
-    in the sample and counts alone.  Acceptance runs use at least 1000 samples.
+    in the sample and counts alone.  A standard error needs two independent
+    values, draws or antithetic pairs, so a count that leaves fewer is
+    refused.  Acceptance runs use at least 1000 samples.
     """
 
     sample_count: int = 100_000
@@ -59,8 +61,9 @@ class SphereSampleConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        least = 3 if self.antithetic else 2  # two draws, or a pair's mean and a lone draw
+        if self.sample_count < least:
+            raise ValueError(f"a standard error needs at least {least} samples, got {self.sample_count}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ def _columns(rows: np.ndarray, mirrored: int, out: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
-    """Monte Carlo estimates of m(m+1)/4 times the mean of K over the unit spheres of (R, g).
+def _sphere_average(R: np.ndarray, F: np.ndarray, cfg: SphereSampleConfig):
+    """Monte Carlo estimates of m(m+1)/4 times the mean of K over the unit spheres of (R, F).
 
     Stacked over a leading point axis, with one draw for the whole stack: in
     the frame coordinates c of each point, xi = F c, K is
@@ -111,7 +114,8 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     its own mirror; the last draw of an odd count, whose mirror falls outside
     the sample, counts alone.  Returns the estimates and their standard
     errors, one per point; pairs are averaged before the error estimate,
-    keeping it unbiased.  g must be known definite: the frame is not checked.
+    keeping it unbiased.  F (m, m, P) is the carried orthonormal frame of
+    each point's metric, which is not checked.
 
     The draw follows the order of the seeded stream, a single (draws, m)
     real draw followed by an imaginary one: the real parts of all draws in
@@ -123,7 +127,7 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     scored in work buffers allocated once per call, and every value is bit
     for bit that of :func:`batch_hsc` on the complex rows.
     """
-    m, count = g.shape[-1], cfg.sample_count
+    m, count = R.shape[-1], cfg.sample_count
     half = (count + 1) // 2 if cfg.antithetic else count
     pairs = count - half  # draws whose mirror is in the sample: none in a plain run
     width = _widest_block(half)
@@ -138,7 +142,7 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
     work = _HSCWork(R.shape[:-4], m, scored)
     rng = np.random.default_rng(cfg.seed)
     rng.standard_normal(out=re)
-    N, gamma = _hermitian_form(_frame_tensor(R, _frame(g)), np.eye(m))
+    N, gamma = _hermitian_form(_frame_tensor(R, F), np.eye(m))
     gamma = gamma[..., None, :]
     for start, end in _blocks(half):
         rng.standard_normal(out=im[: end - start])
@@ -159,9 +163,8 @@ def _sphere_average(R: np.ndarray, g: np.ndarray, cfg: SphereSampleConfig):
         # draw i is column i and its mirror column half + i
         mean_pairs = 0.5 * (values[:, :pairs] + values[:, half:])
         values = np.concatenate([mean_pairs, values[:, pairs:half]], axis=1)
-    n = values.shape[1]
     est = np.mean(values, axis=1)
-    sem = np.std(values, axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(values))
+    sem = np.std(values, axis=1, ddof=1) / np.sqrt(values.shape[1])
     return est, sem
 
 
@@ -189,8 +192,8 @@ def berger_vs_trace(
     zs = np.stack([_as_point(z, model.dimension, batched=False) for z in points])
     jet = model.metric_jet(zs)
     R = _curvature(jet)
-    ests, sems = _sphere_average(R, jet.g, cfg)
-    taus = _scalar_curvature(R, jet.g)
+    ests, sems = _sphere_average(R, jet._factors.frame, cfg)
+    taus = _scalar_curvature(R, _stack_first(jet._factors.inverse, zs.shape[:-1]))
     rows = []
     for z, est, sem, tau in zip(zs.tolist(), ests.tolist(), sems.tolist(), taus.tolist()):
         within = None
@@ -198,16 +201,7 @@ def berger_vs_trace(
             lo, hi = bracket
             pad = 1e-9 * max(1.0, abs(tau))
             within = (lo - pad) <= tau <= (hi + pad)
-        rows.append(
-            BergerComparison(
-                point=z,
-                estimate=est,
-                stderr=sem,
-                trace_tau=tau,
-                zscore=_zscore(est - tau, sem),
-                within_bracket=within,
-            )
-        )
+        rows.append(BergerComparison(z, est, sem, tau, _zscore(est - tau, sem), within))
     return rows
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import hirzebruch
 from .berger import SphereSampleConfig, berger_vs_trace, default_points
-from .geometry import DegenerateMetricError, _curvature, _ricci, _scalar_curvature, check_symmetries
+from .geometry import DegenerateMetricError, _curvature, _ricci, _scalar_curvature, _stack_first
+from .geometry import check_symmetries
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
 from .optimize import _extremize_directions, _sweep_radii, sweep_fiber, sweep_s
 from .products import ProductHypothesisError, verify_product_numeric
@@ -134,6 +135,14 @@ def _sized(option: str, value: int):
         if not isinstance(exc, MemoryError) and type(exc) is not ValueError:
             raise
         raise UsageError(f"{option} {value} is too large: {exc}") from exc
+
+
+def _sample_config(args, antithetic: bool = False) -> SphereSampleConfig:
+    """The Monte Carlo configuration of ``--samples`` and ``--seed``; a refused count names ``--samples``."""
+    try:
+        return SphereSampleConfig(sample_count=args.samples, seed=args.seed, antithetic=antithetic)
+    except ValueError as exc:
+        raise UsageError(f"--samples {args.samples}: {exc}") from exc
 
 
 def _model_option(option: str, text: str) -> MetricModel:
@@ -250,9 +259,7 @@ def cmd_sweep_s(args):
 
 def cmd_berger(args):
     model = _model_option("--model", args.model)
-    cfg = SphereSampleConfig(
-        sample_count=args.samples, seed=args.seed, antithetic=args.antithetic
-    )
+    cfg = _sample_config(args, args.antithetic)
     if args.point:
         points = [_parse_point(p, model) for p in args.point]
     else:
@@ -321,10 +328,10 @@ def cmd_curvature(args):
     z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
     with _named_points([args.point]):
         jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
-    R = _curvature(jet)
-    ric = _ricci(R, np.linalg.inv(jet.g))
+    R, ginv = _curvature(jet), _stack_first(jet._factors.inverse, ())
+    ric = _ricci(R, ginv)
     sym = check_symmetries(R, jet)
-    ex = _extremize_directions(R[None], jet.g[None], args.seed)
+    ex = _extremize_directions(R[None], jet.g[None], jet._factors.frame, args.seed)
     components = [
         {"i": i, "j": j, "k": k, "l": l, "value": _c2j(R[i, j, k, l])}
         for i, j, k, l in np.ndindex(R.shape)
@@ -334,7 +341,7 @@ def cmd_curvature(args):
         "g": [[_c2j(v) for v in row] for row in jet.g],
         "curvature_components": components,
         "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(ric)],
-        "scalar_curvature": _scalar_curvature(R, jet.g),
+        "scalar_curvature": _scalar_curvature(R, ginv),
         "hsc_min": ex.min_K[0],
         "hsc_max": ex.max_K[0],
         "max_symmetry_violation": sym.max_violation,
@@ -356,7 +363,7 @@ def cmd_curvature(args):
     return _envelope("curvature", params, results, passed), csv_rows(), passed
 
 
-def _verify_row(n: int, args) -> dict:
+def _verify_row(n: int, args, cfg: SphereSampleConfig) -> dict:
     s_star, p_star = hirzebruch.optimal_s(n)
     model = Hitchin.make(n, s_star)
     with _sized("--grid", args.grid):
@@ -370,7 +377,6 @@ def _verify_row(n: int, args) -> dict:
     )
 
     bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(n, s_star))
-    cfg = SphereSampleConfig(sample_count=args.samples, seed=args.seed)
     with _sized("--samples", args.samples):
         rows = berger_vs_trace(model, default_points(model), cfg, bracket=bracket)
     max_z = max(abs(r.zscore) for r in rows)
@@ -415,7 +421,8 @@ def _verify_row(n: int, args) -> dict:
 
 
 def cmd_verify(args):
-    rows = [_verify_row(n, args) for n in range(1, args.n_max + 1)]
+    cfg = _sample_config(args)
+    rows = [_verify_row(n, args, cfg) for n in range(1, args.n_max + 1)]
     passed = all(row["pass"] for row in rows)
     params = {
         "n_max": args.n_max,

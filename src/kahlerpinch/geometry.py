@@ -17,17 +17,25 @@ through ``...`` einsum subscripts and batched ``np.linalg``; a single point is
 the stack with no batch axis.  A kernel may move the stack axes last inside,
 so that numpy's inner loops run over the stack; its inputs and results keep
 the convention above.  ``_curvature`` contracts its quadratic term D g^-1 D^H
-over contiguous stack-last copies of g^-1 and D, and ``hsc_gradient`` keeps
-the stack axes last and writes out every sum over an index, added in a fixed
-order elementwise (:func:`_sum_first`), so that its rows get the same bits
-alone as in any stack.  An einsum over ``...`` may group its sums
+over the carried stack-last inverse and a contiguous stack-last copy of D,
+and ``hsc_gradient`` keeps the stack axes last and writes out every sum over
+an index, added in a fixed order elementwise (:func:`_sum_first`), so that
+its rows get the same bits alone as in any stack.  An einsum over ``...`` may group its sums
 differently for one point than for a stack, so ``ricci`` can give a point
 alone other last bits than the same row of a stack.
 
-The public functions that take a metric from outside check it definite; the
-package runs the jets that :mod:`kahlerpinch.models` checked when it made them
-through the unchecked cores ``_curvature``, ``_ricci``, ``_scalar_curvature`` and
-``_frame``.
+A metric is factored once, where it is checked definite
+(:func:`_require_positive_definite`): the check returns the inverse and the
+orthonormal frame of the stack, with the stack axis last.  A 2 x 2 metric is
+factored in elementwise arithmetic written out in a fixed order, so a row gets
+the same bits alone as in any stack, and LAPACK runs only to name the smallest
+eigenvalue of a stack it refuses; other sizes take an eigenvalue check, one
+Cholesky factor and one triangular inverse.  The public functions that take a
+metric from outside check and factor it; a jet that :mod:`kahlerpinch.models`
+checked when it made it carries its factors (``MetricJet._factors``), which
+the unchecked cores ``_curvature``, ``_ricci`` and ``_scalar_curvature``, the
+direction searches of :mod:`kahlerpinch.optimize` and the Berger average read
+without inverting or factoring again.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -35,7 +43,8 @@ to evaluate from many threads concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -63,9 +72,7 @@ class DegenerateMetricError(ValueError):
     """Raised when a metric is singular or not positive definite, first at stack row ``row``."""
 
     def __init__(self, min_eigenvalue: float, reason: str | None = None, row: int = 0):
-        super().__init__(
-            reason or f"degenerate metric: smallest eigenvalue {min_eigenvalue:.6e}"
-        )
+        super().__init__(reason or f"degenerate metric: smallest eigenvalue {min_eigenvalue:.6e}")
         self.min_eigenvalue = min_eigenvalue
         self.row = int(row)
 
@@ -74,16 +81,23 @@ class ZeroDirectionError(ValueError):
     """Raised when a tangent direction is numerically the zero vector."""
 
 
+# The inverse and the orthonormal frame of a stack of definite metrics, each
+# (m, m, N): the stack's leading axes are flattened into the last axis, N rows.
+_Factors = namedtuple("_Factors", ["inverse", "frame"])
+
+
 @dataclass(frozen=True)
 class MetricJet:
     """Metric matrix plus first and mixed second Wirtinger derivatives.
 
     At one point, or at a stack of points sharing the leading batch axes.
+    A jet checked where it was made carries the factors of its metric.
     """
 
     g: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
+    _factors: _Factors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("g", "dg", "ddg"):
@@ -110,13 +124,7 @@ class SymmetryReport:
 
     @property
     def max_violation(self) -> float:
-        return max(
-            self.first_pair,
-            self.second_pair,
-            self.conjugation,
-            self.kahler,
-            self.hermiticity,
-        )
+        return max(astuple(self))
 
 
 def _real_part(value, what: str):
@@ -141,24 +149,76 @@ def metric_eigenvalues(g: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(np.asarray(g, dtype=complex)))
 
 
-def _require_positive_definite(g: np.ndarray) -> np.ndarray:
-    """``g`` as a complex stack; raises unless every metric is finite and positive definite."""
+def _require_positive_definite(g: np.ndarray) -> _Factors:
+    """The factors of the stack ``g``; raises unless every metric is finite and positive definite.
+
+    Both factors are those of the Hermitian part h of g.  A 2 x 2 metric is
+    definite when h_00 > 0 and det h / h_00 > 0 (:func:`_surface_factors`);
+    other sizes when the smallest eigenvalue of h is.  The error names the
+    smallest eigenvalue of the first refused row, and the row.
+    """
     g = np.asarray(g, dtype=complex)
     finite = np.isfinite(g)
     if not finite.all():
         row = finite.all(axis=(-2, -1)).argmin()
         raise DegenerateMetricError(math.nan, "degenerate metric: non-finite entries", row)
+    factors, ok = (_surface_factors if g.shape[-1] == 2 else _cholesky_factors)(g)
+    if not ok.all():  # the first row refused, and its smallest eigenvalue
+        raise DegenerateMetricError(float(metric_eigenvalues(g)[..., 0][~ok][0]), row=ok.argmin())
+    return factors
+
+
+def _surface_factors(g: np.ndarray) -> tuple[_Factors, np.ndarray]:
+    """The factors of a stack of 2 x 2 metrics, and whether each is definite (over the stack).
+
+    Written out elementwise with the stack axis last, in this order, on the
+    Hermitian part h: r = h_10/h_00 and the Schur complement d = h_11 - |h_10|^2/h_00
+    = det h / h_00 (taken as a quotient, so that neither under- nor overflows
+    where h does not); h is definite when h_00 > 0 and d > 0.  Then
+    h^-1 = [[1/h_00 + Re(conj(r) r/d), -conj(r/d)], [-r/d, 1/d]], and the frame is
+    the Cholesky-based F = [[1/sqrt(h_00), -r/sqrt(d)], [0, 1/sqrt(d)]], so
+    that F^T h conj(F) = I.  The values of a row that is not definite are not
+    used.
+    """
+    G = _stack_last(g, 2)
+    h00, h11, h10 = G[0, 0].real, G[1, 1].real, 0.5 * (G[1, 0] + G[0, 1].conj())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused or extreme rows
+        r = h10 / h00
+        d = h11 - (r.real * h10.real + r.imag * h10.imag)
+        rd, root = r / d, 1.0 / np.sqrt(d)
+        inverse = [1.0 / h00 + (r.real * rd.real + r.imag * rd.imag), -rd.conj(), -rd, 1.0 / d]
+        frame = [1.0 / np.sqrt(h00), -r * root, np.zeros_like(d), root]
+    factors = _Factors(*(np.stack(f).reshape(G.shape) for f in (inverse, frame)))
+    return factors, ((h00 > 0.0) & (d > 0.0)).reshape(g.shape[:-2])
+
+
+def _cholesky_factors(g: np.ndarray) -> tuple[_Factors | None, np.ndarray]:
+    """:func:`_surface_factors` of a stack of metrics of any size, through LAPACK once each.
+
+    h is definite when its eigenvalues are finite and the smallest is
+    positive; then, with conj(h) = L L^H, the frame is F = L^-H and
+    h^-1 = conj(F) F^T, whose sums over k are added in order elementwise with
+    the stack axis last.  A stack with a row that is not definite is not
+    factored.
+    """
     ev = metric_eigenvalues(g)
-    low = ev[..., 0]
-    bad = ~np.all(np.isfinite(ev), axis=-1) | (low <= 0.0)
-    if np.any(bad):
-        raise DegenerateMetricError(float(low[bad][0]), row=bad.argmax())
-    return g
+    ok = np.all(np.isfinite(ev), axis=-1) & (ev[..., 0] > 0.0)
+    if not ok.all():
+        return None, ok
+    L = np.linalg.cholesky(_hermitian_part(g).conj())
+    F = _stack_last(np.linalg.inv(L).conj().swapaxes(-1, -2), 2)
+    Ft = F.swapaxes(0, 1)  # Ft[k, i] = F[i, k]: h^-1_ij = sum_k conj(Ft[k, i]) Ft[k, j]
+    return _Factors(_sum_first(Ft.conj()[:, :, None], Ft[:, None]), F), ok
+
+
+def _stack_first(a: np.ndarray, batch: tuple) -> np.ndarray:
+    """Contiguous copy of a stack-last (..., N) array, its stack axis first as the leading axes ``batch``."""
+    return a.reshape(-1, a.shape[-1]).T.copy().reshape(batch + a.shape[:-1])
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
-    """Inverse metric g^{i jbar}, computed by a direct linear solve."""
-    return np.linalg.inv(_require_positive_definite(g))
+    """Inverse metric g^{i jbar} of the Hermitian part of ``g`` (:func:`_require_positive_definite`)."""
+    return _stack_first(_require_positive_definite(g).inverse, np.shape(g)[:-2])
 
 
 def curvature_tensor(jet: MetricJet) -> np.ndarray:
@@ -170,8 +230,7 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
     with conj(dg[j,q,l]) = d g_{q jbar} / d zbar_l.  The sum is the matrix
     product D g^{-1} D^H with D[(i,k), p] = dg[i,p,k], an (m^2, m) matrix.
     """
-    _require_positive_definite(jet.g)
-    return _curvature(jet)
+    return _curvature(MetricJet(jet.g, jet.dg, jet.ddg, _require_positive_definite(jet.g)))
 
 
 def _stack_last(a: np.ndarray, rank: int) -> np.ndarray:
@@ -181,15 +240,14 @@ def _stack_last(a: np.ndarray, rank: int) -> np.ndarray:
 
 
 def _curvature(jet: MetricJet) -> np.ndarray:
-    """:func:`curvature_tensor` of a jet whose metric is known definite, unchecked."""
+    """:func:`curvature_tensor` of a jet that carries the factors of its definite metric, unchecked."""
     m = jet.dimension
-    # g^-1 (m, m, N) and D (m^2, m, N), D[(i, k), p] = dg[i, p, k], with the
-    # flattened stack axis last and contiguous: the einsum's inner loop runs
-    # over the stack, adding each entry's m^2 terms in (p, q) order.
-    ginv = _stack_last(np.linalg.inv(jet.g), 2)
+    # g^-1 (m, m, N), as carried, and D (m^2, m, N), D[(i, k), p] = dg[i, p, k],
+    # with the flattened stack axis last and contiguous: the einsum's inner loop
+    # runs over the stack, adding each entry's m^2 terms in (p, q) order.
     D = np.ascontiguousarray(jet.dg.reshape(-1, m, m, m).transpose(1, 3, 2, 0))
     D = D.reshape(m * m, m, -1)
-    quad = np.einsum("pq...,ap...,bq...->ab...", ginv, D, D.conj())
+    quad = np.einsum("pq...,ap...,bq...->ab...", jet._factors.inverse, D, D.conj())
     quad = np.moveaxis(quad, -1, 0).reshape(jet.ddg.shape).swapaxes(-3, -2)
     return np.subtract(quad, jet.ddg, out=np.empty_like(jet.ddg))
 
@@ -282,12 +340,11 @@ def scalar_curvature(R: np.ndarray, g: np.ndarray):
 
     A NumPy scalar, or an array over the leading axes of a stack.
     """
-    return _scalar_curvature(R, _require_positive_definite(g))
+    return _scalar_curvature(R, inverse_metric(g))
 
 
-def _scalar_curvature(R: np.ndarray, g: np.ndarray):
-    """:func:`scalar_curvature` of a complex stack known to be definite, unchecked."""
-    ginv = np.linalg.inv(g)
+def _scalar_curvature(R: np.ndarray, ginv: np.ndarray):
+    """:func:`scalar_curvature` from the inverse ``ginv`` of a metric known to be definite, unchecked."""
     value = np.einsum("...ji,...lk,...ijkl->...", ginv, ginv, R)
     return _real_part(value, "scalar curvature")
 
@@ -301,13 +358,7 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     Note the pairing conjugates the second slot, matching
     :func:`norm_squared`; as a matrix identity this reads F^T g conj(F) = I.
     """
-    return _frame(_require_positive_definite(g))
-
-
-def _frame(g: np.ndarray) -> np.ndarray:
-    """:func:`orthonormal_frame` of a complex stack known to be definite, unchecked."""
-    L = np.linalg.cholesky(_hermitian_part(g).conj())
-    return np.linalg.inv(L).conj().swapaxes(-1, -2)
+    return _stack_first(_require_positive_definite(g).frame, np.shape(g)[:-2])
 
 
 def check_symmetries(R: np.ndarray, jet: MetricJet) -> SymmetryReport:

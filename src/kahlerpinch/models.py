@@ -10,9 +10,13 @@ their conjugates.
 
 Each model jet is checked finite and positive definite once per stack, where
 it is made: a model's ``metric_jet`` and :meth:`Hitchin.fiber_jet` hand their
-unchecked rows to :func:`_jet_on_rows`, which checks the whole stack.  A
-product is checked on its product stack, not factor by factor; :func:`log_jet`
-and :func:`product_jet` check nothing.
+unchecked rows to :func:`_jet_on_rows`, which checks the whole stack and keeps
+the inverse and orthonormal frame of its metrics that the check computes, so
+the curvature, the direction searches and the Berger average never factor a
+metric again.  A product is checked and factored on its product stack, not
+factor by factor; :func:`log_jet` and :func:`product_jet` check nothing, and
+:func:`product_jet` of two factored jets of one stack shape pairs their
+factors block by block.
 
 Models:
 
@@ -33,7 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import DegenerateMetricError, MetricJet, _require_positive_definite, _stack_last
+from .geometry import DegenerateMetricError, MetricJet, _Factors, _require_positive_definite
+from .geometry import _stack_first, _stack_last
 
 # Curvature scales like 1/s and the two-dimensional direction solve squares
 # it; outside this range the square leaves the floating-point range.
@@ -94,10 +99,6 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     alone as in a stack, which ``@`` and broadcast multiplication do not promise.
     """
     w = np.asarray(kernel.w, dtype=float)
-
-    def stack_first(part):
-        return part.reshape(-1, part.shape[-1]).T.copy().reshape(w.shape + part.shape[:-1])
-
     # Powers w**k (k >= 2) per element as Python floats, through the C library's pow:
     # numpy's vectorised power takes a SIMD path on some hosts (AVX-512) whose
     # last bit can differ from it, and the jets should not depend on the host.
@@ -150,7 +151,7 @@ def log_jet(kernel: KernelJet) -> MetricJet:
         - 6.0 * np.einsum("i...,k...,j...,l...->ijkl...", dw, dw, dwb, dwb) / w4
     )
 
-    return MetricJet(stack_first(g), stack_first(dg), stack_first(ddg))
+    return MetricJet(*(_stack_first(part, w.shape) for part in (g, dg, ddg)))
 
 
 def _pow(x: float, k: int) -> float:
@@ -165,6 +166,8 @@ def product_jet(left: MetricJet, right: MetricJet) -> MetricJet:
     """Block-diagonal jet of a product metric from any two factor jets, batch axes broadcast.
 
     A product row has the bits, and so the definiteness, of its factor rows.
+    When both factor jets carry factors over one stack shape, so does the
+    product: its inverse and frame are theirs, block by block.
     """
     ml, m = left.dimension, left.dimension + right.dimension
     batch = np.broadcast_shapes(left.g.shape[:-2], right.g.shape[:-2])
@@ -172,7 +175,12 @@ def product_jet(left: MetricJet, right: MetricJet) -> MetricJet:
     for part, a, b in zip(parts, (left.g, left.dg, left.ddg), (right.g, right.dg, right.ddg)):
         rank = part.ndim - len(batch)
         part[(...,) + (slice(ml),) * rank], part[(...,) + (slice(ml, None),) * rank] = a, b
-    return MetricJet(*parts)
+    factors = None
+    if left._factors and right._factors and left.g.shape[:-2] == right.g.shape[:-2]:
+        factors = _Factors(*(np.zeros((m, m) + a.shape[2:], dtype=complex) for a in left._factors))
+        for part, a, b in zip(factors, left._factors, right._factors):
+            part[:ml, :ml], part[ml:, ml:] = a, b
+    return MetricJet(*parts, factors)
 
 
 def _as_point(z, m: int, batched: bool = True) -> np.ndarray:
@@ -190,7 +198,8 @@ def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
 
     Every model jet is checked here, once per stack: ``jet_of`` maps a (P, m)
     stack of points to their unchecked jet rows (a model's ``_rows``, or the
-    block of both charts of :meth:`Hitchin.fiber_jet`).
+    block of both charts of :meth:`Hitchin.fiber_jet`).  The check factors
+    the metrics, and the jet carries the factors.
 
     A point alone is the one-row stack: numpy's scalar arithmetic can differ
     from its array loops in the last bit, and a point should get the same jet
@@ -198,13 +207,12 @@ def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
     """
     z = _as_point(z, m)
     jet = jet_of(z.reshape(-1, m))
-    _require_positive_definite(jet.g)
+    factors = _require_positive_definite(jet.g)
     if not (np.all(np.isfinite(jet.dg)) and np.all(np.isfinite(jet.ddg))):
         dg_ok, ddg_ok = (np.isfinite(a.reshape(len(a), -1)).all(axis=1) for a in (jet.dg, jet.ddg))
         row = (dg_ok & ddg_ok).argmin()
         raise DegenerateMetricError(math.nan, "metric jet has non-finite derivatives", row)
-    batch = z.shape[:-1]
-    return MetricJet(*(a.reshape(batch + a.shape[1:]) for a in (jet.g, jet.dg, jet.ddg)))
+    return MetricJet(*(a.reshape(z.shape[:-1] + a.shape[1:]) for a in (jet.g, jet.dg, jet.ddg)), factors)
 
 
 def _power_kernel(z, a: int, b: int | None) -> KernelJet:

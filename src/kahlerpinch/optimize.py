@@ -43,13 +43,12 @@ import numpy as np
 
 from .geometry import (
     _curvature,
-    _frame,
     _real_part,
     _require_positive_definite,
+    _stack_first,
     _stack_last,
     holomorphic_sectional_curvature,
     hsc_gradient,
-    orthonormal_frame,
 )
 from .hirzebruch import hsc_coefficients, require_admissible
 from .models import _S_RANGE, Hitchin
@@ -64,7 +63,6 @@ __all__ = [
     "batch_hsc",
     "extremize_directions",
     "extremize_quadratic",
-    "direction_weights",
     "minimize",
     "sweep_fiber",
     "sweep_s",
@@ -325,17 +323,18 @@ def _frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Rhat = R(F., conj(F)., F., conj(F).), the curvature tensor in the frame F, stacked.
 
     In the frame the metric is the identity, so K(F c) = 2 sum Rhat_abcd c_a
-    conj(c_b) c_c conj(c_d) / |c|^4 for every nonzero c in C^m.  R and F share
-    their leading axes, which the contractions flatten and move last
-    (:func:`_stack_last_frame_tensor`), so that numpy's inner loops run over
-    the stack rather than over index axes of length m.
+    conj(c_b) c_c conj(c_d) / |c|^4 for every nonzero c in C^m.  F (m, m, N)
+    is a carried frame, the leading axes of R flattened into its last axis;
+    the contractions move R's stack last too (:func:`_stack_last_frame_tensor`),
+    so that numpy's inner loops run over the stack rather than over index
+    axes of length m.
     """
     return np.moveaxis(_stack_last_frame_tensor(R, F), -1, 0).reshape(R.shape)
 
 
 def _stack_last_frame_tensor(R: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Rhat of :func:`_frame_tensor`, its leading axes flattened into one last axis: (m, m, m, m, N)."""
-    R, F = _stack_last(R, 4), _stack_last(F, 2)
+    R = _stack_last(R, 4)
     Rhat = np.einsum("ijkl...,ld...->ijkd...", R, F.conj())
     Rhat = np.einsum("ijkd...,kc...->ijcd...", Rhat, F)
     Rhat = np.einsum("ijcd...,jb...->ibcd...", Rhat, F.conj())
@@ -352,7 +351,8 @@ def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     Each entry takes its four nonzero terms, in increasing p, from the
     flattened Rhat with the stack axis last, and adds them elementwise; that
     is the contraction's order, and a row's bits do not depend on the stack.
-    Stacked over the leading axes of R and F, which lead the results too.
+    Stacked over the leading axes of R, which lead the results too; F is
+    the carried (2, 2, N) frame, as in :func:`_frame_tensor`.
     """
     parts = _stack_last_frame_tensor(R, F).reshape(16, -1).view(float).reshape(16, -1, 2)
     terms = parts[_BLOCH_ROWS, :, _BLOCH_PART] * _BLOCH_SIGN[..., None]  # (4, 16, N)
@@ -364,18 +364,19 @@ def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
 
 
 def _bloch_direction(F: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directions F c of the unit c with c c* = (I + v.sigma)/2, for F (..., 2, 2) and v (3, ...).
+    """Directions F c of the unit c with c c* = (I + v.sigma)/2, for F (2, 2, P) and v (3, ..., P).
 
-    c is the larger column of that projector, normalised.
+    c is the larger column of that projector, normalised.  Written out
+    elementwise with the stack axis last; the directions come back with it
+    first, (..., P, 2).
     """
     v1, v2, v3 = v
-    c = np.where(
-        (v3 >= 0.0)[..., None],
-        np.stack([1.0 + v3, v1 + 1j * v2], axis=-1),
-        np.stack([v1 - 1j * v2, 1.0 - v3], axis=-1),
-    )
-    c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    return np.einsum("...ij,...j->...i", F, c)
+    upper = v3 >= 0.0
+    c0 = np.where(upper, 1.0 + v3, v1 - 1j * v2)
+    c1 = np.where(upper, v1 + 1j * v2, 1.0 - v3)
+    norm = np.sqrt((c0.real * c0.real + c0.imag * c0.imag) + (c1.real * c1.real + c1.imag * c1.imag))
+    c0, c1 = c0 / norm, c1 / norm
+    return np.stack([F[0, 0] * c0 + F[0, 1] * c1, F[1, 0] * c0 + F[1, 1] * c1], axis=-1)
 
 
 def _bloch_weights(v: np.ndarray) -> np.ndarray:
@@ -397,10 +398,10 @@ def _direction_extrema(R, g, xi, K, floor=0.0) -> DirectionExtrema:
     return DirectionExtrema(K[0], K[1], xi[0], xi[1], res[0], res[1], converged)
 
 
-def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
+def _extremize_surfaces(R: np.ndarray, g: np.ndarray, F: np.ndarray):
     """Exact extrema of K over stacked two-dimensional tangent spaces.
 
-    In the orthonormal frame F of g, K is the Bloch quadratic of
+    In the orthonormal frame F of g, carried (2, 2, B), K is the Bloch quadratic of
     :func:`_bloch_quadratic`, extremized by
     :func:`~kahlerpinch.sphere._sphere_extrema` with the stack axis last.
     The rounding floor of the extrema, passed to :func:`_direction_extrema`,
@@ -414,7 +415,6 @@ def _extremize_surfaces(R: np.ndarray, g: np.ndarray):
     extremizers, whose third component gives the frame weights.  g must be
     known definite: the frame is not checked.
     """
-    F = _frame(g)
     A, b, c0 = _bloch_quadratic(R, F)
     v, K = _sphere_extrema(A, b, c0)
     A, b = np.moveaxis(A, 0, -1), b.T  # views of the stack-last arrays of _bloch_quadratic
@@ -613,18 +613,21 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     residuals near rounding, about 1e-12 relative, so that tolerance leaves a
     wide margin.
     """
-    return _extremize_directions(np.asarray(R, dtype=complex), _require_positive_definite(g), seed)
+    R, g = np.asarray(R, dtype=complex), np.asarray(g, dtype=complex)
+    return _extremize_directions(R, g, _require_positive_definite(g).frame, seed)
 
 
-def _extremize_directions(R: np.ndarray, g: np.ndarray, seed: int) -> DirectionExtrema:
-    """:func:`extremize_directions` of complex stacks whose metrics are known definite, unchecked."""
+def _extremize_directions(R: np.ndarray, g: np.ndarray, F: np.ndarray, seed: int) -> DirectionExtrema:
+    """:func:`extremize_directions` of complex stacks with the carried frame F (m, m, P) of their metrics.
+
+    The metrics must be known definite: nothing is checked.
+    """
     m = g.shape[-1]
     if m == 2:
-        ex, _, _ = _extremize_surfaces(R, g)
+        ex, _, _ = _extremize_surfaces(R, g, F)
         return ex
-    F = _frame(g)
     if m == 1:
-        xi = np.concatenate([F[..., 0], F[..., 0]])
+        xi = np.concatenate([F[0].T, F[0].T])
     else:
         Rhat, cands = _frame_tensor(R, F), _start_candidates(m, seed)
         values = batch_hsc(Rhat, np.eye(m), cands)
@@ -638,7 +641,7 @@ def _extremize_directions(R: np.ndarray, g: np.ndarray, seed: int) -> DirectionE
         Rhat = Rhat[(point[:, None, None, None, None], *(i.swapaxes(1, j) for j in range(1, 5)))]
         gtol = _GRADIENT_TOL * np.maximum(1.0, np.abs(values[point, best]))
         res = minimize(_chart_objective(Rhat, sign), x0, gtol)
-        Fo = np.take_along_axis(F[point], order[:, None, :], axis=2)
+        Fo = np.take_along_axis(_stack_first(F, (len(g),))[point], order[:, None, :], axis=2)
         xi = np.einsum("kij,kj->ki", Fo, _chart_vector(res.x))
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     xi = xi.reshape(2, len(g), m)
@@ -660,13 +663,6 @@ def extremize_quadratic(alpha, beta, gamma) -> QuadraticExtrema:
     K = alpha * a * a + beta * a * (1.0 - a) + gamma * (1.0 - a) ** 2
     extrema = np.minimum(np.minimum(gamma, alpha), K), np.maximum(np.maximum(gamma, alpha), K)
     return QuadraticExtrema(*extrema)
-
-
-def direction_weights(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Squared moduli of the frame coordinates of ``xi`` (sums to one)."""
-    c = np.linalg.solve(orthonormal_frame(g), np.asarray(xi, dtype=complex))
-    w = np.abs(c) ** 2
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -700,7 +696,7 @@ def _fiber_cells(model: Hitchin, t: np.ndarray):
     residuals (samples, 2), and the convergence flags (samples,).
     """
     jet = model.fiber_jet(t)
-    ex, v_min, v_max = _extremize_surfaces(_curvature(jet), jet.g)
+    ex, v_min, v_max = _extremize_surfaces(_curvature(jet), jet.g, jet._factors.frame)
     return (
         np.stack([ex.min_K, ex.max_K], axis=-1),
         np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),

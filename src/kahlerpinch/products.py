@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricJet, _curvature
+from .geometry import MetricJet, _curvature, _Factors
 from .models import Hitchin, MetricModel, product_jet
 from .optimize import _extremize_directions
 
@@ -86,8 +86,8 @@ def _sample_points(model: MetricModel, rng: np.random.Generator, count: int) -> 
 
 
 def _extrema(jet: MetricJet, seed: int) -> tuple[float, float, bool]:
-    """Min K, max K and whether every search converged, over a jet stack known definite."""
-    ex = _extremize_directions(_curvature(jet), jet.g, seed)
+    """Min K, max K and whether every search converged, over a jet stack that carries its factors."""
+    ex = _extremize_directions(_curvature(jet), jet.g, jet._factors.frame, seed)
     return float(ex.min_K.min()), float(ex.max_K.max()), bool(ex.converged.all())
 
 
@@ -153,7 +153,8 @@ def verify_product_numeric(
 
     # product row i P_r + j pairs left point i with right point j
     rows = np.divmod(np.arange(len(jets[0].g) * len(jets[1].g)), len(jets[1].g))
-    jet = product_jet(*(MetricJet(j.g[i], j.dg[i], j.ddg[i]) for j, i in zip(jets, rows)))
+    factors = [_Factors(*(a[..., i] for a in j._factors)) for j, i in zip(jets, rows)]
+    jet = product_jet(*(MetricJet(j.g[i], j.dg[i], j.ddg[i], f) for j, i, f in zip(jets, rows, factors)))
     lo, hi, ok = _extrema(jet, seed)
     rel_min = abs(lo - expected.lower) / abs(expected.lower)
     rel_max = abs(hi - expected.upper) / abs(expected.upper)

@@ -15,7 +15,7 @@ from kahlerpinch.geometry import (
     scalar_curvature,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import _extremize_surfaces, direction_weights, extremize_directions
+from kahlerpinch.optimize import _extremize_surfaces, extremize_directions
 
 from conftest import MASTER_SEED, random_point
 
@@ -39,6 +39,13 @@ def _stack(model, rng, rows=7):
     if isinstance(model, Hitchin):
         points += [model.fiber_point(r) for r in (0.0, 2.5)]
     return np.array(points)
+
+
+def direction_weights(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Squared moduli of the frame coordinates of ``xi`` (sums to one)."""
+    c = np.linalg.solve(orthonormal_frame(g), np.asarray(xi, dtype=complex))
+    w = np.abs(c) ** 2
+    return w / w.sum()
 
 
 def _assert_close(stacked, rows, scale=1.0):
@@ -72,7 +79,7 @@ def test_stacked_jet_curvature_and_frame_match_rows(model, rng):
 def test_stacked_surface_extrema_match_rows(model, rng):
     z = _stack(model, rng)
     jet = model.metric_jet(z)
-    ex, _, _ = _extremize_surfaces(curvature_tensor(jet), jet.g)
+    ex, _, _ = _extremize_surfaces(curvature_tensor(jet), jet.g, jet._factors.frame)
     for i, zi in enumerate(z):
         row = model.metric_jet(zi)
         one = extremize_directions(curvature_tensor(row)[None], row.g[None])
@@ -94,7 +101,7 @@ def test_stacked_surface_extrema_match_rows(model, rng):
 def test_bloch_weights_match_direction_weights(model, rng):
     z = _stack(model, rng, rows=12)
     jet = model.metric_jet(z)
-    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g)
+    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, jet._factors.frame)
     for i in range(len(z)):
         for v, xi in ((v_min[i], ex.argmin[i]), (v_max[i], ex.argmax[i])):
             bloch = np.array([(1.0 + v[2]) / 2.0, (1.0 - v[2]) / 2.0])

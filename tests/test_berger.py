@@ -26,6 +26,12 @@ from conftest import MASTER_SEED
 def test_config_validation():
     with pytest.raises(ValueError):
         SphereSampleConfig(sample_count=0)
+    # a standard error needs two independent values: draws, or antithetic pairs
+    for count, antithetic in ((1, False), (2, True)):
+        with pytest.raises(ValueError, match=f"at least {count + 1} samples, got {count}"):
+            SphereSampleConfig(count, antithetic=antithetic)
+    SphereSampleConfig(2)
+    SphereSampleConfig(3, antithetic=True)
 
 
 def test_consistent_reads_its_zmax():
@@ -259,7 +265,7 @@ def test_frame_coordinates_match_normalise_and_push(model):
 
 def _one_thread_rows(model, points, cfg):
     """(estimate, stderr) per point on one thread: one complex row array, reals then imaginaries."""
-    from kahlerpinch.geometry import curvature_tensor, orthonormal_frame
+    from kahlerpinch.geometry import _stack_last, curvature_tensor, orthonormal_frame
     from kahlerpinch.optimize import _frame_tensor
 
     m, count = model.dimension, cfg.sample_count
@@ -270,7 +276,7 @@ def _one_thread_rows(model, points, cfg):
     rows.imag[:half] = rng.standard_normal((half, m))
     rows[half:] = rows[: count - half, ::-1]
     jet = model.metric_jet(np.array(points))
-    Rhat = _frame_tensor(curvature_tensor(jet), orthonormal_frame(jet.g))
+    Rhat = _frame_tensor(curvature_tensor(jet), _stack_last(orthonormal_frame(jet.g), 2))
     values = batch_hsc(Rhat, np.eye(m), rows)
     values *= 0.25 * m * (m + 1)
     if cfg.antithetic:
@@ -286,14 +292,14 @@ def _one_thread_rows(model, points, cfg):
 @pytest.mark.parametrize("name", ["fs1", "hitchin:2:1/10", "product:fs2:fs2"])
 def test_overlapped_draw_matches_one_thread_bit_for_bit(name, antithetic):
     # counts on both sides of a block edge, and antithetic blocks that hold
-    # draws and mirrors together
+    # draws and mirrors together; 3 is the least count of an antithetic run
     from kahlerpinch.cli import _parse_model
 
     model = _parse_model(name)
     rng = np.random.default_rng(MASTER_SEED)
     m = model.dimension
     points = [rng.uniform(-0.8, 0.8, m) + 1j * rng.uniform(-0.8, 0.8, m) for _ in range(3)]
-    for count in (1, 2, _HSC_BLOCK - 1, _HSC_BLOCK, _HSC_BLOCK + 1, 20001, 3 * _HSC_BLOCK + 5):
+    for count in (3, 4, _HSC_BLOCK - 1, _HSC_BLOCK, _HSC_BLOCK + 1, 20001, 3 * _HSC_BLOCK + 5):
         cfg = SphereSampleConfig(count, 29, antithetic)
         for k in (1, 2, 3):
             rows = berger_vs_trace(model, points[:k], cfg)

@@ -8,11 +8,12 @@ import kahlerpinch
 
 # (module, function) of every reference to the definiteness check: geometry's
 # entries that take a metric from outside, the models' jet maker, and the
-# direction search, which takes curvature stacks from outside.
+# direction search, which takes curvature stacks from outside.  The check
+# factors the metric, so ricci and scalar_curvature check theirs through
+# inverse_metric.
 ALLOWED = {
     ("geometry", "inverse_metric"),
     ("geometry", "curvature_tensor"),
-    ("geometry", "scalar_curvature"),
     ("geometry", "orthonormal_frame"),
     ("models", "_jet_on_rows"),
     ("optimize", "extremize_directions"),

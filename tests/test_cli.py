@@ -307,6 +307,10 @@ def test_exit_code_contract(capsys, argv, code):
           "--point=0.1,0.1,0.1", "--point=1e200,0,0.1"], "point '1e200,0,0.1' is out of numerical range"),
         (["berger", "--model", "product:fs1:hitchin:1:1/3", "--samples", "64",
           "--point=0.1,0,1e200", "--point=0.1,0.1,0.1"], "point '0.1,0,1e200' is out of numerical range"),
+        # one independent Monte Carlo value has no standard error
+        (["berger", "--model", "hitchin:1:1/3", "--samples", "1"], "--samples 1"),
+        (["berger", "--model", "hitchin:1:1/3", "--samples", "2", "--antithetic"], "--samples 2"),
+        (["verify", "--n-max", "1", "--grid", "16", "--samples", "1"], "--samples 1"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):

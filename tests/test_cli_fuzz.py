@@ -122,7 +122,7 @@ def _run(argv):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(argvs())
-# one sample has no standard error, so its z-scores are infinite
+# one sample has no standard error: a parameter error
 @example(["verify", "--n-max", "1", "--grid", "16", "--samples", "1"])
 # sample buffers numpy refuses to allocate: a parameter error, not a traceback
 @example(["berger", "--model", "fs2", "--samples", str(2**62)])

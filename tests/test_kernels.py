@@ -8,6 +8,9 @@ from kahlerpinch import optimize, sphere
 from kahlerpinch.geometry import (
     MetricJet,
     _curvature,
+    _Factors,
+    _stack_first,
+    _stack_last,
     curvature_tensor,
     hsc_gradient,
     norm_squared,
@@ -76,9 +79,10 @@ def test_curvature_and_frame_tensor_are_stack_invariant(model, kind):
     g, dg, ddg = _jet_arrays(model, kind)
     _assert_stack_invariant(lambda *a: (curvature_tensor(MetricJet(*a)),), (g, dg, ddg))
     R, F = curvature_tensor(MetricJet(g, dg, ddg)), orthonormal_frame(g)
-    _assert_stack_invariant(lambda R, F: (_frame_tensor(R, F),), (R, F))
+    # the kernels take the frame as it is carried, stack last
+    _assert_stack_invariant(lambda R, F: (_frame_tensor(R, _stack_last(F, 2)),), (R, F))
     if model.dimension == 2:
-        _assert_stack_invariant(_bloch_quadratic, (R, F))
+        _assert_stack_invariant(lambda R, F: _bloch_quadratic(R, _stack_last(F, 2)), (R, F))
 
 
 # Pauli basis with sigma_0 = I: a unit c in C^2 has c c* = (I + v.sigma)/2, |v| = 1.
@@ -104,7 +108,7 @@ def test_bloch_tables_hold_the_nonzero_entries_of_bloch():
 @pytest.mark.parametrize("model, kind", [case for case in _stack_cases() if case.values[0].dimension == 2])
 def test_bloch_quadratic_has_the_bits_of_the_contraction_with_bloch(model, kind):
     g, dg, ddg = _jet_arrays(model, kind)
-    R, F = curvature_tensor(MetricJet(g, dg, ddg)), orthonormal_frame(g)
+    R, F = curvature_tensor(MetricJet(g, dg, ddg)), _stack_last(orthonormal_frame(g), 2)
     M = np.einsum("...p,pq->...q", _frame_tensor(R, F).reshape(-1, 16), _BLOCH).real
     M = M.reshape(-1, 4, 4)
     M = 0.5 * (M + M.swapaxes(-1, -2))
@@ -268,12 +272,12 @@ def test_surface_solve_rows_do_not_depend_on_the_stack(model, kind):
     else:
         rng = np.random.default_rng(MASTER_SEED)
         jet = model.metric_jet(np.array([random_point(model, rng, radius=1.5) for _ in range(256)]))
-    R, g = curvature_tensor(jet), jet.g
+    R, g, F = curvature_tensor(jet), jet.g, jet._factors.frame
 
     names = [f.name for f in fields(DirectionExtrema)] + ["v_min", "v_max"]
 
     def solve(rows):
-        ex, v_min, v_max = _extremize_surfaces(R[rows], g[rows])
+        ex, v_min, v_max = _extremize_surfaces(R[rows], g[rows], F[..., rows])
         return [getattr(ex, name) for name in names[:-2]] + [v_min, v_max]
 
     full = solve(slice(None))
@@ -285,8 +289,11 @@ def test_surface_solve_rows_do_not_depend_on_the_stack(model, kind):
 
 
 def _curvature_einsum(jet):
-    """R with its quadratic term D g^-1 D^H as one einsum over the leading axes: the reference."""
-    ginv = np.linalg.inv(jet.g)
+    """R with its quadratic term D g^-1 D^H as one einsum over the leading axes: the reference.
+
+    It takes the inverse that the jet carries, stack first.
+    """
+    ginv = _stack_first(jet._factors.inverse, jet.g.shape[:-2])
     D = jet.dg.swapaxes(-1, -2).reshape(jet.ddg.shape[:-4] + (-1, jet.dimension))
     quad = np.einsum("...pq,...ap,...bq->...ab", ginv, D, D.conj()).reshape(jet.ddg.shape)
     return -jet.ddg + quad.swapaxes(-3, -2)
@@ -319,8 +326,9 @@ def test_curvature_keeps_the_bits_of_the_einsum_over_leading_axes(model):
     jet = model.metric_jet(np.array([random_point(model, rng, radius=1.5) for _ in range(300)]))
     assert _same_bytes(_curvature(jet), _curvature_einsum(jet))
     for i in range(300):
-        for row in (slice(i, i + 1), i):
-            one = MetricJet(jet.g[row], jet.dg[row], jet.ddg[row])
+        for row, rows in ((slice(i, i + 1), slice(i, i + 1)), (i, [i])):
+            factors = _Factors(*(a[..., rows] for a in jet._factors))
+            one = MetricJet(jet.g[row], jet.dg[row], jet.ddg[row], factors)
             assert _same_bytes(_curvature(one), _curvature_einsum(one)), (i, row)
     if isinstance(model, Hitchin):
         fiber = model.fiber_jet(np.linspace(0.0, 1.0, 256))

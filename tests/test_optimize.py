@@ -12,6 +12,7 @@ from kahlerpinch import hirzebruch as hz
 from kahlerpinch import models, optimize
 from kahlerpinch.cli import main
 from kahlerpinch.geometry import (
+    _stack_last,
     curvature_tensor,
     holomorphic_sectional_curvature,
     orthonormal_frame,
@@ -565,7 +566,7 @@ def test_chart_hessian_matches_gradient_differences(name):
     for k in range(4):
         R, g = _random_tangent_space(model, rng)
         F = np.roll(orthonormal_frame(g), -k, axis=1)  # chart c_k = 1 of the frame
-        Rhat = optimize._frame_tensor(R, F)[None]
+        Rhat = optimize._frame_tensor(R, _stack_last(F, 2))[None]
         fun = optimize._chart_objective(Rhat, np.array([1.0 if k % 2 else -1.0]))
         x = rng.uniform(-1.0, 1.0, 2 * (m - 1))
         K, _, H = (y[0] for y in fun(x[None], [0]))

@@ -172,9 +172,9 @@ def test_each_factor_is_sampled_once(monkeypatch):
     k = max(extrema[0][1], extrema[1][1])
     searches = []
 
-    def search(R, g, seed):
+    def search(R, g, F, seed):
         searches.append((g, seed))
-        return _extremize_directions(R, g, seed)
+        return _extremize_directions(R, g, F, seed)
 
     monkeypatch.setattr(products, "_extremize_directions", search)
     report = verify_product_numeric(left, right, samples=samples, seed=seed)
