@@ -16,8 +16,9 @@ the order of the seeded stream: all real parts into one array, then the
 imaginary parts of each block into one reused block buffer, drawn just before
 the block is scored on the whole stack, together with its antithetic mirrors.
 So a call holds the real parts but never all the imaginary ones.  The blocks
-and the arithmetic are those of :func:`~kahlerpinch.optimize.batch_hsc`, so
-the estimates are bit for bit those of one complex row array.
+and the scorer (``_HSCScorer``) are those of
+:func:`~kahlerpinch.optimize.batch_hsc`, so the estimates are bit for bit
+those of one complex row array.
 """
 from __future__ import annotations
 
@@ -25,16 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _curvature, _scalar_curvature, _stack_first
+from .geometry import _scalar_curvature, _stack_first, curvature_tensor
 from .models import Hitchin, MetricModel, _as_point
-from .optimize import (
-    _HSCWork,
-    _blocks,
-    _frame_tensor,
-    _hermitian_form,
-    _hsc_columns,
-    _widest_block,
-)
+from .optimize import _HSCScorer, _blocks, _frame_tensor, _widest_block
 
 __all__ = [
     "SphereSampleConfig",
@@ -124,8 +118,9 @@ def _sphere_average(R: np.ndarray, F: np.ndarray, cfg: SphereSampleConfig):
     draws) into one reused block buffer, just before the block is scored,
     with the mirrors of the block's draws as the last columns of the same
     product; plain and antithetic runs take this one path.  Every block is
-    scored in work buffers allocated once per call, and every value is bit
-    for bit that of :func:`batch_hsc` on the complex rows.
+    scored by the one ``_HSCScorer`` of the call, built on the frame tensors
+    and the identity metric, so every value is bit for bit that of
+    :func:`~kahlerpinch.optimize.batch_hsc` on the complex rows.
     """
     m, count = R.shape[-1], cfg.sample_count
     half = (count + 1) // 2 if cfg.antithetic else count
@@ -139,20 +134,15 @@ def _sphere_average(R: np.ndarray, F: np.ndarray, cfg: SphereSampleConfig):
     im = np.empty((width, m))
     scored = width + min(width, pairs)  # the widest block with its mirrors
     columns = np.empty((2, m, scored))
-    work = _HSCWork(R.shape[:-4], m, scored)
+    score = _HSCScorer(_frame_tensor(R, F), np.eye(m), scored)
     rng = np.random.default_rng(cfg.seed)
     rng.standard_normal(out=re)
-    N, gamma = _hermitian_form(_frame_tensor(R, F), np.eye(m))
-    gamma = gamma[..., None, :]
     for start, end in _blocks(half):
         rng.standard_normal(out=im[: end - start])
         mirrored = max(min(end, pairs) - start, 0)  # sample half + i mirrors draw i < pairs
-        K = _hsc_columns(
-            N,
-            gamma,
+        K = score(
             _columns(re[start:end], mirrored, columns[0]),
             _columns(im[: end - start], mirrored, columns[1]),
-            work,
         )
         values[..., start:end] = K[..., : end - start]
         if mirrored:
@@ -191,7 +181,7 @@ def berger_vs_trace(
         return []
     zs = np.stack([_as_point(z, model.dimension, batched=False) for z in points])
     jet = model.metric_jet(zs)
-    R = _curvature(jet)
+    R = curvature_tensor(jet)
     ests, sems = _sphere_average(R, jet._factors.frame, cfg)
     taus = _scalar_curvature(R, _stack_first(jet._factors.inverse, zs.shape[:-1]))
     rows = []

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import hirzebruch
 from .berger import SphereSampleConfig, berger_vs_trace, default_points
-from .geometry import DegenerateMetricError, _curvature, _ricci, _scalar_curvature, _stack_first
-from .geometry import check_symmetries
+from .geometry import DegenerateMetricError, _ResidueError, _ricci, _scalar_curvature, _stack_first
+from .geometry import check_symmetries, curvature_tensor
 from .models import FubiniStudy, Hitchin, MetricModel, Product, model_from_json, model_to_json
 from .optimize import _extremize_directions, _sweep_radii, sweep_fiber, sweep_s
 from .products import ProductHypothesisError, verify_product_numeric
@@ -114,10 +114,14 @@ def _parse_point(text: str, model: MetricModel) -> np.ndarray:
 
 @contextlib.contextmanager
 def _named_points(texts):
-    """A degenerate metric at row i of a stack of command-line points as a usage error naming it."""
+    """A degenerate metric at row i of a stack of command-line points as a usage error naming it.
+
+    A curvature that is not real at row i, lost to cancellation far out in
+    the chart (``_ResidueError``), is reported the same way.
+    """
     try:
         yield
-    except DegenerateMetricError as exc:  # default points are in range for every model
+    except (DegenerateMetricError, _ResidueError) as exc:  # default points are in range for every model
         raise UsageError(f"point {texts[exc.row]!r} is out of numerical range: {exc}") from exc
 
 
@@ -328,7 +332,7 @@ def cmd_curvature(args):
     z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
     with _named_points([args.point]):
         jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
-    R, ginv = _curvature(jet), _stack_first(jet._factors.inverse, ())
+    R, ginv = curvature_tensor(jet), _stack_first(jet._factors.inverse, ())
     ric = _ricci(R, ginv)
     sym = check_symmetries(R, jet)
     ex = _extremize_directions(R[None], jet.g[None], jet._factors.frame, args.seed)

@@ -16,13 +16,14 @@ m), and directions (..., m).  ``MetricJet``, ``inverse_metric``,
 through ``...`` einsum subscripts and batched ``np.linalg``; a single point is
 the stack with no batch axis.  A kernel may move the stack axes last inside,
 so that numpy's inner loops run over the stack; its inputs and results keep
-the convention above.  ``_curvature`` contracts its quadratic term D g^-1 D^H
-over the carried stack-last inverse and a contiguous stack-last copy of D,
-and ``hsc_gradient`` keeps the stack axes last and writes out every sum over
-an index, added in a fixed order elementwise (:func:`_sum_first`), so that
-its rows get the same bits alone as in any stack.  An einsum over ``...`` may group its sums
-differently for one point than for a stack, so ``ricci`` can give a point
-alone other last bits than the same row of a stack.
+the convention above.  ``curvature_tensor`` contracts its quadratic term
+D g^-1 D^H over the carried stack-last inverse and a contiguous stack-last
+copy of D, and ``hsc_gradient`` keeps the stack axes last and writes out
+every sum over an index, added in a fixed order elementwise
+(:func:`_sum_first`), so that its rows get the same bits alone as in any
+stack.  An einsum over ``...`` may group its sums differently for one point
+than for a stack, so ``ricci`` can give a point alone other last bits than
+the same row of a stack.
 
 A metric is factored once, where it is checked definite
 (:func:`_require_positive_definite`): the check returns the inverse and the
@@ -33,9 +34,9 @@ eigenvalue of a stack it refuses; other sizes take an eigenvalue check, one
 Cholesky factor and one triangular inverse.  The public functions that take a
 metric from outside check and factor it; a jet that :mod:`kahlerpinch.models`
 checked when it made it carries its factors (``MetricJet._factors``), which
-the unchecked cores ``_curvature``, ``_ricci`` and ``_scalar_curvature``, the
-direction searches of :mod:`kahlerpinch.optimize` and the Berger average read
-without inverting or factoring again.
+``curvature_tensor``, the unchecked cores ``_ricci`` and ``_scalar_curvature``,
+the direction searches of :mod:`kahlerpinch.optimize` and the Berger average
+read without inverting or factoring again.
 
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
@@ -79,6 +80,14 @@ class DegenerateMetricError(ValueError):
 
 class ZeroDirectionError(ValueError):
     """Raised when a tangent direction is numerically the zero vector."""
+
+
+class _ResidueError(ValueError):
+    """Raised when a value that must be real is not, first at stack row ``row``."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 # The inverse and the orthonormal frame of a stack of definite metrics, each
@@ -127,16 +136,20 @@ class SymmetryReport:
         return max(astuple(self))
 
 
-def _real_part(value, what: str):
+def _real_part(value, what: str, rank: int = 0):
     """Real part of a complex NumPy scalar or array that must be real.
 
-    The imaginary residue may reach _IMAG_TOL times max(1, |value|).
+    The imaginary residue may reach _IMAG_TOL times max(1, |value|).  The
+    last ``rank`` axes hold one row of the stack; the error names the first
+    row past the bound, and gives that row's largest residue.
     """
     residue = abs(value.imag)
-    if ((residue > _IMAG_TOL) & (residue > _IMAG_TOL * abs(value))).any():
-        raise ValueError(
-            f"{what} has imaginary residue {np.max(residue):.3e}, expected real"
-        )
+    bad = (residue > _IMAG_TOL) & (residue > _IMAG_TOL * abs(value))
+    if bad.any():
+        size = math.prod(np.shape(value)[np.ndim(value) - rank :])
+        row = int(np.argmax(bad)) // size
+        worst = residue.reshape(-1, size)[row].max()
+        raise _ResidueError(f"{what} has imaginary residue {worst:.3e}, expected real", row)
     return value.real
 
 
@@ -229,27 +242,25 @@ def curvature_tensor(jet: MetricJet) -> np.ndarray:
                      + sum_{p,q} g^{p qbar} dg[i,p,k] conj(dg[j,q,l]),
     with conj(dg[j,q,l]) = d g_{q jbar} / d zbar_l.  The sum is the matrix
     product D g^{-1} D^H with D[(i,k), p] = dg[i,p,k], an (m^2, m) matrix.
+    A jet checked where it was made is read with the inverse it carries;
+    any other jet's metric is checked (:func:`_require_positive_definite`).
     """
-    return _curvature(MetricJet(jet.g, jet.dg, jet.ddg, _require_positive_definite(jet.g)))
+    m = jet.dimension
+    factors = jet._factors if jet._factors is not None else _require_positive_definite(jet.g)
+    # g^-1 (m, m, N), as carried, and D (m^2, m, N), D[(i, k), p] = dg[i, p, k],
+    # with the flattened stack axis last and contiguous: the einsum's inner loop
+    # runs over the stack, adding each entry's m^2 terms in (p, q) order.
+    D = np.ascontiguousarray(jet.dg.reshape(-1, m, m, m).transpose(1, 3, 2, 0))
+    D = D.reshape(m * m, m, -1)
+    quad = np.einsum("pq...,ap...,bq...->ab...", factors.inverse, D, D.conj())
+    quad = np.moveaxis(quad, -1, 0).reshape(jet.ddg.shape).swapaxes(-3, -2)
+    return np.subtract(quad, jet.ddg, out=np.empty_like(jet.ddg))
 
 
 def _stack_last(a: np.ndarray, rank: int) -> np.ndarray:
     """Contiguous copy of a stack of (m,) * rank arrays, its leading axes flattened into one last axis."""
     m = a.shape[-1]
     return a.reshape(-1, m**rank).T.copy().reshape((m,) * rank + (-1,))
-
-
-def _curvature(jet: MetricJet) -> np.ndarray:
-    """:func:`curvature_tensor` of a jet that carries the factors of its definite metric, unchecked."""
-    m = jet.dimension
-    # g^-1 (m, m, N), as carried, and D (m^2, m, N), D[(i, k), p] = dg[i, p, k],
-    # with the flattened stack axis last and contiguous: the einsum's inner loop
-    # runs over the stack, adding each entry's m^2 terms in (p, q) order.
-    D = np.ascontiguousarray(jet.dg.reshape(-1, m, m, m).transpose(1, 3, 2, 0))
-    D = D.reshape(m * m, m, -1)
-    quad = np.einsum("pq...,ap...,bq...->ab...", jet._factors.inverse, D, D.conj())
-    quad = np.moveaxis(quad, -1, 0).reshape(jet.ddg.shape).swapaxes(-3, -2)
-    return np.subtract(quad, jet.ddg, out=np.empty_like(jet.ddg))
 
 
 def norm_squared(g: np.ndarray, xi: np.ndarray):

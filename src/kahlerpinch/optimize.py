@@ -24,8 +24,9 @@ best starts, each in an affine chart of the direction space: a stacked local
 search with no global guarantee, which converges quadratically to residuals
 at rounding, in which no row depends on another.  Curvature at many
 directions is one real quadratic form per tensor in the m^2 real coordinates
-of xi xi* (``batch_hsc``), a matrix product over blocks of directions and
-over a stack of tensors.
+of xi xi*, scored by one ``_HSCScorer`` per call as a matrix product over
+blocks of directions and over a stack of tensors; ``batch_hsc`` and the
+Berger sphere average share it.
 The fiber sweep solves its grid, t = 1 included, through one stacked cell
 function, and refines an extreme cell inside the grid by zooming on the
 bracket of its grid neighbours: each round is one call of the same stacked
@@ -42,11 +43,11 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (
-    _curvature,
     _real_part,
     _require_positive_definite,
     _stack_first,
     _stack_last,
+    curvature_tensor,
     holomorphic_sectional_curvature,
     hsc_gradient,
 )
@@ -77,18 +78,19 @@ _SWEEP_T_POINTS = 65
 # and 30.5 ms at 128, 256 and 512; certify-fiber peak RSS (medians of 4 runs)
 # 36.5, 36.5 and 37.2 MB, so 512 buys nothing for 0.7 MB.
 _FIBER_BLOCK = 256
-# Directions per matrix product in batch_hsc and the Berger sphere average,
-# and per draw of the Berger imaginary parts.  A call allocates its work buffers
-# once and reuses them from block to block, and a direction's value does not
-# depend on the block's width (tests compare 64, 2048 and 8192), so the block
-# is sized for the cache: at m = 4 its q takes 256 kB.  Against 8192,
+# Directions per matrix product of the _HSCScorer of batch_hsc and of the
+# Berger sphere average, and per draw of the Berger imaginary parts.  A scorer
+# allocates its work buffers once and reuses them from block to block, and a
+# direction's value does not depend on the block's width (tests compare 64,
+# 2048 and 8192), so the block is sized for the cache: at m = 4 its q takes
+# 256 kB.  Against 8192,
 # mc-product (2-core VM, 10 pairs) went from 54.2 to 48.2 MB peak RSS and
 # from 0.0235 to 0.0193 s for its slowest job.
 _HSC_BLOCK = 2048
 # OpenBLAS multiplies an (M, K) by a (K, N) matrix with its small-matrix
 # kernel while M N K <= this, on one thread, and with its packed kernel above,
 # whose last N mod 8 columns round differently under one and two threads (seen
-# at m = 4 to 16).  So _hsc_columns hands the packed kernel a multiple of
+# at m = 4 to 16).  So _HSCScorer hands the packed kernel a multiple of
 # _NARROW columns, where a column's bits depend neither on the width, nor on
 # the column's place, nor on the thread count.
 _SMALL_PRODUCT = 10**6
@@ -180,7 +182,7 @@ def _hermitian_form(R: np.ndarray, g: np.ndarray):
     T[a * m + b, re] = T[b * m + a, re] = 1.0
     T[a * m + b, im], T[b * m + a, im] = 1j, -1j
     A = T.T @ R.reshape(R.shape[:-4] + (m * m, m * m)) @ T
-    N = _real_part(0.5 * (A + A.swapaxes(-1, -2)), "sectional curvature form")
+    N = _real_part(0.5 * (A + A.swapaxes(-1, -2)), "sectional curvature form", 2)
     return N, (g.reshape(g.shape[:-2] + (m * m,)) @ T).real
 
 
@@ -190,22 +192,18 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     R and g may carry leading tensor axes, (..., m, m, m, m) and (..., m, m);
     the result is (..., B), every tensor of the stack at every direction.  In
     the real coordinates q of xi xi*, K(xi) = 2 q.N q / (gamma.q)^2 with the
-    form of :func:`_hermitian_form`; the rows are evaluated as one real matrix
-    product per block of :func:`_blocks` (:func:`_hsc_columns`), in work
-    buffers allocated once per call.
+    form of :func:`_hermitian_form`; one :class:`_HSCScorer` evaluates the
+    rows as one real matrix product per block of :func:`_blocks`.
     """
-    xis = np.asarray(xis, dtype=complex)
-    N, gamma = _hermitian_form(np.asarray(R, dtype=complex), np.asarray(g, dtype=complex))
-    # One (1, m^2) row per metric, so that a shared metric and a stacked one
-    # take the same matrix product and give the same bits.
-    gamma = gamma[..., None, :]
-    stack = np.broadcast_shapes(N.shape[:-2], gamma.shape[:-2])
-    N, gamma = (np.broadcast_to(a, stack + a.shape[-2:]) for a in (N, gamma))
-    K = np.empty(stack + (len(xis),))
-    work = _HSCWork(stack, xis.shape[-1], _widest_block(len(xis)))
+    R, g, xis = (np.asarray(a, dtype=complex) for a in (R, g, xis))
+    m = R.shape[-1]
+    if xis.ndim != 2 or xis.shape[1] != m:
+        raise ValueError(f"directions must be a (B, {m}) stack, got shape {xis.shape}")
+    score = _HSCScorer(R, g, _widest_block(len(xis)))
+    K = np.empty(score.stack + (len(xis),))
     for start, stop in _blocks(len(xis)):
         block = xis[start:stop].T
-        K[..., start:stop] = _hsc_columns(N, gamma, block.real, block.imag, work)
+        K[..., start:stop] = score(block.real, block.imag)
     return K
 
 
@@ -225,61 +223,65 @@ def _widest_block(rows: int) -> int:
     return min(rows, _HSC_BLOCK + _NARROW - 1)
 
 
-def _product_width(m: int, width: int) -> int:
-    """Columns of the matrix product of :func:`_hsc_columns` for a block of ``width`` at dimension m.
+class _HSCScorer:
+    """K on the tensors R of the metrics g, for blocks of up to ``width`` column directions.
 
-    ``width`` itself on OpenBLAS's small-matrix kernel, else the next multiple
-    of ``_NARROW`` (see ``_SMALL_PRODUCT``).
-    """
-    if m**4 * width <= _SMALL_PRODUCT:
-        return width
-    return -(-width // _NARROW) * _NARROW
-
-
-class _HSCWork:
-    """Work buffers of :func:`_hsc_columns` for blocks of up to ``width`` columns, allocated once.
-
-    ``views(B)`` gives q, N q, gamma.q and K for a product of B columns, on
-    forms stacked over ``stack``: each the leading part of its flat buffer,
-    so contiguous at any width, laid out as a fresh array of the block would be.
+    Holds the form (N, gamma) of :func:`_hermitian_form`, stacked over the
+    broadcast leading axes ``stack`` of R and g, and work buffers allocated
+    once.  A call on a block of columns re + i im, (m, B) each, returns the
+    block's K (stack + (B,)) as a view of the buffers, valid until the next
+    call.
     """
 
-    def __init__(self, stack: tuple, m: int, width: int):
-        width = _product_width(m, width)
-        self._shapes = ((m * m,), stack + (m * m,), stack + (1,), stack)
+    def __init__(self, R: np.ndarray, g: np.ndarray, width: int):
+        N, gamma = _hermitian_form(R, g)
+        # One (1, m^2) row per metric, so that a shared metric and a stacked one
+        # take the same matrix product and give the same bits.
+        gamma = gamma[..., None, :]
+        self.stack = np.broadcast_shapes(N.shape[:-2], gamma.shape[:-2])
+        self._N, self._gamma = (np.broadcast_to(a, self.stack + a.shape[-2:]) for a in (N, gamma))
+        m2 = N.shape[-1]
+        self._shapes = ((m2,), self.stack + (m2,), self.stack + (1,), self.stack)
+        width = self._product_width(width)
         self._flat = [np.empty(math.prod(shape) * width) for shape in self._shapes]
         self._views = {}
 
-    def views(self, width: int) -> tuple:
-        if width not in self._views:
-            self._views[width] = tuple(
-                flat[: math.prod(shape) * width].reshape(shape + (width,))
+    def _product_width(self, width: int) -> int:
+        """Columns of the matrix product for a block of ``width``.
+
+        ``width`` itself on OpenBLAS's small-matrix kernel, else the next
+        multiple of ``_NARROW`` (see ``_SMALL_PRODUCT``).
+        """
+        if self._N.shape[-1] ** 2 * width <= _SMALL_PRODUCT:  # N q: (m^2, m^2) by (m^2, width)
+            return width
+        return -(-width // _NARROW) * _NARROW
+
+    def __call__(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """K of the columns re + i im, scored with copies of the first column up to the product width.
+
+        The buffers of a product width are the leading parts of the flat
+        buffers, so contiguous at any width, laid out as fresh arrays of the
+        block would be; the padding keeps every column's bits independent of
+        the BLAS thread count.
+        """
+        width = re.shape[1]
+        columns = self._product_width(width)
+        if columns not in self._views:
+            self._views[columns] = tuple(
+                flat[: math.prod(shape) * columns].reshape(shape + (columns,))
                 for flat, shape in zip(self._flat, self._shapes)
             )
-        return self._views[width]
-
-
-def _hsc_columns(N: np.ndarray, gamma: np.ndarray, re: np.ndarray, im: np.ndarray, work: _HSCWork):
-    """K of the column directions re + i im, (m, B) each, on the form (N, gamma[..., None, :]).
-
-    N and gamma carry the same stack axes.  One block of :func:`batch_hsc`,
-    (..., B), computed in ``work`` and returned as a view of it, valid until
-    the next block.  The products run on the :func:`_product_width` columns,
-    the block's and copies of its first, so that no column's bits depend on
-    the BLAS thread count.
-    """
-    m, width = re.shape
-    q, Nq, den, K = work.views(_product_width(m, width))
-    _hermitian_coordinates(re, im, q[:, :width])
-    q[:, width:] = q[:, :1]  # scored and dropped
-    np.matmul(N, q, out=Nq)
-    Nq *= q
-    np.add.reduce(Nq, axis=-2, out=K)
-    K *= 2.0
-    np.matmul(gamma, q, out=den)
-    den *= den
-    K /= den[..., 0, :]
-    return K[..., :width]
+        q, Nq, den, K = self._views[columns]
+        _hermitian_coordinates(re, im, q[:, :width])
+        q[:, width:] = q[:, :1]  # scored and dropped
+        np.matmul(self._N, q, out=Nq)
+        Nq *= q
+        np.add.reduce(Nq, axis=-2, out=K)
+        K *= 2.0
+        np.matmul(self._gamma, q, out=den)
+        den *= den
+        K /= den[..., 0, :]
+        return K[..., :width]
 
 
 @dataclass(frozen=True)
@@ -696,7 +698,7 @@ def _fiber_cells(model: Hitchin, t: np.ndarray):
     residuals (samples, 2), and the convergence flags (samples,).
     """
     jet = model.fiber_jet(t)
-    ex, v_min, v_max = _extremize_surfaces(_curvature(jet), jet.g, jet._factors.frame)
+    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, jet._factors.frame)
     return (
         np.stack([ex.min_K, ex.max_K], axis=-1),
         np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),

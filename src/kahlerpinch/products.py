@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricJet, _curvature, _Factors
+from .geometry import MetricJet, _Factors, curvature_tensor
 from .models import Hitchin, MetricModel, product_jet
 from .optimize import _extremize_directions
 
@@ -87,7 +87,7 @@ def _sample_points(model: MetricModel, rng: np.random.Generator, count: int) -> 
 
 def _extrema(jet: MetricJet, seed: int) -> tuple[float, float, bool]:
     """Min K, max K and whether every search converged, over a jet stack that carries its factors."""
-    ex = _extremize_directions(_curvature(jet), jet.g, jet._factors.frame, seed)
+    ex = _extremize_directions(curvature_tensor(jet), jet.g, jet._factors.frame, seed)
     return float(ex.min_K.min()), float(ex.max_K.max()), bool(ex.converged.all())
 
 

@@ -1,5 +1,6 @@
 """The leading batch axis: a stack of points gives its rows' results."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from kahlerpinch.geometry import (
     scalar_curvature,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import _extremize_surfaces, extremize_directions
+from kahlerpinch.optimize import _extremize_surfaces, batch_hsc, extremize_directions
 
 from conftest import MASTER_SEED, random_point
 
@@ -116,6 +117,18 @@ def test_stack_with_one_degenerate_point_raises():
     g = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
     with pytest.raises(DegenerateMetricError):
         orthonormal_frame(g)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2,), (5, 3)], ids=["one-direction", "too-many-coordinates"]
+)
+def test_batch_hsc_refuses_directions_of_the_wrong_shape(shape):
+    jet = Hitchin.make(1, "1/3").metric_jet(np.array([[0.1, 0.2], [0.3j, 0.5]]))
+    R = curvature_tensor(jet)
+    expected = f"directions must be a (B, 2) stack, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        batch_hsc(R, jet.g, np.ones(shape))
+    assert batch_hsc(R, jet.g, np.ones((5, 2))).shape == (2, 5)
 
 
 @pytest.mark.parametrize(

@@ -181,11 +181,11 @@ def test_antithetic_pairs_each_draw_with_its_mirror(count, monkeypatch):
     if count % 2:
         units.append(scale * _hsc_at(R, jet.g, draws[-1]))  # its mirror is not in the sample
     scored = []
-    hsc_columns = berger._hsc_columns
+    score = berger._HSCScorer.__call__
     monkeypatch.setattr(
-        berger,
-        "_hsc_columns",
-        lambda *a: scored.append(a[2].T + 1j * a[3].T) or hsc_columns(*a),
+        berger._HSCScorer,
+        "__call__",
+        lambda self, re, im: scored.append(re.T + 1j * im.T) or score(self, re, im),
     )
     est = berger_vs_trace(model, [z], SphereSampleConfig(count, seed, antithetic=True))[0]
     assert est.estimate == pytest.approx(np.mean(units), rel=1e-13)
@@ -338,15 +338,17 @@ def test_draw_failure_is_raised_in_the_caller(at, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "patched", ["_frame_tensor", "_hsc_columns"], ids=["before-scoring", "scoring"]
+    "owner, patched",
+    [(berger, "_frame_tensor"), (berger._HSCScorer, "__call__")],
+    ids=["before-scoring", "scoring"],
 )
-def test_caller_failure_stops_and_joins_the_draw(patched, monkeypatch):
+def test_caller_failure_stops_and_joins_the_draw(owner, patched, monkeypatch):
     # The draw runs on the caller's thread, so a failure there ends it and
     # reaches the caller of berger_vs_trace.
     def fail(*args):
         raise KeyError(patched)
 
-    monkeypatch.setattr(berger, patched, fail)
+    monkeypatch.setattr(owner, patched, fail)
     with pytest.raises(KeyError, match=patched):
         berger_vs_trace(FubiniStudy(2), [[0.1, 0.2j]], _BLOCKS_CFG)
 

@@ -311,6 +311,12 @@ def test_exit_code_contract(capsys, argv, code):
         (["berger", "--model", "hitchin:1:1/3", "--samples", "1"], "--samples 1"),
         (["berger", "--model", "hitchin:1:1/3", "--samples", "2", "--antithetic"], "--samples 2"),
         (["verify", "--n-max", "1", "--grid", "16", "--samples", "1"], "--samples 1"),
+        # far out in the chart the sectional curvature form keeps an imaginary
+        # residue, lost to cancellation: the point is out of range, whatever the count
+        (["berger", "--model", "hitchin:2:1/10", "--samples", "64", "--point", "1e4,1e4"],
+         "point '1e4,1e4' is out of numerical range: sectional curvature form"),
+        (["berger", "--model", "hitchin:2:1/10", "--point", "0.1,0.2", "--point", "1e4,1e4"],
+         "point '1e4,1e4' is out of numerical range: sectional curvature form"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from kahlerpinch import geometry, models
 from kahlerpinch.geometry import (
     DegenerateMetricError,
     MetricJet,
     ZeroDirectionError,
+    _real_part,
+    _ResidueError,
     check_symmetries,
     curvature_tensor,
     holomorphic_sectional_curvature,
@@ -141,6 +144,39 @@ def test_stacked_hsc_matches_rows_and_keeps_every_check(rng):
     bad[2, 0, 0, 0, 0] += 1j * np.abs(R).max()
     with pytest.raises(ValueError, match="imaginary residue"):
         holomorphic_sectional_curvature(bad, g, np.array([[1.0, 0.0]] * 4))
+
+
+def test_residue_error_names_the_first_row_past_the_bound():
+    # the last two axes hold one row; row 2 has the larger residue, row 1 comes first
+    value = np.ones((3, 2, 2), dtype=complex)
+    value[1, 0, 1] += 1e-6j
+    value[2, 1, 0] += 1e-3j
+    with pytest.raises(_ResidueError, match="form has imaginary residue 1.000e-06") as raised:
+        _real_part(value, "form", 2)
+    assert raised.value.row == 1
+    with pytest.raises(_ResidueError) as raised:
+        _real_part(value[:, 1, 0], "value")
+    assert raised.value.row == 2
+    assert np.array_equal(_real_part(value[0], "form", 2), np.ones((2, 2)))
+
+
+def test_curvature_of_a_checked_jet_checks_its_metric_once(monkeypatch):
+    checked = []
+    check = geometry._require_positive_definite
+
+    def counted(g):
+        checked.append(np.shape(g))
+        return check(g)
+
+    for module in (geometry, models):
+        monkeypatch.setattr(module, "_require_positive_definite", counted)
+    jet = Hitchin.make(1, "1/3").metric_jet([0.3 + 0.1j, 0.5])
+    R = curvature_tensor(jet)
+    assert checked == [(1, 2, 2)]  # where the jet was made, not again for its curvature
+    # a jet that carries no factors is checked where its curvature is taken
+    bare = MetricJet(jet.g, jet.dg, jet.ddg)
+    assert np.array_equal(curvature_tensor(bare), R)
+    assert checked == [(1, 2, 2), (2, 2)]
 
 
 def test_degenerate_metric_rejected():

@@ -7,7 +7,6 @@ import pytest
 from kahlerpinch import optimize, sphere
 from kahlerpinch.geometry import (
     MetricJet,
-    _curvature,
     _Factors,
     _stack_first,
     _stack_last,
@@ -324,15 +323,15 @@ def test_curvature_keeps_the_bits_of_the_einsum_over_leading_axes(model):
     """A 300-point stack, each of its rows as a one-row stack and as a point, and a fiber stack."""
     rng = np.random.default_rng(MASTER_SEED)
     jet = model.metric_jet(np.array([random_point(model, rng, radius=1.5) for _ in range(300)]))
-    assert _same_bytes(_curvature(jet), _curvature_einsum(jet))
+    assert _same_bytes(curvature_tensor(jet), _curvature_einsum(jet))
     for i in range(300):
         for row, rows in ((slice(i, i + 1), slice(i, i + 1)), (i, [i])):
             factors = _Factors(*(a[..., rows] for a in jet._factors))
             one = MetricJet(jet.g[row], jet.dg[row], jet.ddg[row], factors)
-            assert _same_bytes(_curvature(one), _curvature_einsum(one)), (i, row)
+            assert _same_bytes(curvature_tensor(one), _curvature_einsum(one)), (i, row)
     if isinstance(model, Hitchin):
         fiber = model.fiber_jet(np.linspace(0.0, 1.0, 256))
-        assert _same_bytes(_curvature(fiber), _curvature_einsum(fiber))
+        assert _same_bytes(curvature_tensor(fiber), _curvature_einsum(fiber))
 
 
 def _gradient_einsum(R, g, xi):
