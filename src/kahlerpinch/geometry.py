@@ -38,6 +38,14 @@ checked when it made it carries its factors (``MetricJet._factors``), which
 the direction searches of :mod:`kahlerpinch.optimize` and the Berger average
 read without inverting or factoring again.
 
+A jet of a 2-dimensional metric whose three parts are float64 stays float64,
+and so do its factors and its curvature tensor: at real points the complex
+arithmetic would only add exact zeros.  The factors divide by a real
+denominator as a product with its reciprocal, which is how numpy divides a
+complex array by a real one, so both dtypes give the same bits.  Every other
+metric is made complex, and LAPACK factors it; ``hsc_gradient``
+and the direction arrays are complex.
+
 All operations are stateless functions of their array inputs, so they are safe
 to evaluate from many threads concurrently.
 """
@@ -100,7 +108,9 @@ class MetricJet:
     """Metric matrix plus first and mixed second Wirtinger derivatives.
 
     At one point, or at a stack of points sharing the leading batch axes.
-    A jet checked where it was made carries the factors of its metric.
+    A jet checked where it was made carries the factors of its metric.  The
+    arrays stay float64 when all three are float64 and the metric is 2 x 2,
+    whose factors are then float64 too; otherwise they are made complex.
     """
 
     g: np.ndarray
@@ -109,8 +119,10 @@ class MetricJet:
     _factors: _Factors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("g", "dg", "ddg"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
+        parts = [np.asarray(getattr(self, name)) for name in ("g", "dg", "ddg")]
+        dtype = _metric_dtype(parts)
+        for name, a in zip(("g", "dg", "ddg"), parts):
+            object.__setattr__(self, name, np.asarray(a, dtype=dtype))
         m = self.g.shape[-1] if self.g.ndim >= 2 else 0
         shapes = [self.g.shape[:-2] + (m,) * rank for rank in (2, 3, 4)]
         if m < 1 or [self.g.shape, self.dg.shape, self.ddg.shape] != shapes:
@@ -168,9 +180,11 @@ def _require_positive_definite(g: np.ndarray) -> _Factors:
     Both factors are those of the Hermitian part h of g.  A 2 x 2 metric is
     definite when h_00 > 0 and det h / h_00 > 0 (:func:`_surface_factors`);
     other sizes when the smallest eigenvalue of h is.  The error names the
-    smallest eigenvalue of the first refused row, and the row.
+    smallest eigenvalue of the first refused row, and the row.  A float64 2 x 2
+    stack is factored in real arithmetic; any other stack is made complex.
     """
-    g = np.asarray(g, dtype=complex)
+    g = np.asarray(g)
+    g = np.asarray(g, dtype=_metric_dtype([g]))
     finite = np.isfinite(g)
     if not finite.all():
         row = finite.all(axis=(-2, -1)).argmin()
@@ -179,6 +193,14 @@ def _require_positive_definite(g: np.ndarray) -> _Factors:
     if not ok.all():  # the first row refused, and its smallest eigenvalue
         raise DegenerateMetricError(float(metric_eigenvalues(g)[..., 0][~ok][0]), row=ok.argmin())
     return factors
+
+
+def _metric_dtype(parts) -> type:
+    """float when ``parts`` (a metric stack first) are float64 and the metric is 2 x 2, complex otherwise.
+
+    Only a 2 x 2 metric is factored in real arithmetic (:func:`_surface_factors`).
+    """
+    return float if parts[0].shape[-1:] == (2,) and all(a.dtype == float for a in parts) else complex
 
 
 def _surface_factors(g: np.ndarray) -> tuple[_Factors, np.ndarray]:
@@ -191,14 +213,16 @@ def _surface_factors(g: np.ndarray) -> tuple[_Factors, np.ndarray]:
     h^-1 = [[1/h_00 + Re(conj(r) r/d), -conj(r/d)], [-r/d, 1/d]], and the frame is
     the Cholesky-based F = [[1/sqrt(h_00), -r/sqrt(d)], [0, 1/sqrt(d)]], so
     that F^T h conj(F) = I.  The values of a row that is not definite are not
-    used.
+    used.  The quotients by h_00 and d are products with their reciprocals,
+    numpy's complex-by-real division, so a float64 stack gets the factors of
+    the same stack typed complex (up to the sign of a zero).
     """
     G = _stack_last(g, 2)
     h00, h11, h10 = G[0, 0].real, G[1, 1].real, 0.5 * (G[1, 0] + G[0, 1].conj())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused or extreme rows
-        r = h10 / h00
+        r = h10 * (1.0 / h00)
         d = h11 - (r.real * h10.real + r.imag * h10.imag)
-        rd, root = r / d, 1.0 / np.sqrt(d)
+        rd, root = r * (1.0 / d), 1.0 / np.sqrt(d)
         inverse = [1.0 / h00 + (r.real * rd.real + r.imag * rd.imag), -rd.conj(), -rd, 1.0 / d]
         frame = [1.0 / np.sqrt(h00), -r * root, np.zeros_like(d), root]
     factors = _Factors(*(np.stack(f).reshape(G.shape) for f in (inverse, frame)))

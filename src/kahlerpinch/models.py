@@ -18,6 +18,15 @@ factor by factor; :func:`log_jet` and :func:`product_jet` check nothing, and
 :func:`product_jet` of two factored jets of one stack shape pairs their
 factors block by block.
 
+The dtype follows the points, with no switch: a float64 stack of points, such
+as the central fiber's samples of :meth:`Hitchin.fiber_jet`, gives float64
+kernels and, for a 2-dimensional metric, a float64 jet and factors
+(:class:`~kahlerpinch.geometry.MetricJet`); any other stack is complex.
+At real points the complex arithmetic only adds exact zeros, so both give the
+same bits: every product is taken in the same order, and every quotient by a
+real denominator is a product with its reciprocal, which is how numpy divides
+a complex array by a real one.
+
 Models:
 
 * ``FubiniStudy(m)``   -- complex projective space P^m, potential log(1+|z|^2).
@@ -97,37 +106,42 @@ def log_jet(kernel: KernelJet) -> MetricJet:
     product is an einsum: it multiplies each element's factors in the same
     order whatever the layout or the stack size, so a point gets the same bits
     alone as in a stack, which ``@`` and broadcast multiplication do not promise.
+
+    The fields may be float64 or complex.  Each quotient by w^k is a product
+    with 1/w^k: numpy divides a complex array by a real one as x * (1/y), so a
+    float64 kernel, whose own quotient would round differently, gets the bits
+    of the same kernel typed complex.
     """
     w = np.asarray(kernel.w, dtype=float)
     # Powers w**k (k >= 2) per element as Python floats, through the C library's pow:
     # numpy's vectorised power takes a SIMD path on some hosts (AVX-512) whose
     # last bit can differ from it, and the jets should not depend on the host.
     flat = w.ravel().tolist()
-    w1 = w.reshape(-1)
     try:
-        w2, w3, w4 = (np.array([x**k for x in flat]) for k in (2, 3, 4))
+        powers = [np.array([x**k for x in flat]) for k in (2, 3, 4)]
     except OverflowError:
-        w2, w3, w4 = (np.array([_pow(x, k) for x in flat]) for k in (2, 3, 4))
+        powers = [np.array([_pow(x, k) for x in flat]) for k in (2, 3, 4)]
+    r1, r2, r3, r4 = (1.0 / wk for wk in [w.reshape(-1)] + powers)
     dw, d2w, dmix = _stack_last(kernel.dw, 1), _stack_last(kernel.d2w, 2), _stack_last(kernel.dmix, 2)
     d3w, d4w = _stack_last(kernel.d3w, 3), _stack_last(kernel.d4w, 4)
     # The barred derivatives of a real kernel; d3wb[i, j, l] = conj(d3w[j, l, i]).
     dwb, d2wb, d3wb = dw.conj(), d2w.conj(), np.moveaxis(d3w.conj(), 2, 0)
 
-    g = dmix / w1 - np.einsum("i...,j...->ij...", dw, dwb) / w2
+    g = dmix * r1 - np.einsum("i...,j...->ij...", dw, dwb) * r2
 
     dg = (
-        np.einsum("ikj...->ijk...", d3w) / w1
+        np.einsum("ikj...->ijk...", d3w) * r1
         - (
             np.einsum("kj...,i...->ijk...", dmix, dw)
             + np.einsum("ij...,k...->ijk...", dmix, dw)
             + np.einsum("ik...,j...->ijk...", d2w, dwb)
         )
-        / w2
-        + 2.0 * np.einsum("i...,k...,j...->ijk...", dw, dw, dwb) / w3
+        * r2
+        + 2.0 * np.einsum("i...,k...,j...->ijk...", dw, dw, dwb) * r3
     )
 
     ddg = (
-        np.einsum("ikjl...->ijkl...", d4w) / w1
+        np.einsum("ikjl...->ijkl...", d4w) * r1
         - (
             np.einsum("ikj...,l...->ijkl...", d3w, dwb)
             + np.einsum("ikl...,j...->ijkl...", d3w, dwb)
@@ -137,7 +151,7 @@ def log_jet(kernel: KernelJet) -> MetricJet:
             + np.einsum("kj...,il...->ijkl...", dmix, dmix)
             + np.einsum("ik...,jl...->ijkl...", d2w, d2wb)
         )
-        / w2
+        * r2
         + 2.0
         * (
             np.einsum("ij...,k...,l...->ijkl...", dmix, dw, dwb)
@@ -147,8 +161,8 @@ def log_jet(kernel: KernelJet) -> MetricJet:
             + np.einsum("jl...,i...,k...->ijkl...", d2wb, dw, dw)
             + np.einsum("ik...,j...,l...->ijkl...", d2w, dwb, dwb)
         )
-        / w3
-        - 6.0 * np.einsum("i...,k...,j...,l...->ijkl...", dw, dw, dwb, dwb) / w4
+        * r3
+        - 6.0 * np.einsum("i...,k...,j...,l...->ijkl...", dw, dw, dwb, dwb) * r4
     )
 
     return MetricJet(*(_stack_first(part, w.shape) for part in (g, dg, ddg)))
@@ -184,8 +198,14 @@ def product_jet(left: MetricJet, right: MetricJet) -> MetricJet:
 
 
 def _as_point(z, m: int, batched: bool = True) -> np.ndarray:
-    """Chart point(s) as a complex array of shape (..., m), or of shape (m,) unless ``batched``."""
-    z = np.asarray(z, dtype=complex)
+    """Chart point(s) as an array of shape (..., m), or of shape (m,) unless ``batched``.
+
+    A float64 array stays float64, and the kernels and jets of its points are
+    taken in real arithmetic, to the bits of the same points typed complex;
+    any other input is made complex.
+    """
+    z = np.asarray(z)
+    z = np.asarray(z, dtype=float if z.dtype == float else complex)
     if z.shape[-1:] != (m,) or not (batched or z.ndim == 1):
         raise ValueError(f"expected a point with {m} coordinates, got an array of shape {z.shape}")
     if not np.all(np.isfinite(z)):
@@ -234,7 +254,7 @@ def _power_kernel(z, a: int, b: int | None) -> KernelJet:
         V21 = z1c * (V3 * q + 2.0 * V2)
         return V0, V1 * z1c, V2 * z1c**2, V1 + V2 * q, V21, 2.0 * V2 + 4.0 * V3 * q + V4 * q * q
 
-    dw, d2w, dmix, d3w, d4w = (np.zeros(z.shape[:-1] + (2,) * r, complex) for r in (1, 2, 2, 3, 4))
+    dw, d2w, dmix, d3w, d4w = (np.zeros(z.shape[:-1] + (2,) * r, z.dtype) for r in (1, 2, 2, 3, 4))
     parts = z1_jet(a)
     if b is not None:
         p, B = (x * xc).real, z1_jet(b)
@@ -283,7 +303,7 @@ class FubiniStudy(_Model):
 
     def kernel(self, z) -> KernelJet:
         z = _as_point(z, self.m)
-        d2w, dmix, d3w, d4w = (np.zeros(z.shape[:-1] + (self.m,) * r, complex) for r in (2, 2, 3, 4))
+        d2w, dmix, d3w, d4w = (np.zeros(z.shape[:-1] + (self.m,) * r, z.dtype) for r in (2, 2, 3, 4))
         w = 1.0 + (z.conj() * z).real.sum(axis=-1)
         return KernelJet(w, z.conj(), d2w, dmix + np.eye(self.m), d3w, d4w)
 
@@ -409,6 +429,11 @@ class Hitchin(_Model):
         the same bits alone as in a stack, and the broadcast sum adds element
         by element, so every row gets the bits of evaluating the base at that
         row.
+
+        Every sample is real, so the points are the real parts of
+        :meth:`fiber_point`: the kernels, the jet, its factors and its
+        curvature are float64, with the bits of the same points typed complex
+        (see the module docstring); a block of both charts takes the rows' dtype.
         """
         t = np.asarray(t, dtype=float)
         far = t > 0.5
@@ -419,14 +444,14 @@ class Hitchin(_Model):
         def jet_of(z):
             if len(charts) == 1:
                 return self._rows(z, charts[0][1], _fiber_base_jet())
-            arrays = [np.empty((len(z),) + (2,) * rank, dtype=complex) for rank in (2, 3, 4)]
+            arrays = [np.empty((len(z),) + (2,) * rank, dtype=z.dtype) for rank in (2, 3, 4)]
             for rows, kernel in charts:
                 jet = self._rows(z[rows], kernel, _fiber_base_jet())
                 for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
                     out[rows] = part
             return MetricJet(*arrays)
 
-        return _jet_on_rows(jet_of, self.fiber_point(radius), 2)
+        return _jet_on_rows(jet_of, self.fiber_point(radius).real, 2)
 
 
 @dataclass(frozen=True)

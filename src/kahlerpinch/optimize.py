@@ -193,12 +193,15 @@ def batch_hsc(R: np.ndarray, g: np.ndarray, xis: np.ndarray) -> np.ndarray:
     the result is (..., B), every tensor of the stack at every direction.  In
     the real coordinates q of xi xi*, K(xi) = 2 q.N q / (gamma.q)^2 with the
     form of :func:`_hermitian_form`; one :class:`_HSCScorer` evaluates the
-    rows as one real matrix product per block of :func:`_blocks`.
+    rows as one real matrix product per block of :func:`_blocks`.  Directions
+    or a metric of another dimension than R's raise a ValueError.
     """
     R, g, xis = (np.asarray(a, dtype=complex) for a in (R, g, xis))
     m = R.shape[-1]
     if xis.ndim != 2 or xis.shape[1] != m:
         raise ValueError(f"directions must be a (B, {m}) stack, got shape {xis.shape}")
+    if g.shape[-2:] != (m, m):
+        raise ValueError(f"metric must be a (..., {m}, {m}) stack, got shape {g.shape}")
     score = _HSCScorer(R, g, _widest_block(len(xis)))
     K = np.empty(score.stack + (len(xis),))
     for start, stop in _blocks(len(xis)):
@@ -354,9 +357,11 @@ def _bloch_quadratic(R: np.ndarray, F: np.ndarray):
     flattened Rhat with the stack axis last, and adds them elementwise; that
     is the contraction's order, and a row's bits do not depend on the stack.
     Stacked over the leading axes of R, which lead the results too; F is
-    the carried (2, 2, N) frame, as in :func:`_frame_tensor`.
+    the carried (2, 2, N) frame, as in :func:`_frame_tensor`.  R and F may be
+    float64, whose frame tensor is read with zero imaginary parts.
     """
-    parts = _stack_last_frame_tensor(R, F).reshape(16, -1).view(float).reshape(16, -1, 2)
+    Rhat = _stack_last_frame_tensor(R, F).reshape(16, -1).astype(complex, copy=False)
+    parts = Rhat.view(float).reshape(16, -1, 2)
     terms = parts[_BLOCH_ROWS, :, _BLOCH_PART] * _BLOCH_SIGN[..., None]  # (4, 16, N)
     # The contraction sums from +0 and scales each term by 1/2; both are exact here.
     M = ((terms[0] + terms[1] + terms[2] + terms[3]) * 0.5 + 0.0).reshape(4, 4, -1)

@@ -131,6 +131,15 @@ def test_batch_hsc_refuses_directions_of_the_wrong_shape(shape):
     assert batch_hsc(R, jet.g, np.ones((5, 2))).shape == (2, 5)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)], ids=["other-dimension", "not-square"])
+def test_batch_hsc_refuses_a_metric_of_the_wrong_shape(shape):
+    jet = Hitchin.make(1, "1/3").metric_jet(np.array([[0.1, 0.2], [0.3j, 0.5]]))
+    R = curvature_tensor(jet)
+    expected = f"metric must be a (..., 2, 2) stack, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        batch_hsc(R, np.eye(*shape), np.ones((5, 2)))
+
+
 @pytest.mark.parametrize(
     "shapes",
     [
