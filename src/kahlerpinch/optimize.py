@@ -7,15 +7,16 @@ w = 0 of the chart (z1, w = 1/z2), an ordinary sample (``Hitchin.fiber_jet``).
 
 The extrema over the directions of a two-dimensional tangent space are exact:
 there the direction lines form the Bloch sphere S^2, on which K is a quadratic
-v.Av + b.v + c0 whose extrema :mod:`kahlerpinch.sphere` finds among its
-Karush-Kuhn-Tucker points.  The weight quadratic of the Hirzebruch family is
-extremized exactly on its interval.  The two-dimensional solve is stacked:
-the fiber sweep hands it all its tangent spaces at once, and a single tangent
-space is the one-row stack of the same code.  Past the frame, the Bloch
-quadratic and the sphere solve keep the stack axis last, in elementwise
-arithmetic with every sum over a Bloch index written out in a fixed order,
-so that numpy's inner loops run over the stack and a row gets the same bits
-alone as in any stack; only their LAPACK calls take it first.  Higher
+v.Av + b.v + c0 whose extrema :mod:`kahlerpinch.sphere` finds by Newton's
+method on the one Lagrange multiplier of each that can win.  The weight
+quadratic of the Hirzebruch family is extremized exactly on its interval.
+The two-dimensional solve is stacked: the fiber sweep hands it all its
+tangent spaces at once, and a single tangent space is the one-row stack of
+the same code.  Past the frame, the Bloch quadratic and the sphere solve keep
+the stack axis last, in elementwise arithmetic with every sum over a Bloch
+index written out in a fixed order, so that numpy's inner loops run over the
+stack and a row gets the same bits alone as in any stack; only the sphere
+solve's one LAPACK call, ``eigh``, takes it first.  Higher
 dimensions are stacked the same way: every curvature tensor of the stack is
 contracted into its orthonormal frame, one seeded set of start directions is
 scored on all of them at once, and one trust-region Newton search (More and
@@ -73,11 +74,12 @@ __all__ = [
 # verify reads the fiber's Ricci eigenvalues on the same samples.
 _SWEEP_T_POINTS = 65
 # Fiber samples per stacked solve in sweep_fiber: a fixed cost per solve against
-# buffers that grow with the block.  Grid-512 sweeps (n = 1, 3 and 6 at s*
-# together, lower quartiles of 100 interleaved runs on a 2-core VM): 39.6, 30.2
-# and 30.5 ms at 128, 256 and 512; certify-fiber peak RSS (medians of 4 runs)
-# 36.5, 36.5 and 37.2 MB, so 512 buys nothing for 0.7 MB.
-_FIBER_BLOCK = 256
+# buffers that grow with the block.  Grid-512 sweeps (n = 1, 3 and 6 at s*,
+# lower quartiles of 100 interleaved rounds on a 2-core VM, one BLAS thread):
+# 5.00, 3.30 and 2.77 ms a sweep at 128, 256 and 512; a grid-4096 sweep (n = 3)
+# 25.9, 19.6 and 19.3 ms at 256, 512 and 1024.  The 12 pinch jobs of
+# certify-fiber peak 0.2-0.3 MB (1 %) higher at 512 than at 256.
+_FIBER_BLOCK = 512
 # Directions per matrix product of the _HSCScorer of batch_hsc and of the
 # Berger sphere average, and per draw of the Berger imaginary parts.  A scorer
 # allocates its work buffers once and reuses them from block to block, and a

@@ -1,21 +1,29 @@
 """Exact extrema of quadratics on the unit sphere S^2, stacked.
 
-On S^2 a quadratic v.A v + b.v + c0 takes its extrema at Karush-Kuhn-Tucker
-points, which one eigenproblem enumerates (Gander, Golub and von Matt, "A
-constrained eigenvalue problem", 1989): 15 unit candidates per quadratic,
-which hold the extremizers in the hard case too.  A spurious candidate is a
-point of the sphere as well, so it can tie with an extremum but never beat
-it; tied candidates are told apart by stationarity, then by value, never by
-their order.
+A quadratic v.A v + b.v + c0 takes its minimum on S^2 at a Karush-Kuhn-Tucker
+point v = Q w, w_j = -beta_j/(lam_j - mu), with beta = Q^T b/2 in the
+eigenbasis Q of A (lam ascending) and a multiplier mu <= lam_1 (Gander, Golub
+and von Matt, "A constrained eigenvalue problem", 1989); its maximum is the
+minimum of -A, -b.  Below lam_1, |w(mu)| = 1 has at most one root, which
+Newton's method on 1/|w(mu)| finds (More and Sorensen 1983).  In the hard
+case beta_1 = 0 and |w(lam_1)| < 1 leave no root, and the minimizer is the
+completion of w(lam_1), w_1 = 0, along e_1 to unit length; near it the root
+lies within rounding of lam_1.  So each extremum scores two unit candidates:
+w at the root, and that completion.  Either is a point of the sphere, so the
+one that is not the extremizer can tie with it but never beat it; tied
+candidates are told apart by stationarity, then by value, never by their
+order.  The other seven multipliers of each quadratic cannot win, so none of
+them is computed.
 
-The solve is stacked over quadratics.  Its two LAPACK calls, ``eigh`` of A
-and ``eigvals`` of a 6 x 6 matrix, take the stack axis first; everything
-after them keeps it last, as elementwise arithmetic on (..., B) arrays whose
-sums over index axes of length 3 are written out in a fixed order
+The solve is stacked over quadratics.  Its one LAPACK call, ``eigh`` of A,
+takes the stack axis first; everything after it keeps it last, as
+elementwise arithmetic on (..., B) arrays whose sums over index axes of
+length 3 are written out in a fixed order
 (:func:`~kahlerpinch.geometry._sum_first`).  Numpy's inner loops then run
 over the stack, and every element is rounded in the same order whatever the
 stack's length, which a matrix product (through BLAS) or an einsum does not
-promise: a quadratic gets the same bits alone as in any stack.
+promise.  Each row's Newton iteration stops by its own rule and is then
+frozen, so a quadratic gets the same bits alone as in any stack.
 """
 from __future__ import annotations
 
@@ -25,88 +33,81 @@ from .geometry import _sum_first
 
 __all__: list[str] = []
 
-# The hard-case completions +e_j and -e_j for j = 0, 1, 2, as columns of shape
-# (3, 6, 1) in the candidate order +e_0, -e_0, +e_1, ...; column k completes
-# the multiplier lam_j with j = _PAIR[k].
-_PAIR = np.repeat(np.arange(3), 2)
-_COMPLETION = (np.eye(3)[:, _PAIR] * np.tile([1.0, -1.0], 3))[..., None]
-
-
-def _sphere_kkt_points(A: np.ndarray, b: np.ndarray):
-    """Unit vectors among which lie all KKT points of v.A v + b.v on S^2, stack axis last.
-
-    A KKT point solves (A - mu) v = -b/2 with |v| = 1: in the eigenbasis Q of
-    A, w_j = -beta_j/(lam_j - mu) with beta = Q^T b/2.  Its multiplier mu is a
-    real eigenvalue of [[A, -I], [-b b^T/4, A]], or, in the hard case, within
-    1e-12 of an eigenvalue lam_j of A, where w_j is free.  So the 15
-    candidates are w(mu) for the 9 multipliers of both spectra, with w_j = 0
-    where mu is that close to lam_j, and the completions w(lam_j) +- fill e_j
-    to unit length.  Each is normalised onto the sphere, so a spurious one
-    can tie with the extremum but never beat it.
-
-    A (B, 3, 3) and b (B, 3) carry one leading stack axis, on which ``eigh``
-    of A and ``eigvals`` of the 6 x 6 matrix run.  After them the stack axis
-    is last and the arithmetic elementwise, every sum over an index of length
-    3 written out, so that a row's bits do not depend on the stack (see the
-    module docstring).  Returns the candidates (3, 15, B), component first,
-    and a mask (15, B) of those that exist, which is every candidate but a
-    zero vector.
-    """
-    lam, Q = np.linalg.eigh(A)
-    H = np.zeros((len(A), 6, 6))
-    H[:, :3, :3] = H[:, 3:, 3:] = A
-    H[:, :3, 3:] = -np.eye(3)
-    H[:, 3:, :3] = -(b[:, :, None] * b[:, None, :]) / 4.0
-    mu = np.concatenate([np.linalg.eigvals(H).real.T, lam.T])  # (9, B)
-    # lam_j (3, B), Q[i, j] component i of the eigenvector j (3, 3, B), b_i (3, B)
-    lam, Q, b = lam.T, np.ascontiguousarray(np.moveaxis(Q, 0, -1)), b.T
-    beta = _sum_first(Q, b[:, None]) / 2.0
-    gap = lam[:, None] - mu  # (3, 9, B): lam_j - mu_k
-    scale = np.maximum(1.0, np.maximum(np.abs(lam).max(axis=0), np.abs(beta).max(axis=0)))
-    w = -beta[:, None] / np.where(np.abs(gap) <= 1e-12 * scale, np.inf, gap)
-    lam_w = w[:, 6:]  # the w(lam_j), which the hard case completes along e_j
-    fill = np.sqrt(np.maximum(0.0, 1.0 - _sum_first(lam_w, lam_w)))
-    W = np.concatenate([w, lam_w[:, _PAIR] + fill[_PAIR] * _COMPLETION], axis=1)
-    norm = np.sqrt(_sum_first(W, W))
-    valid = norm > 0.0
-    W /= np.where(valid, norm, 1.0)
-    # v_i = sum_j W_j Q[i, j], the candidates in the original coordinates
-    return _sum_first(W, Q.swapaxes(0, 1)[:, :, None]), valid
+# Newton steps per multiplier at most.  Rows take 1 or 2 on the central fiber
+# and up to about 15 elsewhere, the most where beta at the pole is many orders
+# below |beta| and the iterates first climb away from the pole.
+_NEWTON_STEPS = 40
+_TINY = float(np.finfo(float).tiny)
+# The eigen-index of the pole lam_1 of the minimum and lam_3 of the maximum, on (j, (min, max)).
+_POLE = ([0, 2], [0, 1])
 
 
 def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     """Minima and maxima of v.A v + b.v + c0 on S^2, stacked, and their points.
 
     A (B, 3, 3), b (B, 3) and c0 (B,) carry one leading stack axis.  The
-    candidates of :func:`_sphere_kkt_points` are scored and picked like they
-    are made, with the stack axis last and every sum over an index of length
-    3 written out, so a row gets the same bits alone as in any stack.  Returns
-    the extremal points (3, 2B), the minima's then the maxima's, and their
-    values (2B,).
+    minima and maxima share one (min, max) axis: the maximum is the minimum
+    of -A, -b, whose pole is lam_3 and whose gaps lam_3 - lam_j keep A's
+    eigen-order.  Each multiplier is solved for as its distance t >= 0 below
+    the pole, which keeps the digits of w at the pole when t is tiny.  There
+    1/|w(t)| is concave and increasing, so Newton's method from t = |beta|,
+    at or right of the root, steps to its left and from there climbs
+    monotonically onto it.  No step goes below max_j (|beta_j| - gap_j),
+    where some |w_j| >= 1, so still left of the root, nor below ``_TINY``,
+    which stands for the pole itself.  A row stops when its first step does
+    not move it or a later one does not climb, or after ``_NEWTON_STEPS``,
+    and is then frozen.  Returns the extremal points (3, 2B), the minima's
+    then the maxima's, and their values (2B,).
     """
-    V, valid = _sphere_kkt_points(A, b)
-    A, b = np.moveaxis(A, 0, -1), b.T
-    VA = _sum_first(V, A[:, :, None])  # (V A)_j = sum_i V_i A_ij
-    quad, Vb = _sum_first(VA, V), _sum_first(V, b)
+    lam, Q = np.linalg.eigh(A)
+    lam, Q, A, b = lam.T, np.ascontiguousarray(np.moveaxis(Q, 0, -1)), np.moveaxis(A, 0, -1), b.T
+    beta = _sum_first(Q, b[:, None]) / 2.0
+    # (3, 2, B): eigen-index j, (min, max), stack.  The maximum is the minimum
+    # of -A, -b, whose pole is lam_3: gap_j = lam_j - lam_1 or lam_3 - lam_j.
+    gap, beta = np.stack([lam - lam[0], lam[2] - lam], axis=1), np.stack([beta, -beta], axis=1)
+    floor = np.maximum((np.abs(beta) - gap).max(axis=0), _TINY)
+    t = np.maximum(np.sqrt(_sum_first(beta, beta)), _TINY)
+    active = np.ones(t.shape, dtype=bool)
+    for step in range(_NEWTON_STEPS):
+        # Newton on 1/|w(t)| = 1, w_j = beta_j/d_j: t += |w|^2 (|w| - 1) / sum_j w_j^2/d_j
+        d = gap + t
+        w = beta / d
+        s2, q = _sum_first(w, w), np.maximum(_sum_first(w, w / d), _TINY)
+        t_next = np.maximum(t + s2 * (np.sqrt(s2) - 1.0) / q, floor)
+        active &= t_next > t if step else t_next != t
+        np.copyto(t, t_next, where=active)
+        if not active.any():
+            break
+    # the completion of w at the pole along its eigenvector, with the sign that
+    # lowers the value; gaps within rounding of 0 are the pole's too
+    scale = np.maximum(np.maximum(1.0, np.abs(beta).max(axis=0)), np.maximum(np.abs(lam[0]), np.abs(lam[2])))
+    fill = -beta / np.where(gap <= 1e-12 * scale, np.inf, gap)
+    fill[_POLE] = np.where(beta[_POLE] > 0.0, -1.0, 1.0) * np.sqrt(np.maximum(0.0, 1.0 - _sum_first(fill, fill)))
+    W = np.stack([-beta / (gap + t), fill], axis=1)  # (3, 2 candidates, 2, B)
+    norm = np.sqrt(_sum_first(W, W))
+    W /= np.where(norm > 0.0, norm, 1.0)
+    # v_i = sum_j Q[i, j] W_j, the candidates in the original coordinates
+    V = _sum_first(W[:, None], Q.swapaxes(0, 1)[:, :, None, None])
+    VA = _sum_first(V, A[:, :, None, None])  # (V A)_j = sum_i V_i A_ij
+    quad, Vb = _sum_first(VA, V), _sum_first(V, b[:, None, None])
     K = quad + Vb + c0
     # the KKT residual |A v + b/2 - (v.A v + b.v/2) v| of every candidate
-    r = VA + b[:, None] / 2.0 - (quad + Vb / 2.0) * V
-    kkt = np.sqrt(_sum_first(r, r))
-    tie = 1e-12 * np.maximum(1.0, np.abs(np.where(valid, K, 0.0)).max(axis=0))
-
-    def pick(x):
-        # Spurious multipliers next to a multiple eigenvalue of A give points
-        # within rounding of a true KKT point; the exact one is the most
-        # stationary of the tied candidates.  Equally stationary ones, such as
-        # both poles of a rounding-sized b, are told apart by the value itself
-        # (the lower for the minimum, the higher for the maximum), so the order
-        # of the candidates never picks the value.
-        x = np.where(valid, x, np.inf)
-        residual = np.where(x <= x.min(axis=0) + tie, kkt, np.inf)
-        x[residual > residual.min(axis=0)] = np.inf
-        return np.argmin(x, axis=0)
-
-    i, rows = np.concatenate([pick(K), pick(-K)]), np.tile(np.arange(len(c0)), 2)
-    return V[:, i, rows], K[i, rows]
+    r = VA + b[:, None, None] / 2.0 - (quad + Vb / 2.0) * V
+    return _pick(V, K, np.sqrt(_sum_first(r, r)), norm > 0.0)
 
 
+def _pick(V: np.ndarray, K: np.ndarray, kkt: np.ndarray, valid: np.ndarray):
+    """The better of the two candidates of each extremum: points (3, 2B) and values (2B,).
+
+    V (3, 2, 2, B), and K, the KKT residuals kkt and the mask valid of the
+    candidates that are points of the sphere (2, 2, B), are laid out
+    (candidate, (min, max), stack).  Within 1e-12 of each other two values
+    tie: the candidate within rounding of a KKT point is the more stationary
+    one.  Equally stationary ones, such as both poles of a rounding-sized b,
+    are told apart by the value itself, so the candidates' order never picks
+    the value.
+    """
+    x = np.where(valid, K * np.array([1.0, -1.0])[:, None], np.inf)  # lower is better
+    tie = 1e-12 * np.maximum(1.0, np.maximum(np.abs(K[0]), np.abs(K[1])))
+    second = np.where((np.abs(x[1] - x[0]) <= tie) & (kkt[1] != kkt[0]), kkt[1] < kkt[0], x[1] < x[0])
+    return np.where(second, V[:, 1], V[:, 0]).reshape(3, -1), np.where(second, K[1], K[0]).reshape(-1)
