@@ -166,13 +166,16 @@ class _LapackCalls:
 
 
 def test_fiber_block_factors_its_metrics_without_lapack(monkeypatch):
-    # the one LAPACK call of a block is the S^2 solve's eigh of its Bloch quadratics
+    # the one LAPACK call of a block is the S^2 solve's eigh of its Bloch quadratics,
+    # on 256 samples and on the block a sweep solves at once
     model = Hitchin.make(3, "1/21")
-    t = np.linspace(0.0, 1.0, 256)
     lapack = _LapackCalls(monkeypatch)
-    K, _, _, converged = optimize._fiber_cells(model, t)
-    assert lapack.calls == {"eigh": 1}
-    assert converged.all() and K.shape == (256, 2)
+    for size in (256, optimize._FIBER_BLOCK):
+        t = np.linspace(0.0, 1.0, size)
+        lapack.calls.clear()
+        K, _, _, converged = optimize._fiber_cells(model, t)
+        assert lapack.calls == {"eigh": 1}
+        assert converged.all() and K.shape == (size, 2)
 
 
 def test_curvature_factors_its_metric_once(monkeypatch, capsys):

@@ -238,8 +238,13 @@ def test_sphere_candidates_hold_the_extrema(kind):
     A, b, c0 = _sphere_problems([kind], P)
     V, K = sphere._sphere_extrema(A, b, c0)
     assert V.shape == (3, 2 * P) and K.shape == (2 * P,)
-    # a unit w mapped through the computed eigenbasis: up to 1.1e-15 on the generic kind
-    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0.0, atol=2e-15)
+    # A unit w mapped through the computed eigenbasis: 1e-15 on seeds 0..199 of
+    # each extremum, 2e-15 on the rest, where the 15 candidates' own points of
+    # the generic kind reach 1.2e-15.
+    first = np.r_[:200, P : P + 200]
+    off = np.abs(np.linalg.norm(V, axis=0) - 1.0)
+    assert np.all(off[first] <= 1e-15)
+    assert np.all(off <= 2e-15)
     lo_54, hi_54 = _extrema(A, b, c0, *_kkt_points_54(A, b))
     want = np.concatenate([lo_54, hi_54])
     assert np.all(np.abs(K - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
