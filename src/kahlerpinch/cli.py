@@ -113,16 +113,20 @@ def _parse_point(text: str, model: MetricModel) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _named_points(texts):
-    """A degenerate metric at row i of a stack of command-line points as a usage error naming it.
+def _named_points(texts, points):
+    """A degenerate metric at row i of a stack of points as a usage error naming it.
 
-    A curvature that is not real at row i, lost to cancellation far out in
+    ``texts`` are the points as given on the command line, or None for a
+    command's default ``points``, which are named by their coordinates.  A
+    curvature that is not real at row i, lost to cancellation far out in
     the chart (``_ResidueError``), is reported the same way.
     """
     try:
         yield
-    except (DegenerateMetricError, _ResidueError) as exc:  # default points are in range for every model
-        raise UsageError(f"point {texts[exc.row]!r} is out of numerical range: {exc}") from exc
+    except (DegenerateMetricError, _ResidueError) as exc:
+        default = ",".join(format(c, "g") for c in points[exc.row])
+        name = f"point {texts[exc.row]!r}" if texts else f"default point {default!r}"
+        raise UsageError(f"{name} is out of numerical range: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -271,7 +275,7 @@ def cmd_berger(args):
     bracket = None
     if isinstance(model, Hitchin):
         bracket = tuple(float(x) for x in hirzebruch.scalar_bounds(model.n, model.s))
-    with _sized("--samples", args.samples), _named_points(args.point):
+    with _sized("--samples", args.samples), _named_points(args.point, points):
         rows = berger_vs_trace(model, points, cfg, bracket=bracket)
     passed = all(r.consistent(args.zmax) and r.within_bracket is not False for r in rows)
     results = {
@@ -330,7 +334,7 @@ def cmd_curvature(args):
     model = _model_option("--model", args.model)
     m = model.dimension
     z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
-    with _named_points([args.point]):
+    with _named_points(args.point and [args.point], [z]):
         jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
     R, ginv = curvature_tensor(jet), _stack_first(jet._factors.inverse, ())
     ric = _ricci(R, ginv)

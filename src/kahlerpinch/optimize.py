@@ -23,7 +23,9 @@ scored on all of them at once, and one trust-region Newton search (More and
 Sorensen 1983) with the analytic gradient and Hessian runs from every row's
 best starts, each in an affine chart of the direction space: a stacked local
 search with no global guarantee, which converges quadratically to residuals
-at rounding, in which no row depends on another.  Curvature at many
+at rounding, in which no row depends on another.  A trust-region step on the
+boundary solves the S^2 solve's secular equation, with the one root finder
+of :mod:`kahlerpinch.sphere` (``_secular_root``).  Curvature at many
 directions is one real quadratic form per tensor in the m^2 real coordinates
 of xi xi*, scored by one ``_HSCScorer`` per call as a matrix product over
 blocks of directions and over a stack of tensors; ``batch_hsc`` and the
@@ -54,7 +56,7 @@ from .geometry import (
 )
 from .hirzebruch import hsc_coefficients, require_admissible
 from .models import _S_RANGE, Hitchin
-from .sphere import _sphere_extrema
+from .sphere import _secular_root, _sphere_extrema
 
 __all__ = [
     "DirectionExtrema",
@@ -106,8 +108,6 @@ _EPS = float(np.finfo(float).eps)
 _GRADIENT_TOL = 1e-12
 # Evaluations of one general-dimension Newton search.
 _MAX_ITER = 100
-# Newton steps on the trust-region boundary equation.
-_TRUST_REGION_ITER = 50
 # Interior samples of the bracket per round of the fiber refine.
 _ZOOM = 16
 # The fiber refine stops once its bracket is within twice this width in t.
@@ -514,12 +514,14 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: np.ndarray) -> np.n
 
     For each row of g (B, n), H (B, n, n) and radius (B,), in the eigenbasis
     of H, p = -(H + mu I)^-1 g for the least mu >= max(0, -lambda_min) that
-    puts p in the region.  On the boundary, mu = max(0, -lambda_min) + shift
-    solves |p| = radius, by Newton steps on 1/|p| kept inside a bracket by
-    geometric bisection, taken together by the boundary rows until each one
-    meets its test.  Shifts below the rounding of the eigenvalues are zero:
-    if p stays inside the region there (the hard case), it is completed to
-    the boundary along the eigenvector of lambda_min.
+    puts p in the region.  Rows whose Newton step -H^-1 g lies inside take
+    it.  On the boundary, p/radius = -beta/(gap + t) with gap = lambda -
+    lambda_min, beta = a/radius and t = lambda_min + mu: the S^2 solve's
+    secular equation, whose one root finder
+    (:func:`~kahlerpinch.sphere._secular_root`) solves it with low =
+    lambda_min, so that mu = t - lambda_min >= 0.  If p stays inside the
+    region at its floor (the hard case), it is completed to the boundary
+    along the eigenvector of lambda_min.
     """
     lam, Q = np.linalg.eigh(H)
     a = np.einsum("kji,kj->ki", Q, g)
@@ -527,30 +529,14 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: np.ndarray) -> np.n
     inside = lam[:, 0] > 0.0
     p[inside] = -a[inside] / lam[inside]
     rows = np.flatnonzero(~inside | (_dot(p, p) > radius**2))
-    a, lam, r = a[rows], lam[rows], radius[rows]
-    gap = lam - np.minimum(0.0, lam[:, :1])
-    hi = np.sqrt(_dot(a, a)) / r  # |p| <= radius at this shift
-    lo = _EPS * (np.abs(lam).max(axis=1) + hi)
-    q = -a / (gap + lo[:, None])
-    short = r**2 - _dot(q, q)
-    hard = short >= 0.0
-    q[hard, 0] = -np.copysign(np.sqrt(q[hard, 0] ** 2 + short[hard]), a[hard, 0])
-    p[rows[hard]] = q[hard]
-    rows, a, gap, r, lo, hi = (y[~hard] for y in (rows, a, gap, r, lo, hi))
-    shift = hi
-    for _ in range(_TRUST_REGION_ITER):
-        q = -a / (gap + shift[:, None])
-        norm = np.sqrt(_dot(q, q))
-        lo, hi = np.where(norm > r, shift, lo), np.where(norm > r, hi, shift)
-        shift = shift + (norm / r - 1.0) * norm**2 / _dot(q * q, 1.0 / (gap + shift[:, None]))
-        shift = np.where((lo < shift) & (shift < hi), shift, np.sqrt(lo * hi))
-        # Rows that meet the test keep this q and leave the loop.
-        open_ = np.abs(norm - r) > 1e-12 * r
-        p[rows[~open_]] = q[~open_]
-        rows, a, gap, r, lo, hi, shift = (y[open_] for y in (rows, a, gap, r, lo, hi, shift))
-        if not len(rows):
-            break
-    p[rows] = -a / (gap + hi[:, None])
+    lam, beta, r = lam[rows].T, a[rows].T / radius[rows], radius[rows]
+    gap = lam - lam[0]
+    # p/radius with contiguous rows, like p, so that _dot sums a row in one order in any stack
+    w = (-beta / (gap + _secular_root(gap, beta, lam[0]))).T.copy()
+    short = 1.0 - _dot(w, w)
+    hard = short > 0.0
+    w[hard, 0] = -np.copysign(np.sqrt(w[hard, 0] ** 2 + short[hard]), beta[0, hard])
+    p[rows] = r[:, None] * w
     return np.einsum("kij,kj->ki", Q, p)
 
 

@@ -15,6 +15,13 @@ candidates are told apart by stationarity, then by value, never by their
 order.  The other seven multipliers of each quadratic cannot win, so none of
 them is computed.
 
+This secular equation has one root finder in the package,
+:func:`_secular_root`, which solves for the distance t >= max(low, tiny) of
+the multiplier below the pole.  The S^2 solve calls it with low = 0.  The
+trust-region step of :func:`kahlerpinch.optimize.minimize` calls it for its
+boundary rows with low = lam_1 of their Hessian, so that its shift
+t - lam_1 is not negative, and completes a hard case the same way.
+
 The solve is stacked over quadratics.  Its one LAPACK call, ``eigh`` of A,
 takes the stack axis first; everything after it keeps it last, as
 elementwise arithmetic on (..., B) arrays whose sums over index axes of
@@ -33,9 +40,10 @@ from .geometry import _sum_first
 
 __all__: list[str] = []
 
-# Newton steps per multiplier at most.  Rows take 1 or 2 on the central fiber
+# Newton steps per root at most.  S^2 rows take 1 or 2 on the central fiber
 # and up to about 15 elsewhere, the most where beta at the pole is many orders
-# below |beta| and the iterates first climb away from the pole.
+# below |beta| and the iterates first climb away from the pole; the
+# trust-region rows of the Hitchin products take 1 to 13, most of them 2 to 4.
 _NEWTON_STEPS = 40
 _TINY = float(np.finfo(float).tiny)
 # The eigen-index of the pole lam_1 of the minimum and lam_3 of the maximum, on (j, (min, max)).
@@ -49,15 +57,9 @@ def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     minima and maxima share one (min, max) axis: the maximum is the minimum
     of -A, -b, whose pole is lam_3 and whose gaps lam_3 - lam_j keep A's
     eigen-order.  Each multiplier is solved for as its distance t >= 0 below
-    the pole, which keeps the digits of w at the pole when t is tiny.  There
-    1/|w(t)| is concave and increasing, so Newton's method from t = |beta|,
-    at or right of the root, steps to its left and from there climbs
-    monotonically onto it.  No step goes below max_j (|beta_j| - gap_j),
-    where some |w_j| >= 1, so still left of the root, nor below ``_TINY``,
-    which stands for the pole itself.  A row stops when its first step does
-    not move it or a later one does not climb, or after ``_NEWTON_STEPS``,
-    and is then frozen.  Returns the extremal points (3, 2B), the minima's
-    then the maxima's, and their values (2B,).
+    the pole (:func:`_secular_root` with low = 0), which keeps the digits of
+    w at the pole when t is tiny.  Returns the extremal points (3, 2B), the
+    minima's then the maxima's, and their values (2B,).
     """
     lam, Q = np.linalg.eigh(A)
     lam, Q, A, b = lam.T, np.ascontiguousarray(np.moveaxis(Q, 0, -1)), np.moveaxis(A, 0, -1), b.T
@@ -65,19 +67,7 @@ def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     # (3, 2, B): eigen-index j, (min, max), stack.  The maximum is the minimum
     # of -A, -b, whose pole is lam_3: gap_j = lam_j - lam_1 or lam_3 - lam_j.
     gap, beta = np.stack([lam - lam[0], lam[2] - lam], axis=1), np.stack([beta, -beta], axis=1)
-    floor = np.maximum((np.abs(beta) - gap).max(axis=0), _TINY)
-    t = np.maximum(np.sqrt(_sum_first(beta, beta)), _TINY)
-    active = np.ones(t.shape, dtype=bool)
-    for step in range(_NEWTON_STEPS):
-        # Newton on 1/|w(t)| = 1, w_j = beta_j/d_j: t += |w|^2 (|w| - 1) / sum_j w_j^2/d_j
-        d = gap + t
-        w = beta / d
-        s2, q = _sum_first(w, w), np.maximum(_sum_first(w, w / d), _TINY)
-        t_next = np.maximum(t + s2 * (np.sqrt(s2) - 1.0) / q, floor)
-        active &= t_next > t if step else t_next != t
-        np.copyto(t, t_next, where=active)
-        if not active.any():
-            break
+    t = _secular_root(gap, beta, 0.0)
     # the completion of w at the pole along its eigenvector, with the sign that
     # lowers the value; gaps within rounding of 0 are the pole's too
     scale = np.maximum(np.maximum(1.0, np.abs(beta).max(axis=0)), np.maximum(np.abs(lam[0]), np.abs(lam[2])))
@@ -94,6 +84,38 @@ def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     # the KKT residual |A v + b/2 - (v.A v + b.v/2) v| of every candidate
     r = VA + b[:, None, None] / 2.0 - (quad + Vb / 2.0) * V
     return _pick(V, K, np.sqrt(_sum_first(r, r)), norm > 0.0)
+
+
+def _secular_root(gap: np.ndarray, beta: np.ndarray, low) -> np.ndarray:
+    """The distance t >= max(low, tiny) below the pole at which |beta/(gap + t)| = 1, stacked.
+
+    gap (n, ...) >= 0, the distances of the eigenvalues from the pole, and
+    beta (n, ...) take the index axis first; low, a lower bound on t, and
+    the result are stacked over the rest.  There 1/|w(t)|, w = beta/(gap +
+    t), is concave and increasing, so Newton's method from t = |beta|, at or
+    right of the root, steps to its left and from there climbs monotonically
+    onto it.  No step goes below max_j (|beta_j| - gap_j), where some
+    |w_j| >= 1, so still left of the root, nor below low or ``_TINY``, which
+    stands for the pole itself.  A row stops when its first step does not
+    move it or a later one does not climb, or after ``_NEWTON_STEPS``, and is
+    then frozen.  Without a root above the floor (the hard case) a row stops
+    at the floor with |w| < 1, which the caller completes along the pole's
+    eigenvector.
+    """
+    floor = np.maximum(np.maximum((np.abs(beta) - gap).max(axis=0), low), _TINY)
+    t = np.maximum(np.sqrt(_sum_first(beta, beta)), _TINY)
+    active = np.ones(t.shape, dtype=bool)
+    for step in range(_NEWTON_STEPS):
+        # Newton on 1/|w(t)| = 1, w_j = beta_j/d_j: t += |w|^2 (|w| - 1) / sum_j w_j^2/d_j
+        d = gap + t
+        w = beta / d
+        s2, q = _sum_first(w, w), np.maximum(_sum_first(w, w / d), _TINY)
+        t_next = np.maximum(t + s2 * (np.sqrt(s2) - 1.0) / q, floor)
+        active &= t_next > t if step else t_next != t
+        np.copyto(t, t_next, where=active)
+        if not active.any():
+            break
+    return t
 
 
 def _pick(V: np.ndarray, K: np.ndarray, kkt: np.ndarray, valid: np.ndarray):

@@ -265,6 +265,8 @@ def test_verify_corrupted_tolerance_fails(capsys):
         (["sweep-s", "--n", str(10**155), "--points", "5"], 2),
         (["pinch", "--n", str(10**74), "--grid", "16"], 1),
         (["sweep-s", "--n", str(10**74), "--points", "5"], 1),
+        # the origin of s = 1e-150 is in range, where berger's second default point is not
+        (["curvature", "--model", "product:fs1:hitchin:1:1e-150"], 1),
     ],
 )
 def test_exit_code_contract(capsys, argv, code):
@@ -317,6 +319,9 @@ def test_exit_code_contract(capsys, argv, code):
          "point '1e4,1e4' is out of numerical range: sectional curvature form"),
         (["berger", "--model", "hitchin:2:1/10", "--point", "0.1,0.2", "--point", "1e4,1e4"],
          "point '1e4,1e4' is out of numerical range: sectional curvature form"),
+        # with no --point, the default point out of range is named by its coordinates
+        (["berger", "--model", "product:fs1:hitchin:1:1e-150", "--samples", "50"],
+         "default point '0.7+0.21j,-0.4-0.12j,0.25+0.075j' is out of numerical range"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):

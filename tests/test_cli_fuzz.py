@@ -24,6 +24,7 @@ MODELS = [
     "hitchin:1:1e-300", "hitchin:2:1e-100", "hitchin:1:1e300", "hitchin:99:1/3",
     "hitchin:1", "hitchin:x:1/3",
     "product:fs1:fs1", "product:fs1:fs2", "product:fs3:fs2", "product:hitchin:1:1/3:fs1", "product:fs1",
+    "product:fs1:hitchin:1:1e-150", "product:hitchin:1:1e-150:fs2",
     "product:", "product:fs1:fs1:fs1",
     '{"kind": "fubini_study", "m": 2}', '{"kind": "hitchin", "n": 1, "s": "1/3"}',
     '{"kind": "torus"}', "{}", "{not json", "[1]", "", "torus9",
@@ -127,6 +128,8 @@ def _run(argv):
 # sample buffers numpy refuses to allocate: a parameter error, not a traceback
 @example(["berger", "--model", "fs2", "--samples", str(2**62)])
 @example(["verify", "--n-max", "1", "--grid", "16", "--samples", str(2**62)])
+# a default point out of numerical range: named in a usage error
+@example(["berger", "--model", "product:fs1:hitchin:1:1e-150", "--samples", "50"])
 def test_cli_never_crashes(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)

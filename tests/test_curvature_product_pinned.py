@@ -10,7 +10,11 @@ by at most 1.5e-14 relative, or stayed at its rounding floor; CHANGES.md
 lists them.  Two curvature rows and two product rows were re-pinned when the
 S^2 solve came to take each extremum from its one multiplier that can win:
 every value moved by at most 4e-14 relative, the product rows through the
-extrema of fs2, whose Bloch quadratic is constant to rounding.  Scalar results are
+extrema of fs2, whose Bloch quadratic is constant to rounding.  One curvature
+row was re-pinned when the trust-region step of the m >= 3 search came to
+take its boundary shift from the S^2 solve's root finder: product:fs1:hitchin:1:1/5
+at 0.2,0.1,0.7j, hsc_min 1.7744605848409578 -> 1.7744605848409576 (1 ulp,
+1.3e-16), and the hash of its CSV.  Scalar results are
 pinned by ``repr``, list-valued results by the sha256 of their ``repr``, and
 the `--format csv` output by its sha256.
 """
@@ -41,7 +45,9 @@ CURVATURE = [
     # then 2.960556773594355 -> 2.960556773594348 (16 ulps, 2.4e-15) with the two-candidate S^2 solve.
     ("hitchin:3:1/21", "0.2,1.5", {"scalar_curvature": 41.99969226930075, "hsc_min": 2.960556773594348, "hsc_max": 84.0000000000004, "max_symmetry_violation": 1.3010426069826053e-18}, ("57c7e122bf9a8101eeda66118accf886f77403e4755c386003c31076c74b9b09", "5882ed6c5cb9ac7c34ec536d1ca3901b1dd2d82d502660ceda471d5115c992c2", "2cf5ad8d28d1397796c3a559d91b4490086b2b18a2c05246213cb1cad0335268"), "6f4b159e68bce9b8379ee1915d8c6cd4597939c1ea10f545b2389417f1e8543a"),
     ("product:fs2:fs2", "0.1,0.2j,0.3,0.4", {"scalar_curvature": 12.000000000000004, "hsc_min": 1.9999999999999993, "hsc_max": 4.000000000000001, "max_symmetry_violation": 1.3877787807814457e-17}, ("cbe233d49a92af8beda8a75932060ec0d9b42a38d3971c192360a7b4040fdbf4", "0ab65954a031921c519df2da91bcad8c7a76c9303ec627c5e74acdd341260ece", "e2363353f02db28037ce2ebb928993a9c233ba7e5bb56e63edb346b9a02fccdf"), "dedc972887cc5e331186f71b7091671767cfc9c5b77e39aa3d4d1cbc694d47e1"),
-    ("product:fs1:hitchin:1:1/5", "0.2,0.1,0.7j", {"scalar_curvature": 14.373678025851937, "hsc_min": 1.7744605848409578, "hsc_max": 19.99999999999999, "max_symmetry_violation": 4.336808689942018e-18}, ("e3a9048020f15e8044ee2a9c3ebba0d51cb4bc0f531e126795bf42dd9c2d6cb3", "4ec55e159d9dc2401d8fee7eb88537c78820d4d019f676b4ae8ff2eff8bf5213", "f4facce1aa35a1638e4ca79751a6aa5ba42c2e0f1c0b13f741fa48f2d587288e"), "395f5c366aaf8f645133d719ad5525829845b5ab142444cb9ee730408443b4bf"),
+    # hsc_min and the CSV re-pinned when the trust-region step took its shift from
+    # sphere._secular_root: 1.7744605848409578 before (1 ulp).
+    ("product:fs1:hitchin:1:1/5", "0.2,0.1,0.7j", {"scalar_curvature": 14.373678025851937, "hsc_min": 1.7744605848409576, "hsc_max": 19.99999999999999, "max_symmetry_violation": 4.336808689942018e-18}, ("e3a9048020f15e8044ee2a9c3ebba0d51cb4bc0f531e126795bf42dd9c2d6cb3", "4ec55e159d9dc2401d8fee7eb88537c78820d4d019f676b4ae8ff2eff8bf5213", "f4facce1aa35a1638e4ca79751a6aa5ba42c2e0f1c0b13f741fa48f2d587288e"), "7d7ffb4955f6573cddc3936e0a32bbcf0b2da0a0b2dc466e2816fea2cad0ebbf"),
 ]
 
 # (left, right, results, sha256 of the CSV), all of `product --seed 12345`.

@@ -261,15 +261,50 @@ def test_sphere_candidates_hold_the_extrema(kind):
         assert K.max() <= hi[p] + 1e-12 * scale
 
 
+def _exact_sphere_extrema(A, b, c0, mp):
+    """Min and max of v.A v + b.v + c0 on S^2 at 50 digits, from the root in t of the secular equation.
+
+    In the eigenbasis of A, from ``mp.eigsy``, the minimum's point is w_j =
+    -beta_j/(gap_j + t), beta = Q^T b/2 and gap_j = lam_j - lam_1, at the root
+    t > 0 of |w(t)| = 1; the maximum is the minimum of -A, -b.  A graded
+    problem has beta_1 != 0, so the root exists.
+    """
+    with mp.workdps(50):
+        A, b = mp.matrix(A.tolist()), mp.matrix(b.tolist())
+        lam, Q = mp.eigsy(A)
+        beta = (Q.T * b) / 2
+        extrema = []
+        for sign, pole in ((1, 0), (-1, 2)):
+            gap = [sign * (lam[j] - lam[pole]) for j in range(3)]
+            bj = [sign * beta[j] for j in range(3)]
+            # Newton on 1/|w(t)| = 1 from t = |beta|, right of the root, kept above
+            # max_j (|beta_j| - gap_j), left of it: a concave increasing function
+            floor, t = max(abs(x) - g for x, g in zip(bj, gap)), mp.sqrt(mp.fsum(x * x for x in bj))
+            for _ in range(200):
+                w = [x / (g + t) for x, g in zip(bj, gap)]
+                s2, q = mp.fsum(x * x for x in w), mp.fsum(x * x / (g + t) for x, g in zip(w, gap))
+                t, t_last = max(t + s2 * (mp.sqrt(s2) - 1) / q, floor), t
+                if abs(t - t_last) <= mp.mpf(10) ** -45 * t:
+                    break
+            else:
+                raise AssertionError("the secular equation's Newton iteration did not converge")
+            v = Q * mp.matrix([-x / (g + t) for x, g in zip(bj, gap)])
+            extrema.append((v.T * A * v)[0] + (b.T * v)[0] + c0)
+        return [float(K) for K in extrema]
+
+
 def test_sphere_extrema_are_stationary_near_the_hard_case():
-    """b of 10^-1 .. 10^-13 along the pole: every extremum is stationary to rounding.
+    """b of 10^-1 .. 10^-13 along the pole: every extremum is stationary and exact to rounding.
 
     The multiplier's root then lies about as far below the pole as b there is
     small.  The 54-candidate reference, whose multipliers come from a 6 x 6
     eigenproblem and a 1e-12 gap rule, is up to 1.6e-11 worse there, so it
-    bounds the solve from one side only.
+    bounds the solve from one side only; the first 200 problems are also
+    compared two-sided with the exact extrema at 50 digits
+    (:func:`_exact_sphere_extrema`).
     """
-    P = 2000
+    mp = pytest.importorskip("mpmath")
+    P, exact = 2000, 200
     A, b, c0 = _sphere_problems(["graded"], P)
     V, K = sphere._sphere_extrema(A, b, c0)
     scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b).max(axis=1)))
@@ -277,6 +312,9 @@ def test_sphere_extrema_are_stationary_near_the_hard_case():
     lo_54, hi_54 = _extrema(A, b, c0, *_kkt_points_54(A, b))
     assert np.all(K[:P] <= lo_54 + 1e-14 * np.maximum(1.0, np.abs(lo_54)))
     assert np.all(K[P:] >= hi_54 - 1e-14 * np.maximum(1.0, np.abs(hi_54)))
+    want = np.array([_exact_sphere_extrema(A[p], b[p], float(c0[p]), mp) for p in range(exact)])
+    got = np.stack([K[:exact], K[P : P + exact]], axis=1)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale[:exact, None])
 
 
 @pytest.mark.parametrize(

@@ -621,10 +621,12 @@ def _trust_region_rows(rng, n, count):
     Built in an eigenbasis Q with eigenvalues lam and a = Q^T g: interior rows
     have lam > 0 and the Newton step well inside the region; boundary rows
     have an indefinite H, or the Newton step outside the region; hard-case
-    rows have lam_min < 0, a_min = 0 and the step (H - lam_min)^+ g inside.
+    rows have lam_min < 0, a_min = 0 and the step (H - lam_min)^+ g inside;
+    near-hard rows are hard-case rows with a_min = +-10^-k, k = 1 .. 13 in
+    turn, whose multiplier lies within about a_min of -lam_min.
     """
     cases = []
-    for case in ("interior", "boundary", "hard") * count:
+    for i, case in enumerate(("interior", "boundary", "hard", "near-hard") * count):
         Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         a = rng.standard_normal(n)
         if case == "interior":
@@ -636,7 +638,7 @@ def _trust_region_rows(rng, n, count):
             radius = rng.uniform(0.1, 0.9) * (np.linalg.norm(a / lam) if lam[0] > 0 else 2.0)
         else:
             lam = -rng.uniform(0.5, 2.0) + np.concatenate([[0.0], rng.uniform(0.5, 3.0, n - 1)])
-            a[0] = 0.0
+            a[0] = 0.0 if case == "hard" else rng.choice([-1.0, 1.0]) * 10.0 ** -(1 + i // 4 % 13)
             radius = np.linalg.norm(a[1:] / (lam[1:] - lam[0])) * rng.uniform(1.2, 3.0)
         cases.append((case, Q @ a, (Q * lam) @ Q.T, radius))
     order = rng.permutation(len(cases))
@@ -652,14 +654,14 @@ def test_trust_region_step_meets_more_sorensen_conditions(n):
         norm = np.linalg.norm(p[k])
         Hp = H[k] @ p[k]
         # the multiplier of the step, zero inside the region
-        mu = 0.0 if norm < radius[k] * (1.0 - 1e-10) else -(p[k] @ (Hp + g[k])) / (p[k] @ p[k])
+        mu = 0.0 if norm < radius[k] * (1.0 - 1e-13) else -(p[k] @ (Hp + g[k])) / (p[k] @ p[k])
         lam_max = np.abs(np.linalg.eigvalsh(H[k])).max()
         scale = np.linalg.norm(g[k]) + lam_max * radius[k]
-        assert np.linalg.norm(Hp + mu * p[k] + g[k]) <= 1e-10 * scale, case[k]
+        assert np.linalg.norm(Hp + mu * p[k] + g[k]) <= 1e-13 * scale, case[k]
         assert mu >= 0.0, case[k]
-        assert abs(mu * (norm - radius[k])) <= 1e-10 * scale, case[k]
-        assert norm <= radius[k] * (1.0 + 1e-10), case[k]
-        assert np.linalg.eigvalsh(H[k] + mu * np.eye(n))[0] >= -1e-10 * lam_max, case[k]
+        assert abs(mu * (norm - radius[k])) <= 1e-13 * scale, case[k]
+        assert norm <= radius[k] * (1.0 + 1e-13), case[k]
+        assert np.linalg.eigvalsh(H[k] + mu * np.eye(n))[0] >= -1e-13 * lam_max, case[k]
         assert (mu == 0.0) == (case[k] == "interior"), case[k]
 
 
