@@ -89,6 +89,8 @@ def _parse_model(text: str) -> MetricModel:
         if text.startswith("fs"):
             return FubiniStudy(int(text[2:]))
         if text.startswith("hitchin:"):
+            if text.count(":") != 2:
+                raise ValueError("expected hitchin:<n>:<s>")
             _, n, s = text.split(":")
             return Hitchin.make(int(n), _parse_s(s))
     except ValueError as exc:  # json.JSONDecodeError included
@@ -333,7 +335,7 @@ def cmd_product(args):
 def cmd_curvature(args):
     model = _model_option("--model", args.model)
     m = model.dimension
-    z = _parse_point(args.point, model) if args.point else np.zeros(m, dtype=complex)
+    z = _parse_point(args.point, model) if args.point is not None else np.zeros(m, dtype=complex)
     with _named_points(args.point and [args.point], [z]):
         jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
     R, ginv = curvature_tensor(jet), _stack_first(jet._factors.inverse, ())

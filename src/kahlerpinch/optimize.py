@@ -33,9 +33,13 @@ Berger sphere average share it.
 The fiber sweep solves its grid, t = 1 included, through one stacked cell
 function, and refines an extreme cell inside the grid by zooming on the
 bracket of its grid neighbours: each round is one call of the same stacked
-solve on interior samples of the bracket.  Stationarity is certified through
-the analytic gradient of K, whose full Euclidean norm vanishes at extremal
-directions.
+solve on interior samples of the bracket.  A surface's extrema are certified
+by their duality gaps (:mod:`kahlerpinch.sphere`): each is within rounding of
+the true extremum of its rounded Bloch quadratic.  The stationarity residual,
+the norm of the analytic gradient of K, which vanishes at extremal
+directions, is reported for every dimension and certifies the local search
+of higher dimensions; the fiber sweep takes it only at the cells it can
+report.
 """
 from __future__ import annotations
 
@@ -388,52 +392,46 @@ def _bloch_direction(F: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([F[0, 0] * c0 + F[0, 1] * c1, F[1, 0] * c0 + F[1, 1] * c1], axis=-1)
 
 
-def _bloch_weights(v: np.ndarray) -> np.ndarray:
-    """Squared moduli (|c_0|^2, |c_1|^2) = ((1 + v_3)/2, (1 - v_3)/2) of the frame coordinates."""
-    return np.stack([(1.0 + v[..., 2]) / 2.0, (1.0 - v[..., 2]) / 2.0], axis=-1)
-
-
-def _direction_extrema(R, g, xi, K, floor=0.0) -> DirectionExtrema:
+def _direction_extrema(R, g, xi, K, certified=True) -> DirectionExtrema:
     """Residuals and convergence flags at given extremizers, stacked.
 
     xi (2, P, m) and K (2, P) hold the minima of the P points of (R, g), then
     their maxima.  Their residuals are one :func:`_residual` call, over which
-    R and g broadcast, so neither is copied for the two rows.  An extremum is
-    converged when its residual, and the solve's rounding ``floor``, are
-    within ``_RESIDUAL_TOL`` times max(1, |K|).
+    R and g broadcast, so neither is copied for the two rows.  A point is
+    converged when both its residuals are within ``_RESIDUAL_TOL`` times
+    max(1, |K|) and the solve ``certified`` it.
     """
     res = _residual(R, g, xi)
-    converged = np.all(np.maximum(res, floor) <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(K)), axis=0)
+    converged = np.all(res <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(K)), axis=0) & certified
     return DirectionExtrema(K[0], K[1], xi[0], xi[1], res[0], res[1], converged)
 
 
-def _extremize_surfaces(R: np.ndarray, g: np.ndarray, F: np.ndarray):
-    """Exact extrema of K over stacked two-dimensional tangent spaces.
+def _extremize_surfaces(R: np.ndarray, F: np.ndarray):
+    """Exact extrema of K over stacked two-dimensional tangent spaces, certified by their duality gaps.
 
-    In the orthonormal frame F of g, carried (2, 2, B), K is the Bloch quadratic of
-    :func:`_bloch_quadratic`, extremized by
+    In the orthonormal frame F of the metric, carried (2, 2, B), K is the
+    Bloch quadratic of :func:`_bloch_quadratic`, extremized by
     :func:`~kahlerpinch.sphere._sphere_extrema` with the stack axis last.
-    The rounding floor of the extrema, passed to :func:`_direction_extrema`,
-    is a few ulps of the largest value the quadratic's terms can take: K is a
-    sum of terms of that size, so its absolute error is no smaller.  R (B, 2,
-    2, 2, 2) and g (B, 2, 2) carry one leading stack axis, and a row gets the
-    same bits alone as in any stack.  The extremizers' directions and
-    residuals are one stacked call each, minima and maxima together, over
-    which F, R and g broadcast.
-    Returns the stacked DirectionExtrema and the Bloch vectors (B, 3) of its
-    extremizers, whose third component gives the frame weights.  g must be
-    known definite: the frame is not checked.
+    Its rounding floor is a few ulps of the largest value the quadratic's
+    terms can take: K is a sum of terms of that size, so its absolute error
+    is no smaller.  A point is converged when the duality gap of each of its
+    extrema is within the floor, so each is within rounding of the true
+    extremum of the rounded quadratic, and the floor is within
+    ``_RESIDUAL_TOL`` times max(1, |K|).  R (B, 2, 2, 2, 2) carries one
+    leading stack axis, and a row gets the same bits alone as in any stack.
+    Returns K (2, B), the minima then the maxima, the extremizers' Bloch
+    vectors (3, 2, B), whose third component gives the frame weights, and
+    the flags (B,).  The metric must be known definite: F is not checked.
     """
     A, b, c0 = _bloch_quadratic(R, F)
-    v, K = _sphere_extrema(A, b, c0)
+    v, K, gap = _sphere_extrema(A, b, c0)
     A, b = np.moveaxis(A, 0, -1), b.T  # views of the stack-last arrays of _bloch_quadratic
     floor = np.abs(c0) + np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])
     for entry in np.abs(A).reshape(9, -1):
         floor = floor + entry
-    P = len(g)
-    xi = _bloch_direction(F, v.reshape(3, 2, P))
-    ex = _direction_extrema(R, g, xi, K.reshape(2, P), _ROUNDING_ULPS * _EPS * floor)
-    return ex, v[:, :P].T, v[:, P:].T
+    floor, K = _ROUNDING_ULPS * _EPS * floor, K.reshape(2, -1)
+    converged = (gap.reshape(2, -1) <= floor) & (floor <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(K)))
+    return K, v.reshape(3, 2, -1), converged.all(axis=0)
 
 
 def _start_candidates(m: int, seed: int) -> np.ndarray:
@@ -603,10 +601,13 @@ def extremize_directions(R: np.ndarray, g: np.ndarray, seed: int = 0) -> Directi
     residuals the analytic K-gradient norms, at the returned extremizers, the
     numerical counterpart of the constrained stationarity conditions.  A row
     is flagged unconverged when either residual exceeds ``_RESIDUAL_TOL``
-    scaled by the curvature magnitude (for surfaces, also when the solve's
-    rounding floor does).  Both the exact solve and the Newton search reach
-    residuals near rounding, about 1e-12 relative, so that tolerance leaves a
-    wide margin.
+    scaled by the curvature magnitude.  Both the exact solve and the Newton
+    search reach residuals near rounding, about 1e-12 relative, so that
+    tolerance leaves a wide margin.  A surface's row is also flagged when
+    the duality gap of either extremum exceeds the rounding floor of its
+    quadratic, or that floor exceeds the same tolerance
+    (:func:`_extremize_surfaces`): its flag then says that each value is
+    within rounding of the true extremum of the rounded quadratic.
     """
     R, g = np.asarray(R, dtype=complex), np.asarray(g, dtype=complex)
     return _extremize_directions(R, g, _require_positive_definite(g).frame, seed)
@@ -619,8 +620,8 @@ def _extremize_directions(R: np.ndarray, g: np.ndarray, F: np.ndarray, seed: int
     """
     m = g.shape[-1]
     if m == 2:
-        ex, _, _ = _extremize_surfaces(R, g, F)
-        return ex
+        K, v, converged = _extremize_surfaces(R, F)
+        return _direction_extrema(R, g, _bloch_direction(F, v), K, converged)
     if m == 1:
         xi = np.concatenate([F[0].T, F[0].T])
     else:
@@ -688,16 +689,20 @@ def _fiber_cells(model: Hitchin, t: np.ndarray):
 
     Returns arrays over t with a last axis (min, max): K (samples, 2), the
     extremizers' weights (samples, 2, 2), read off their Bloch vectors,
-    residuals (samples, 2), and the convergence flags (samples,).
+    residuals (samples, 2), and the convergence flags (samples,).  A sweep
+    reports a cell only at the first lowest minimum, the first highest
+    maximum or the last sample of a call, so the directions and residuals
+    are computed on those rows alone, to the bits of the whole stack; the
+    other rows' residuals are NaN.
     """
     jet = model.fiber_jet(t)
-    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, jet._factors.frame)
-    return (
-        np.stack([ex.min_K, ex.max_K], axis=-1),
-        np.stack([_bloch_weights(v_min), _bloch_weights(v_max)], axis=-2),
-        np.stack([ex.min_residual, ex.max_residual], axis=-1),
-        ex.converged,
-    )
+    R, F = curvature_tensor(jet), jet._factors.frame
+    K, v, converged = _extremize_surfaces(R, F)
+    rows = [np.argmin(K[0]), np.argmax(K[1]), len(t) - 1]
+    residual = np.full((len(t), 2), np.nan)
+    residual[rows] = _residual(R[rows], jet.g[rows], _bloch_direction(F[..., rows], v[..., rows])).T
+    v3 = v[2].T  # the squared moduli of the frame coordinates are ((1 + v_3)/2, (1 - v_3)/2)
+    return K.T, np.stack([(1.0 + v3) / 2.0, (1.0 - v3) / 2.0], axis=-1), residual, converged
 
 
 def _zoom(model: Hitchin, j: int, sign: float, lo: float, hi: float, cell: tuple):

@@ -15,6 +15,16 @@ candidates are told apart by stationarity, then by value, never by their
 order.  The other seven multipliers of each quadratic cannot win, so none of
 them is computed.
 
+Each value comes with a certificate.  The problem has no duality gap (More
+and Sorensen 1983; Gander, Golub and von Matt 1989): for the multiplier
+lam_1 - t, t > 0, the Lagrangian's minimum over all of R^3, L(t) = c0 +
+lam_1 - t - sum_j beta_j^2/(gap_j + t), bounds the minimum from below and
+meets it at the root, and its mirror U(t) = c0 + lam_3 + t + sum_j
+beta_j^2/(gap_j + t) bounds the maximum from above.  At the t the solve
+ends with, K - L(t) and U(t) - K, the duality gaps, bound how far each
+returned value lies from the true extremum whether or not Newton's method
+has converged, up to the rounding of the two.
+
 This secular equation has one root finder in the package,
 :func:`_secular_root`, which solves for the distance t >= max(low, tiny) of
 the multiplier below the pole.  The S^2 solve calls it with low = 0.  The
@@ -59,7 +69,9 @@ def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     eigen-order.  Each multiplier is solved for as its distance t >= 0 below
     the pole (:func:`_secular_root` with low = 0), which keeps the digits of
     w at the pole when t is tiny.  Returns the extremal points (3, 2B), the
-    minima's then the maxima's, and their values (2B,).
+    minima's then the maxima's, their values (2B,) and their duality gaps
+    (2B,), K - L(t) of each minimum and U(t) - K of each maximum, from the t,
+    gap and beta the solve already holds.
     """
     lam, Q = np.linalg.eigh(A)
     lam, Q, A, b = lam.T, np.ascontiguousarray(np.moveaxis(Q, 0, -1)), np.moveaxis(A, 0, -1), b.T
@@ -83,7 +95,9 @@ def _sphere_extrema(A: np.ndarray, b: np.ndarray, c0: np.ndarray):
     K = quad + Vb + c0
     # the KKT residual |A v + b/2 - (v.A v + b.v/2) v| of every candidate
     r = VA + b[:, None, None] / 2.0 - (quad + Vb / 2.0) * V
-    return _pick(V, K, np.sqrt(_sum_first(r, r)), norm > 0.0)
+    V, K = _pick(V, K, np.sqrt(_sum_first(r, r)), norm > 0.0)
+    # the duality gaps K - L(t) and U(t) - K: sign (K - c0 - lam_pole) + t + sum_j beta_j^2/(gap_j + t)
+    return V, K, ((K.reshape(2, -1) - c0 - lam[::2]) * [[1.0], [-1.0]] + t + _sum_first(beta, beta / (gap + t))).reshape(-1)
 
 
 def _secular_root(gap: np.ndarray, beta: np.ndarray, low) -> np.ndarray:

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from kahlerpinch import optimize
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
 
 MASTER_SEED = 20250811
@@ -15,6 +16,23 @@ def no_leaked_threads():
     yield
     leaked = [t.name for t in threading.enumerate() if t not in before]
     assert not leaked, f"threads left running: {leaked}"
+
+
+@pytest.fixture(autouse=True)
+def finite_fiber_residuals(monkeypatch):
+    """Fail a fiber sweep that reports a residual it did not compute.
+
+    ``_fiber_cells`` takes residuals only on the rows a sweep can report and
+    leaves the others NaN, so a NaN in a report is a cell reported off those
+    rows.
+    """
+    report = optimize.PinchingReport
+
+    def checked(**fields):
+        assert np.isfinite(fields["lagrange_residual"]), fields["lagrange_residual"]
+        return report(**fields)
+
+    monkeypatch.setattr(optimize, "PinchingReport", checked)
 
 
 @pytest.fixture

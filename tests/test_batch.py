@@ -16,7 +16,7 @@ from kahlerpinch.geometry import (
     scalar_curvature,
 )
 from kahlerpinch.models import FubiniStudy, Hitchin, Product
-from kahlerpinch.optimize import _extremize_surfaces, batch_hsc, extremize_directions
+from kahlerpinch.optimize import _extremize_directions, _extremize_surfaces, batch_hsc, extremize_directions
 
 from conftest import MASTER_SEED, random_point
 
@@ -80,7 +80,7 @@ def test_stacked_jet_curvature_and_frame_match_rows(model, rng):
 def test_stacked_surface_extrema_match_rows(model, rng):
     z = _stack(model, rng)
     jet = model.metric_jet(z)
-    ex, _, _ = _extremize_surfaces(curvature_tensor(jet), jet.g, jet._factors.frame)
+    ex = _extremize_directions(curvature_tensor(jet), jet.g, jet._factors.frame, 0)
     for i, zi in enumerate(z):
         row = model.metric_jet(zi)
         one = extremize_directions(curvature_tensor(row)[None], row.g[None])
@@ -102,7 +102,9 @@ def test_stacked_surface_extrema_match_rows(model, rng):
 def test_bloch_weights_match_direction_weights(model, rng):
     z = _stack(model, rng, rows=12)
     jet = model.metric_jet(z)
-    ex, v_min, v_max = _extremize_surfaces(curvature_tensor(jet), jet.g, jet._factors.frame)
+    R, F = curvature_tensor(jet), jet._factors.frame
+    ex = _extremize_directions(R, jet.g, F, 0)
+    v_min, v_max = _extremize_surfaces(R, F)[1].transpose(1, 2, 0)
     for i in range(len(z)):
         for v, xi in ((v_min[i], ex.argmin[i]), (v_max[i], ex.argmax[i])):
             bloch = np.array([(1.0 + v[2]) / 2.0, (1.0 - v[2]) / 2.0])

@@ -322,6 +322,11 @@ def test_exit_code_contract(capsys, argv, code):
         # with no --point, the default point out of range is named by its coordinates
         (["berger", "--model", "product:fs1:hitchin:1:1e-150", "--samples", "50"],
          "default point '0.7+0.21j,-0.4-0.12j,0.25+0.075j' is out of numerical range"),
+        # an empty point is a point given, not the default one
+        (["curvature", "--model", "fs1", "--point", ""], "cannot parse point ''"),
+        # a hitchin descriptor with too many or too few fields names the form
+        (["curvature", "--model", "hitchin:1:1/3:4"], "cannot parse model 'hitchin:1:1/3:4': expected hitchin:<n>:<s>"),
+        (["curvature", "--model", "hitchin:1"], "cannot parse model 'hitchin:1': expected hitchin:<n>:<s>"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):

@@ -73,10 +73,10 @@ def test_fiber_jet_is_real_and_keeps_the_complex_bits(n, s):
         assert np.array_equal(factor, factor_ref)
     R, R_ref = curvature_tensor(jet), curvature_tensor(ref)
     assert _same_bits(R, R_ref)
-    ex, v_min, v_max = _extremize_surfaces(R, jet.g, jet._factors.frame)
-    ex_ref, v_min_ref, v_max_ref = _extremize_surfaces(R_ref, ref.g, ref._factors.frame)
-    values = _extrema_fields(ex) + (v_min, v_max)
-    for value, value_ref in zip(values, _extrema_fields(ex_ref) + (v_min_ref, v_max_ref)):
+    ex = _extremize_directions(R, jet.g, jet._factors.frame, 0)
+    ex_ref = _extremize_directions(R_ref, ref.g, ref._factors.frame, 0)
+    values = _extrema_fields(ex) + _extremize_surfaces(R, jet._factors.frame)
+    for value, value_ref in zip(values, _extrema_fields(ex_ref) + _extremize_surfaces(R_ref, ref._factors.frame)):
         assert _same_bits(value, value_ref)
 
 
