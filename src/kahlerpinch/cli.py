@@ -338,10 +338,11 @@ def cmd_curvature(args):
     z = _parse_point(args.point, model) if args.point is not None else np.zeros(m, dtype=complex)
     with _named_points(args.point and [args.point], [z]):
         jet = model.metric_jet(z)  # checked here, so the cores below take it unchecked
-    R, ginv = curvature_tensor(jet), _stack_first(jet._factors.inverse, ())
+        R, ginv = curvature_tensor(jet), _stack_first(jet._factors.inverse, ())
+        scalar = _scalar_curvature(R, ginv)
+        ex = _extremize_directions(R[None], jet.g[None], jet._factors.frame, args.seed)
     ric = _ricci(R, ginv)
     sym = check_symmetries(R, jet)
-    ex = _extremize_directions(R[None], jet.g[None], jet._factors.frame, args.seed)
     components = [
         {"i": i, "j": j, "k": k, "l": l, "value": _c2j(R[i, j, k, l])}
         for i, j, k, l in np.ndindex(R.shape)
@@ -351,7 +352,7 @@ def cmd_curvature(args):
         "g": [[_c2j(v) for v in row] for row in jet.g],
         "curvature_components": components,
         "ricci_eigenvalues": [float(v) for v in np.linalg.eigvalsh(ric)],
-        "scalar_curvature": _scalar_curvature(R, ginv),
+        "scalar_curvature": scalar,
         "hsc_min": ex.min_K[0],
         "hsc_max": ex.max_K[0],
         "max_symmetry_violation": sym.max_violation,

@@ -250,7 +250,7 @@ def _cholesky_factors(g: np.ndarray) -> tuple[_Factors | None, np.ndarray]:
 
 def _stack_first(a: np.ndarray, batch: tuple) -> np.ndarray:
     """Contiguous copy of a stack-last (..., N) array, its stack axis first as the leading axes ``batch``."""
-    return a.reshape(-1, a.shape[-1]).T.copy().reshape(batch + a.shape[:-1])
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).T.copy().reshape(batch + a.shape[:-1])
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ derivatives of its real kernel; :func:`log_jet` takes the barred ones as
 their conjugates.
 
 Each model jet is checked finite and positive definite once per stack, where
-it is made: a model's ``metric_jet`` and :meth:`Hitchin.fiber_jet` hand their
-unchecked rows to :func:`_jet_on_rows`, which checks the whole stack and keeps
-the inverse and orthonormal frame of its metrics that the check computes, so
+it is made: a model's ``metric_jet`` and :meth:`Hitchin.fiber_jet`, whose
+block of samples in both charts is one kernel stack, hand their unchecked
+rows to :func:`_jet_on_rows`, which checks the whole stack and keeps the
+inverse and orthonormal frame of its metrics that the check computes, so
 the curvature, the direction searches and the Berger average never factor a
 metric again.  A product is checked and factored on its product stack, not
 factor by factor; :func:`log_jet` and :func:`product_jet` check nothing, and
@@ -34,7 +35,8 @@ Models:
   potential log(1+|z1|^2) + s log((1+|z1|^2)^n + |z2|^2), and in the chart
   (z1, w = 1/z2) of the curve at infinity log(1+|z1|^2) + s log(1 + |w|^2 (1+|z1|^2)^n).
   All three kernels are U^a + |x|^2 U^b with U = 1+|z1|^2: (a, b) = (1, none),
-  (n, 0) and (0, n), built by one function.
+  (n, 0) and (0, n), built by one function, which also takes the two fiber
+  kernels in one stack: (n, 0) with the (0, n) rows masked.
 * ``Product(a, b)``    -- block product metric of two factor models (:func:`product_jet`).
 """
 from __future__ import annotations
@@ -218,8 +220,8 @@ def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
 
     Every model jet is checked here, once per stack: ``jet_of`` maps a (P, m)
     stack of points to their unchecked jet rows (a model's ``_rows``, or the
-    block of both charts of :meth:`Hitchin.fiber_jet`).  The check factors
-    the metrics, and the jet carries the factors.
+    one kernel stack of both charts of :meth:`Hitchin.fiber_jet`).  The check
+    factors the metrics, and the jet carries the factors.
 
     A point alone is the one-row stack: numpy's scalar arithmetic can differ
     from its array loops in the last bit, and a point should get the same jet
@@ -235,11 +237,17 @@ def _jet_on_rows(jet_of, z, m: int) -> MetricJet:
     return MetricJet(*(a.reshape(z.shape[:-1] + a.shape[1:]) for a in (jet.g, jet.dg, jet.ddg)), factors)
 
 
-def _power_kernel(z, a: int, b: int | None) -> KernelJet:
+def _power_kernel(z, a: int, b: int | None, swap=None) -> KernelJet:
     """Kernel jet of U^a + |x|^2 U^b, U = 1 + |z1|^2, at the chart points z = (z1, x).
 
-    b = None drops the second term.  A function f of q = |z1|^2, with fk its
-    k-th derivative in q (perm(e, k) U^(e-k) for U^e), has the derivatives
+    b = None drops the second term.  The rows of the boolean mask ``swap`` over
+    the stack, if given, take U^b + |x|^2 U^a: each row picks its two z1-jets
+    from the jets of U^a and U^b with ``np.where``, so it has the bits of
+    (b, a) taken alone, and one stack holds the rows of both fiber charts of
+    :class:`Hitchin`.
+
+    A function f of q = |z1|^2, with fk its k-th derivative in q
+    (perm(e, k) U^(e-k) for U^e), has the derivatives
     (1, d/dz1, d2/dz1^2, d2/dz1 dzbar1, d3/dz1^2 dzbar1, d4/dz1^2 dzbar1^2) f =
     (f, f1 z1bar, f2 z1bar^2, f1 + f2 q, z1bar (f3 q + 2 f2), 2 f2 + 4 f3 q + f4 q^2).
     In the terms with x indices |x|^2 contributes its derivatives xbar, x and 1.
@@ -258,6 +266,8 @@ def _power_kernel(z, a: int, b: int | None) -> KernelJet:
     parts = z1_jet(a)
     if b is not None:
         p, B = (x * xc).real, z1_jet(b)
+        if swap is not None:
+            parts, B = zip(*[(np.where(swap, Q, P), np.where(swap, P, Q)) for P, Q in zip(parts, B)])
         parts = tuple(Ak + p * Bk for Ak, Bk in zip(parts, B))
         B0, B1, B2, B11, B21, _ = B
         dw[..., 1] = xc * B0
@@ -417,15 +427,17 @@ class Hitchin(_Model):
         (0, w) with |w|^2 = (1-t)/t of the chart of :meth:`far_kernel`, where
         t = 1 is w = 0.  Both metrics and the Jacobian diag(1, -1/z2^2) of the
         chart change are diagonal on z1 = 0, so frame weights agree.  A t
-        outside [0, 1] gives a negative radius, a ValueError.  The rows of both
-        charts are scattered into one block, checked once (:func:`_jet_on_rows`);
-        when every t lies in one chart, that chart's rows are the block as they
-        come.
+        outside [0, 1] gives a negative radius, a ValueError.  The samples of
+        both charts are one stack: one fiber kernel (:func:`_power_kernel`
+        with (a, b) = (n, 0), its rows with t > 1/2 swapped to the far
+        kernel's (0, n)), one :func:`log_jet`, one base sum and one check
+        (:func:`_jet_on_rows`).  Every row has the bits of its own chart's jet
+        alone.
 
         The base kernel 1 + |z1|^2 depends on z1 alone, and every sample of
         both charts has z1 = 0 exactly, so the jet of its logarithm is taken
         once per process, on a one-row stack at z1 = 0 (:func:`_fiber_base_jet`),
-        and broadcast into the sum of both charts.  :func:`log_jet` gives a row
+        and broadcast into the block's sum.  :func:`log_jet` gives a row
         the same bits alone as in a stack, and the broadcast sum adds element
         by element, so every row gets the bits of evaluating the base at that
         row.
@@ -433,25 +445,13 @@ class Hitchin(_Model):
         Every sample is real, so the points are the real parts of
         :meth:`fiber_point`: the kernels, the jet, its factors and its
         curvature are float64, with the bits of the same points typed complex
-        (see the module docstring); a block of both charts takes the rows' dtype.
+        (see the module docstring).
         """
         t = np.asarray(t, dtype=float)
         far = t > 0.5
         radius = np.where(far, 1.0 - t, t) / np.where(far, t, 1.0 - t)
-        kernels = ((~far, self.fiber_kernel), (far, self.far_kernel))
-        charts = [(rows.ravel(), kernel) for rows, kernel in kernels if rows.any()]
-
-        def jet_of(z):
-            if len(charts) == 1:
-                return self._rows(z, charts[0][1], _fiber_base_jet())
-            arrays = [np.empty((len(z),) + (2,) * rank, dtype=z.dtype) for rank in (2, 3, 4)]
-            for rows, kernel in charts:
-                jet = self._rows(z[rows], kernel, _fiber_base_jet())
-                for out, part in zip(arrays, (jet.g, jet.dg, jet.ddg)):
-                    out[rows] = part
-            return MetricJet(*arrays)
-
-        return _jet_on_rows(jet_of, self.fiber_point(radius).real, 2)
+        kernel = functools.partial(_power_kernel, a=self.n, b=0, swap=far.ravel())
+        return _jet_on_rows(lambda z: self._rows(z, kernel, _fiber_base_jet()), self.fiber_point(radius).real, 2)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,23 @@ def test_metric_jet_rejects_inconsistent_batched_shapes(shapes):
         MetricJet(*(np.zeros(shape) for shape in shapes))
 
 
+@pytest.mark.parametrize(
+    "jet_of, m",
+    [
+        (FubiniStudy(1).metric_jet, 1),
+        (FubiniStudy(3).metric_jet, 3),
+        (Hitchin.make(2, "1/10").metric_jet, 2),
+        (Product(FubiniStudy(1), Hitchin.make(2, "1/10")).metric_jet, 3),
+        (lambda z: Hitchin.make(2, "1/10").fiber_jet(z[:, 0].real), 2),
+    ],
+    ids=["fs1", "fs3", "hitchin", "product", "fiber"],
+)
+def test_empty_stack_gives_an_empty_jet(jet_of, m):
+    jet = jet_of(np.zeros((0, m)))
+    assert (jet.g.shape, jet.dg.shape, jet.ddg.shape) == ((0,) + (m,) * 2, (0,) + (m,) * 3, (0,) + (m,) * 4)
+    assert [f.shape for f in jet._factors] == [(m, m, 0)] * 2
+
+
 def _row(jet, i):
     return MetricJet(jet.g[i], jet.dg[i], jet.ddg[i])
 

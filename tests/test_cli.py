@@ -327,6 +327,13 @@ def test_exit_code_contract(capsys, argv, code):
         # a hitchin descriptor with too many or too few fields names the form
         (["curvature", "--model", "hitchin:1:1/3:4"], "cannot parse model 'hitchin:1:1/3:4': expected hitchin:<n>:<s>"),
         (["curvature", "--model", "hitchin:1"], "cannot parse model 'hitchin:1': expected hitchin:<n>:<s>"),
+        # past the metric jet, the curvature's own residues name the point too
+        (["curvature", "--model", "fs2", "--point", "1e4,1e4+3e3j"],
+         "point '1e4,1e4+3e3j' is out of numerical range: scalar curvature has imaginary residue"),
+        (["curvature", "--model", "fs3", "--point", "1e4,1e4+3e3j,0"],
+         "point '1e4,1e4+3e3j,0' is out of numerical range: scalar curvature has imaginary residue"),
+        (["curvature", "--model", "hitchin:1:1/3", "--point", "1e4,1e4+3e3j"],
+         "point '1e4,1e4+3e3j' is out of numerical range: scalar curvature has imaginary residue"),
     ],
 )
 def test_parameter_errors_name_the_parameter(capsys, argv, named):

@@ -73,11 +73,12 @@ def test_fiber_jet_charts():
 
 
 def test_fiber_jet_of_one_chart_is_its_rows_of_a_mixed_stack():
-    # A block in one chart returns that chart's jet as it comes.
+    # A block has the bits of the same rows of any block around it: in one
+    # chart, straddling t = 1/2, or a single row.
     model = Hitchin.make(3, "1/21")
     t = np.linspace(0.0, 1.0, 512)
     mixed = model.fiber_jet(t)
-    for rows in (slice(0, 256), slice(256, 512)):
+    for rows in (slice(0, 256), slice(256, 512), slice(255, 257), slice(250, 262), slice(0, 1), slice(511, 512)):
         alone = model.fiber_jet(t[rows])
         for got, want in zip((alone.g, alone.dg, alone.ddg), (mixed.g, mixed.dg, mixed.ddg)):
             assert np.array_equal(got, want[rows])

@@ -292,10 +292,10 @@ def test_fiber_sweep_takes_the_base_jet_once(monkeypatch):
         K[t == 1.0] = (0.99 * 2.0 / model.s, 0.99 * 4.0 / model.s)
         return K, weights, residual, converged
 
-    def counted(z, a, b):
+    def counted(z, a, b, swap=None):
         if b is None:  # the base kernel 1 + |z1|^2
             calls.append(np.shape(z))
-        return power_kernel(z, a, b)
+        return power_kernel(z, a, b, swap)
 
     monkeypatch.setattr(optimize, "_fiber_cells", lowered_limit)
     monkeypatch.setattr(models, "_power_kernel", counted)
@@ -304,6 +304,26 @@ def test_fiber_sweep_takes_the_base_jet_once(monkeypatch):
         report = sweep_fiber(model, grid=1024)
         assert report.method["refine_iterations"] > 0
     assert calls == [(1, 2)]
+
+
+def test_fiber_block_takes_one_log_jet(monkeypatch):
+    # The samples of both charts of a block are one kernel stack: one log_jet
+    # a block, on all its rows, once the shared base jet is taken.
+    log_jet, calls = models.log_jet, []
+
+    def counted(kernel):
+        calls.append(np.shape(kernel.w))
+        return log_jet(kernel)
+
+    models._fiber_base_jet()
+    monkeypatch.setattr(models, "log_jet", counted)
+    model = Hitchin.make(2, "1/10")
+    model.fiber_jet(np.linspace(0.0, 1.0, 512))
+    assert calls == [(512,)]
+    for grid, blocks in ((512, 1), (4096, 8)):
+        calls.clear()
+        assert sweep_fiber(model, grid=grid).method["refine_iterations"] == 0
+        assert calls == [(512,)] * blocks
 
 
 def test_fiber_sweep_takes_residuals_only_where_it_can_report(monkeypatch):
